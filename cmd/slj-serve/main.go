@@ -87,7 +87,8 @@
 //
 // -journal makes the job table durable (DESIGN.md §11): every submission,
 // state transition and TTL eviction is appended to a JSON-lines journal at
-// the given path (fsynced on terminal transitions), and a restart replays
+// the given path (fsynced on terminal transitions; clip payloads and
+// results live as blob files in path+".blobs"), and a restart replays
 // it — interrupted jobs re-run to identical results, finished results stay
 // pollable with their original timestamps, and GET /v1/jobs serves the
 // surviving history. Without -journal jobs live in memory only and a

@@ -41,7 +41,7 @@ import (
 // DefaultSessionTTL expires idle ingest sessions (the clip never sealed).
 const DefaultSessionTTL = 15 * time.Minute
 
-// DefaultMaxSessions bounds concurrently open sessions.
+// DefaultMaxSessions bounds concurrently open (unsealed) sessions.
 const DefaultMaxSessions = 64
 
 // memoCap bounds the frames-hash → silhouettes-hash memo registry.
@@ -59,7 +59,8 @@ type SessionConfig struct {
 	// 0 selects DefaultSessionTTL.
 	TTL time.Duration
 	// MaxSessions bounds concurrently open sessions; 0 selects
-	// DefaultMaxSessions.
+	// DefaultMaxSessions. A sealed session no longer counts: it keeps only
+	// its seal document, for idempotent re-seal, until its TTL runs out.
 	MaxSessions int
 	// Clock overrides time.Now, a test seam for session expiry.
 	Clock func() time.Time
@@ -67,6 +68,7 @@ type SessionConfig struct {
 
 // SessionMetrics is a point-in-time snapshot of the ingest layer.
 type SessionMetrics struct {
+	// Open counts unsealed sessions, the ones MaxSessions bounds.
 	Open             int    `json:"open"`
 	Opened           uint64 `json:"opened"`
 	Sealed           uint64 `json:"sealed"`
@@ -193,9 +195,9 @@ func (s *Sessions) Open() (*Session, error) {
 	if s.sessions == nil {
 		return nil, errors.New("artifacts: ingest layer is closed")
 	}
-	if len(s.sessions) >= s.cfg.MaxSessions {
+	if s.openLocked() >= s.cfg.MaxSessions {
 		s.sweepLocked(s.clock())
-		if len(s.sessions) >= s.cfg.MaxSessions {
+		if s.openLocked() >= s.cfg.MaxSessions {
 			return nil, fmt.Errorf("artifacts: too many open ingest sessions (max %d)", s.cfg.MaxSessions)
 		}
 	}
@@ -251,7 +253,7 @@ func (s *Sessions) recordMemo(framesHash, silsHash string) {
 func (s *Sessions) Metrics() SessionMetrics {
 	s.mu.Lock()
 	s.sweepLocked(s.clock())
-	open := len(s.sessions)
+	open := s.openLocked()
 	s.mu.Unlock()
 	return SessionMetrics{
 		Open:             open,
@@ -298,6 +300,17 @@ func (s *Sessions) runJanitor() {
 	}
 }
 
+// openLocked counts the unsealed sessions. Caller holds mu.
+func (s *Sessions) openLocked() int {
+	n := 0
+	for _, sess := range s.sessions {
+		if !sess.isSealed() {
+			n++
+		}
+	}
+	return n
+}
+
 // sweepLocked drops expired sessions. Caller holds mu.
 func (s *Sessions) sweepLocked(now time.Time) {
 	for id, sess := range s.sessions {
@@ -338,6 +351,9 @@ type Session struct {
 	eager   map[int]eagerResult
 	sealing bool
 	sealed  *SealDoc
+	// eagerN is len(eager) at seal time: Seal releases the frames and the
+	// speculative results, and Status still reports them.
+	eagerN  int
 	expires time.Time
 
 	// pending tracks in-flight speculative segmentation goroutines.
@@ -346,6 +362,12 @@ type Session struct {
 
 // ID returns the session identifier.
 func (ss *Session) ID() string { return ss.id }
+
+func (ss *Session) isSealed() bool {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	return ss.sealed != nil
+}
 
 func (ss *Session) expired(now time.Time) bool {
 	ss.mu.Lock()
@@ -422,13 +444,16 @@ func (ss *Session) eagerSegment(prefix []*imaging.Image, start int) {
 func (ss *Session) Status() SessionStatus {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	return SessionStatus{
+	st := SessionStatus{
 		ClipID:         ss.id,
 		Frames:         len(ss.frames),
 		Chunks:         ss.chunks,
 		EagerSegmented: len(ss.eager),
-		Sealed:         ss.sealed != nil,
 	}
+	if ss.sealed != nil {
+		st.Frames, st.EagerSegmented, st.Sealed = ss.sealed.Frames, ss.eagerN, true
+	}
+	return st
 }
 
 // Seal closes the session: it waits for in-flight speculation, estimates
@@ -437,7 +462,9 @@ func (ss *Session) Status() SessionStatus {
 // stores the frames and segmentation artifacts, registers the
 // frames→silhouettes memo, and returns the seal document. Seal is
 // idempotent — a second call returns the same document without redoing any
-// work — and a failed seal leaves the session open for retry.
+// work — and a failed seal leaves the session open for retry. A sealed
+// session releases its frames and speculative results (the store holds
+// the artifacts) and stops counting against MaxSessions.
 func (ss *Session) Seal() (*SealDoc, error) {
 	ss.sealMu.Lock()
 	defer ss.sealMu.Unlock()
@@ -462,6 +489,8 @@ func (ss *Session) Seal() (*SealDoc, error) {
 		ss.sealing = false
 	} else {
 		ss.sealed = doc
+		ss.eagerN = len(ss.eager)
+		ss.frames, ss.eager = nil, nil
 		ss.expires = ss.owner.clock().Add(ss.owner.cfg.TTL)
 	}
 	ss.mu.Unlock()

@@ -349,3 +349,57 @@ func TestResolveRequestMaterialisesRefs(t *testing.T) {
 		t.Fatal("accepted a request with both inline frames and a frames ref")
 	}
 }
+
+// TestSealedSessionsLeaveTheTable: a sealed session stops counting against
+// MaxSessions, so 100 upload+seal cycles inside one TTL all succeed, while
+// the bound on unsealed sessions still holds. A sealed session keeps only
+// its seal document: re-seal and Status still answer.
+func TestSealedSessionsLeaveTheTable(t *testing.T) {
+	s, _ := newTestSessions(t, SessionConfig{})
+	var sealed []*Session
+	for i := 0; i < 100; i++ {
+		sess, err := s.Open()
+		if err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+		if err := sess.Append(0, testFrames(2, 16, 8)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Seal(); err != nil {
+			t.Fatalf("cycle %d: seal: %v", i, err)
+		}
+		sealed = append(sealed, sess)
+	}
+	if m := s.Metrics(); m.Open != 0 || m.Sealed != 100 {
+		t.Fatalf("metrics = %+v, want 100 sealed and none open", m)
+	}
+	for _, sess := range sealed {
+		got, ok := s.Get(sess.ID())
+		if !ok {
+			t.Fatal("sealed session dropped before its TTL")
+		}
+		first, _ := got.Seal()
+		again, err := got.Seal()
+		if err != nil || again != first {
+			t.Fatalf("re-seal = %v, %v; want the same document", again, err)
+		}
+		if st := got.Status(); !st.Sealed || st.Frames != 2 || st.Chunks != 1 {
+			t.Fatalf("sealed status = %+v", st)
+		}
+		got.mu.Lock()
+		released := got.frames == nil && got.eager == nil
+		got.mu.Unlock()
+		if !released {
+			t.Fatal("sealed session still holds its frames")
+		}
+	}
+
+	for i := 0; i < DefaultMaxSessions; i++ {
+		if _, err := s.Open(); err != nil {
+			t.Fatalf("unsealed session %d: %v", i, err)
+		}
+	}
+	if _, err := s.Open(); err == nil {
+		t.Fatalf("session %d opened past the bound on unsealed sessions", DefaultMaxSessions+1)
+	}
+}

@@ -2,6 +2,8 @@ package journal_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -253,5 +255,101 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	}
 	if listing.Count != 4 {
 		t.Errorf("done history = %d jobs, want 4", listing.Count)
+	}
+}
+
+// TestManagerNeverServesDamagedBlobs runs the Manager over a file journal
+// whose blobs were damaged between two runs. The done job whose result
+// blob fails its hash re-runs under its original id instead of serving
+// the damaged bytes. The queued job whose payload blob is missing is
+// dropped and counted.
+func TestManagerNeverServesDamagedBlobs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.journal")
+	var mu sync.Mutex
+	runs := 0
+	exec := jobs.ExecutorFunc(func(_ context.Context, p jobs.Payload, _ func(string)) (any, error) {
+		mu.Lock()
+		runs++
+		mu.Unlock()
+		return map[string]string{"key": p.CacheKey}, nil
+	})
+	blobPath := func(v any) string {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(raw)
+		return filepath.Join(path+".blobs", hex.EncodeToString(sum[:]))
+	}
+
+	jrn1, err := journal.Open(path, journal.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1, err := jobs.New(jobs.Config{Workers: 1, QueueSize: 4, Journal: jrn1}, exec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doneID, err := m1.Submit(jobs.Payload{Kind: jobs.KindAnalysis, CacheKey: "done"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// A job accepted just before the crash, never picked up.
+	lostPayload := jobs.Payload{Kind: jobs.KindAnalysis, CacheKey: "lost"}
+	raw, err := json.Marshal(&lostPayload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jrn1.Append(jobs.JournalEntry{Op: jobs.OpSubmit, ID: "feedfacefeedface", At: time.Now(), Payload: raw}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jrn1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	resultBlob := blobPath(map[string]string{"key": "done"})
+	data, err := os.ReadFile(resultBlob)
+	if err != nil {
+		t.Fatalf("result blob: %v", err)
+	}
+	data[0] ^= 0x20
+	if err := os.WriteFile(resultBlob, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(blobPath(&lostPayload)); err != nil {
+		t.Fatal(err)
+	}
+
+	jrn2, err := journal.Open(path, journal.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jrn2.Close()
+	m2, err := jobs.New(jobs.Config{Workers: 1, QueueSize: 4, Journal: jrn2}, exec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m2.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	val, err := m2.Result(doneID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := json.Marshal(val)
+	if string(got) != `{"key":"done"}` {
+		t.Errorf("result after restart = %s, want the re-run document", got)
+	}
+	if runs != 2 {
+		t.Errorf("executor ran %d times, want 2 (the damaged result re-ran)", runs)
+	}
+	if _, err := m2.Status("feedfacefeedface"); err == nil {
+		t.Error("the job whose payload blob was lost came back")
+	}
+	if n := jrn2.Stats().DroppedJobs; n != 1 {
+		t.Errorf("DroppedJobs = %d, want 1", n)
 	}
 }

@@ -281,7 +281,8 @@ type (
 	// record sink replayed on startup (DESIGN.md §11). OpenJobJournal
 	// returns the canonical file-backed implementation.
 	JobJournal = jobs.Journal
-	// JobJournalFile is the file-backed JSON-lines journal: segment
+	// JobJournalFile is the file-backed JSON-lines journal: payloads and
+	// results kept as content-addressed blobs beside the log, segment
 	// rotation, live-record compaction, fsync on terminal transitions,
 	// torn-final-record recovery.
 	JobJournalFile = journal.Journal
@@ -616,8 +617,8 @@ func (q *JobQueue) Watch(ctx context.Context, id string) (<-chan JobEvent, error
 	return w.Watch(ctx, id, 0)
 }
 
-// OpenJobJournal opens (or creates) the durable job journal at path with
-// the production policy: fsync on terminal transitions, 64 MiB segments,
+// OpenJobJournal opens (or creates) the durable job journal at path, and
+// its blob directory path+".blobs", with the production policy: fsync on terminal transitions, 64 MiB segments,
 // compaction once half the records belong to evicted jobs. Pass it to
 // JobQueueOptions.Journal and close it after the queue closes.
 func OpenJobJournal(path string) (*JobJournalFile, error) {
