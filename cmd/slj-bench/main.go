@@ -742,7 +742,10 @@ func compareBaseline(doc perfDoc, path string, thresholdPct float64) error {
 
 // runJournalPerf measures jobs/sec through the async Manager with the
 // journal off, on without fsync, and on with the production
-// fsync-on-terminal policy, all over the same segmentation-only payload.
+// fsync-on-terminal policy, all over the same segmentation-only payloads.
+// Each job's manual annotation is drawn with its own seed, so every submit
+// carries distinct bytes and writes its own payload blob instead of
+// deduplicating onto one.
 func runJournalPerf(v *synth.Video) (*perfJournal, error) {
 	cfg := core.DefaultConfig()
 	an, err := core.New(cfg)
@@ -756,16 +759,20 @@ func runJournalPerf(v *synth.Video) (*perfJournal, error) {
 		}
 		return an.Run(ctx, req, nil)
 	})
-	payload, err := jobs.NewAnalysisPayload(jobs.ConfigFingerprint(cfg), core.Request{
-		Frames:      v.Frames,
-		ManualFirst: v.ManualAnnotation(synth.DefaultAnnotationError(), 1),
-		Stages:      core.OnlyStage(core.StageSegmentation),
-	})
-	if err != nil {
-		return nil, err
+	const njobs = 12
+	payloads := make([]jobs.Payload, njobs)
+	for i := range payloads {
+		p, err := jobs.NewAnalysisPayload(jobs.ConfigFingerprint(cfg), core.Request{
+			Frames:      v.Frames,
+			ManualFirst: v.ManualAnnotation(synth.DefaultAnnotationError(), int64(i+1)),
+			Stages:      core.OnlyStage(core.StageSegmentation),
+		})
+		if err != nil {
+			return nil, err
+		}
+		payloads[i] = p
 	}
 
-	const njobs = 12
 	run := func(jrn jobs.Journal) (float64, error) {
 		m, err := jobs.New(jobs.Config{Workers: 2, QueueSize: njobs, Journal: jrn}, exec)
 		if err != nil {
@@ -774,7 +781,7 @@ func runJournalPerf(v *synth.Video) (*perfJournal, error) {
 		defer m.Close(context.Background())
 		start := time.Now()
 		ids := make([]string, 0, njobs)
-		for i := 0; i < njobs; i++ {
+		for _, payload := range payloads {
 			id, err := m.Submit(payload)
 			if err != nil {
 				return 0, err

@@ -27,6 +27,10 @@ import (
 // one observation per GA generation (a cohort of Population fitness
 // calls), the hot-path quantity behind the ROADMAP's "10× GA" item.
 // Registered once so the per-generation cost is a few atomic adds.
+// ErrNoValidSeed reports that rejection sampling found no valid genome to
+// start the population from.
+var ErrNoValidSeed = errors.New("ga: could not seed a valid genome")
+
 var fitnessEvalSeconds = obs.Default.Histogram("slj_ga_fitness_eval_seconds",
 	"Wall-clock time to fitness-score one GA cohort (one generation), in seconds.",
 	obs.IOBuckets)
@@ -418,7 +422,7 @@ func (e *Engine) initialGenomes(rng *rand.Rand) ([]Genome, error) {
 		}
 		if !ok {
 			if lastValid == nil {
-				return nil, fmt.Errorf("ga: could not seed a valid genome in %d tries", e.cfg.MaxSeedTries)
+				return nil, fmt.Errorf("%w in %d tries", ErrNoValidSeed, e.cfg.MaxSeedTries)
 			}
 			g = lastValid.Clone()
 		} else {

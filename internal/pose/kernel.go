@@ -97,18 +97,7 @@ func newFitKernel(pts []imaging.Vec2, dims stickmodel.Dimensions) *fitKernel {
 
 // Eval scores one pose. Zero heap allocations.
 func (k *fitKernel) Eval(p stickmodel.Pose) float64 {
-	segs := p.Segments(k.dims)
-	// Per-stick precomputation, mirroring Segment.PointDist's locals.
-	var ax, ay, dx, dy, l2, thick, invT2 [stickmodel.NumSticks]float64
-	for l := 0; l < stickmodel.NumSticks; l++ {
-		ax[l] = segs[l].A.X
-		ay[l] = segs[l].A.Y
-		dx[l] = segs[l].B.X - segs[l].A.X
-		dy[l] = segs[l].B.Y - segs[l].A.Y
-		l2[l] = dx[l]*dx[l] + dy[l]*dy[l]
-		thick[l] = k.dims.Thick[l]
-		invT2[l] = 1 / (thick[l] * thick[l])
-	}
+	g := newStickGeom(p, k.dims)
 	var sum float64
 	// Per-point scratch; only active-stick slots are written and read each
 	// iteration, so hoisting avoids re-zeroing inside the hot loop.
@@ -124,14 +113,14 @@ func (k *fitKernel) Eval(p stickmodel.Pose) float64 {
 		var lb, ub [stickmodel.NumSticks]float64
 		ubMin := math.Inf(1)
 		for l := 0; l < stickmodel.NumSticks; l++ {
-			rx, ry := closestOffset(c.cx, c.cy, ax[l], ay[l], dx[l], dy[l], l2[l])
+			rx, ry := closestOffset(c.cx, c.cy, g.ax[l], g.ay[l], g.dx[l], g.dy[l], g.l2[l])
 			dc := math.Sqrt(rx*rx + ry*ry)
 			lo := dc - c.radius
 			if lo < 0 {
 				lo = 0
 			}
-			lb[l] = lo / thick[l]
-			ub[l] = (dc + c.radius) / thick[l]
+			lb[l] = lo / g.thick[l]
+			ub[l] = (dc + c.radius) / g.thick[l]
 			if ub[l] < ubMin {
 				ubMin = ub[l]
 			}
@@ -149,10 +138,10 @@ func (k *fitKernel) Eval(p stickmodel.Pose) float64 {
 			bestQ := math.Inf(1)
 			for j := 0; j < nact; j++ {
 				l := active[j]
-				rx, ry := closestOffset(px, py, ax[l], ay[l], dx[l], dy[l], l2[l])
+				rx, ry := closestOffset(px, py, g.ax[l], g.ay[l], g.dx[l], g.dy[l], g.l2[l])
 				rxs[l] = rx
 				rys[l] = ry
-				q[l] = (rx*rx + ry*ry) * invT2[l]
+				q[l] = (rx*rx + ry*ry) * g.invT2[l]
 				if q[l] < bestQ {
 					bestQ = q[l]
 				}
@@ -166,7 +155,7 @@ func (k *fitKernel) Eval(p stickmodel.Pose) float64 {
 				if q[l] > limit {
 					continue
 				}
-				d := math.Hypot(rxs[l], rys[l]) / thick[l]
+				d := math.Hypot(rxs[l], rys[l]) / g.thick[l]
 				if d < best {
 					best = d
 				}
@@ -195,6 +184,187 @@ func closestOffset(px, py, ax, ay, dx, dy, l2 float64) (rx, ry float64) {
 
 // NumPoints reports the silhouette point count the kernel averages over.
 func (k *fitKernel) NumPoints() int { return len(k.xs) }
+
+// stickSet is a set of StickIDs, bit l standing for stick l.
+type stickSet uint8
+
+const allSticks stickSet = 1<<stickmodel.NumSticks - 1
+
+// kinematicDeps[s] is the set of sticks whose image segment moves when ρs
+// changes. It is read off the forward kinematics (Pose.Segments) by
+// turning each stick in turn on a probe pose with non-zero stick lengths,
+// so it follows the kinematic chain instead of a hand-kept list: the thigh
+// carries the shank and foot, the neck carries the head, the trunk carries
+// everything. With the real body dimensions a set can only be a superset
+// of what moves (a zero-length stick carries nothing), which is safe.
+var kinematicDeps = func() (deps [stickmodel.NumSticks]stickSet) {
+	dims := stickmodel.ChildDimensions(100)
+	var probe stickmodel.Pose
+	for l := range probe.Rho {
+		probe.Rho[l] = 17 + 41*float64(l)
+	}
+	base := probe.Segments(dims)
+	for s := range probe.Rho {
+		turned := probe
+		turned.Rho[s] += 90
+		for l, seg := range turned.Segments(dims) {
+			if seg != base[l] {
+				deps[s] |= 1 << l
+			}
+		}
+	}
+	return deps
+}()
+
+// movedBy returns the sticks whose segments change when the angles of ids
+// change.
+func movedBy(ids ...stickmodel.StickID) stickSet {
+	var s stickSet
+	for _, id := range ids {
+		s |= kinematicDeps[id]
+	}
+	return s
+}
+
+// scanEval returns an Eq. (3) evaluator for a refinement scan from base
+// whose candidates move only the sticks in moving. Its value is exact —
+// the same float64 as Eval — for every pose that differs from base only in
+// the angles of those sticks. A scan that moves every stick gets Eval
+// itself.
+func (k *fitKernel) scanEval(base stickmodel.Pose, moving stickSet) func(stickmodel.Pose) float64 {
+	if moving == allSticks {
+		return k.Eval
+	}
+	return k.partial(base, moving).Eval
+}
+
+// partialKernel evaluates Eq. (3) for poses that share base's fixed
+// sticks: the per-point minimum over the fixed sticks is computed once, and
+// each candidate only measures the moving sticks against it. Because a
+// minimum does not depend on the order it is taken in and the points are
+// still summed in row-major order, Eval returns exactly the float64 of
+// fitKernel.Eval and of the reference fitnessOver.
+type partialKernel struct {
+	k      *fitKernel
+	moving [stickmodel.NumSticks]int
+	nmov   int
+	// fixed[i] is min over the fixed sticks of Hypot/t_l at point i
+	// (1e18, the reference's starting value, when no stick is fixed);
+	// cellMax[c] is the largest fixed[i] of cell c.
+	fixed   []float64
+	cellMax []float64
+}
+
+// partial builds the partial evaluator for scans from base that move the
+// sticks in moving.
+func (k *fitKernel) partial(base stickmodel.Pose, moving stickSet) *partialKernel {
+	pk := &partialKernel{
+		k:       k,
+		fixed:   make([]float64, len(k.xs)),
+		cellMax: make([]float64, len(k.cells)),
+	}
+	var fixedIDs [stickmodel.NumSticks]int
+	nfix := 0
+	for l := 0; l < stickmodel.NumSticks; l++ {
+		if moving&(1<<l) != 0 {
+			pk.moving[pk.nmov] = l
+			pk.nmov++
+		} else {
+			fixedIDs[nfix] = l
+			nfix++
+		}
+	}
+	g := newStickGeom(base, k.dims)
+	for ci, c := range k.cells {
+		cmax := 0.0
+		for i := c.start; i < c.end; i++ {
+			d := g.minDist(k.xs[i], k.ys[i], 1e18, &fixedIDs, nfix)
+			pk.fixed[i] = d
+			if d > cmax {
+				cmax = d
+			}
+		}
+		pk.cellMax[ci] = cmax
+	}
+	return pk
+}
+
+// Eval scores one pose that differs from the base pose only in the moving
+// sticks. Zero heap allocations.
+func (pk *partialKernel) Eval(p stickmodel.Pose) float64 {
+	k := pk.k
+	g := newStickGeom(p, k.dims)
+	var sum float64
+	for ci, c := range k.cells {
+		// A moving stick whose distance lower bound over the cell's
+		// covering circle exceeds every stored fixed minimum of the cell
+		// cannot lower any point's minimum there.
+		cmax := pk.cellMax[ci]
+		var active [stickmodel.NumSticks]int
+		nact := 0
+		for j := 0; j < pk.nmov; j++ {
+			l := pk.moving[j]
+			rx, ry := closestOffset(c.cx, c.cy, g.ax[l], g.ay[l], g.dx[l], g.dy[l], g.l2[l])
+			lo := math.Sqrt(rx*rx+ry*ry) - c.radius
+			if lo < 0 {
+				lo = 0
+			}
+			if lo/g.thick[l] <= cmax+1e-9 {
+				active[nact] = l
+				nact++
+			}
+		}
+		for i := c.start; i < c.end; i++ {
+			best := pk.fixed[i]
+			if nact > 0 {
+				best = g.minDist(k.xs[i], k.ys[i], best, &active, nact)
+			}
+			sum += best
+		}
+	}
+	return sum / float64(len(k.xs))
+}
+
+// stickGeom holds the per-stick locals of Segment.PointDist for one pose.
+type stickGeom struct {
+	ax, ay, dx, dy, l2, thick, invT2 [stickmodel.NumSticks]float64
+}
+
+func newStickGeom(p stickmodel.Pose, dims stickmodel.Dimensions) stickGeom {
+	segs := p.Segments(dims)
+	var g stickGeom
+	for l := 0; l < stickmodel.NumSticks; l++ {
+		g.ax[l] = segs[l].A.X
+		g.ay[l] = segs[l].A.Y
+		g.dx[l] = segs[l].B.X - segs[l].A.X
+		g.dy[l] = segs[l].B.Y - segs[l].A.Y
+		g.l2[l] = g.dx[l]*g.dx[l] + g.dy[l]*g.dy[l]
+		g.thick[l] = dims.Thick[l]
+		g.invT2[l] = 1 / (g.thick[l] * g.thick[l])
+	}
+	return g
+}
+
+// minDist folds the sticks ids[:n] into best, the running minimum of the
+// reference Hypot(...)/t_l at (px, py), with the reference's strict <. A
+// stick whose squared normalised distance exceeds best² by the candMargin
+// slack cannot come out below best after rounding, so its Hypot is
+// skipped; that never changes the minimum's value.
+func (g *stickGeom) minDist(px, py, best float64, ids *[stickmodel.NumSticks]int, n int) float64 {
+	limit := best*best + best*best*candMargin + candMargin
+	for j := 0; j < n; j++ {
+		l := ids[j]
+		rx, ry := closestOffset(px, py, g.ax[l], g.ay[l], g.dx[l], g.dy[l], g.l2[l])
+		if (rx*rx+ry*ry)*g.invT2[l] > limit {
+			continue
+		}
+		if d := math.Hypot(rx, ry) / g.thick[l]; d < best {
+			best = d
+			limit = best*best + best*best*candMargin + candMargin
+		}
+	}
+	return best
+}
 
 // fitnessOver is the naive Eq. (3) reference evaluator the kernel is pinned
 // against: the mean over silhouette points of the minimum

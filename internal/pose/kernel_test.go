@@ -119,3 +119,123 @@ func BenchmarkFitnessReference(b *testing.B) {
 		ref(p)
 	}
 }
+
+// scanGroups are the stick groups the refinement scans vary, as refinePose
+// passes them to scan1/scan2.
+var scanGroups = [][]stickmodel.StickID{
+	{stickmodel.Trunk},
+	{stickmodel.Neck, stickmodel.Head},
+	{stickmodel.UpperArm, stickmodel.Forearm},
+	{stickmodel.Thigh, stickmodel.Shank},
+	{stickmodel.Foot},
+}
+
+func TestKinematicDepsFollowChain(t *testing.T) {
+	set := func(ids ...stickmodel.StickID) stickSet {
+		var s stickSet
+		for _, id := range ids {
+			s |= 1 << id
+		}
+		return s
+	}
+	cases := []struct {
+		ids  []stickmodel.StickID
+		want stickSet
+	}{
+		{[]stickmodel.StickID{stickmodel.Trunk}, allSticks},
+		{[]stickmodel.StickID{stickmodel.Neck, stickmodel.Head}, set(stickmodel.Neck, stickmodel.Head)},
+		{[]stickmodel.StickID{stickmodel.UpperArm, stickmodel.Forearm}, set(stickmodel.UpperArm, stickmodel.Forearm)},
+		{[]stickmodel.StickID{stickmodel.Thigh, stickmodel.Shank}, set(stickmodel.Thigh, stickmodel.Shank, stickmodel.Foot)},
+		{[]stickmodel.StickID{stickmodel.Shank}, set(stickmodel.Shank, stickmodel.Foot)},
+		{[]stickmodel.StickID{stickmodel.Foot}, set(stickmodel.Foot)},
+	}
+	for _, c := range cases {
+		if got := movedBy(c.ids...); got != c.want {
+			t.Errorf("movedBy(%v) = %08b, want %08b", c.ids, got, c.want)
+		}
+	}
+}
+
+// TestPartialKernelMatchesReferenceBitExact is the bit-identity contract of
+// the incremental scan evaluator: for every scan group, on the full and the
+// coarse (doubled-stride) kernel, a candidate that changes exactly the
+// scan's angles must score the exact float64 of the naive reference.
+func TestPartialKernelMatchesReferenceBitExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	dims := stickmodel.ChildDimensions(60)
+	compared := 0
+	for trial := 0; trial < 20; trial++ {
+		gen := randomPose(rng, 80, 80)
+		gen.X += 30
+		gen.Y += 30
+		sil := gen.Rasterize(dims, 140, 140)
+		stride := 1 + rng.Intn(3)
+		for _, s := range []int{stride, stride * FastProfile().CoarseStrideScale} {
+			pts := maskPoints(sil, s)
+			if len(pts) == 0 {
+				continue
+			}
+			k := newFitKernel(pts, dims)
+			ref := fitnessOver(pts, dims)
+			for _, group := range scanGroups {
+				// Bases on the silhouette (where pruning against the fixed
+				// minima bites) and anywhere on the canvas.
+				base := randomPose(rng, 160, 160)
+				if rng.Intn(2) == 0 {
+					base = gen.Translate(rng.NormFloat64()*2, rng.NormFloat64()*2)
+					for l := range base.Rho {
+						base.Rho[l] = stickmodel.NormalizeAngle(base.Rho[l] + rng.NormFloat64()*15)
+					}
+				}
+				eval := k.scanEval(base, movedBy(group...))
+				for c := 0; c < 16; c++ {
+					p := base
+					for _, id := range group {
+						p.Rho[id] = stickmodel.NormalizeAngle(base.Rho[id] + rng.Float64()*360)
+					}
+					if got, want := eval(p), ref(p); got != want {
+						t.Fatalf("trial %d stride %d group %v: partial %.17g != reference %.17g (base %+v, pose %+v)",
+							trial, s, group, got, want, base, p)
+					}
+					compared++
+				}
+			}
+		}
+	}
+	if compared < 1000 {
+		t.Fatalf("only %d comparisons ran", compared)
+	}
+	t.Logf("%d partial-vs-reference comparisons", compared)
+}
+
+func TestPartialKernelEvalZeroAllocs(t *testing.T) {
+	dims := stickmodel.ChildDimensions(60)
+	truth := crouchPose(70, 70)
+	k := newFitKernel(maskPoints(truth.Rasterize(dims, 140, 140), 2), dims)
+	pk := k.partial(truth, movedBy(stickmodel.Thigh, stickmodel.Shank))
+	p := truth
+	p.Rho[stickmodel.Thigh] += 24
+	if allocs := testing.AllocsPerRun(50, func() { pk.Eval(p) }); allocs != 0 {
+		t.Errorf("partialKernel.Eval allocates %v/op, want 0", allocs)
+	}
+}
+
+// BenchmarkPartialKernelEval is one leg-scan candidate on the crouch
+// silhouette; compare with BenchmarkFitKernelEval for the per-candidate
+// saving of the incremental scans.
+func BenchmarkPartialKernelEval(b *testing.B) {
+	dims := stickmodel.ChildDimensions(60)
+	truth := crouchPose(70, 70)
+	k := newFitKernel(maskPoints(truth.Rasterize(dims, 140, 140), 2), dims)
+	pk := k.partial(crouchPose(72, 69), movedBy(stickmodel.Thigh, stickmodel.Shank))
+	p := crouchPose(72, 69)
+	p.Rho[stickmodel.Thigh] += 24
+	p.Rho[stickmodel.Shank] -= 12
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkFitness = pk.Eval(p)
+	}
+}
+
+var sinkFitness float64

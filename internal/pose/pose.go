@@ -262,7 +262,8 @@ func (e *Estimator) estimateTemporal(sil segmentation.Silhouette, prev stickmode
 	if err != nil {
 		return nil, err
 	}
-	eq3 := newFitKernel(pts, e.dims).Eval
+	kern := newFitKernel(pts, e.dims)
+	eq3 := kern.Eval
 	anchor := prev
 	if pred != nil {
 		anchor = *pred
@@ -302,9 +303,15 @@ func (e *Estimator) estimateTemporal(sil segmentation.Silhouette, prev stickmode
 	}
 	fit := withPriors(eq3)
 	var coarseFit func(stickmodel.Pose) float64
+	// The coordinate-descent scans cost thousands of Eq. (3) calls per
+	// frame — more than the GA itself once the GA runs coarse-to-fine.
+	// Under a fast profile the scans therefore run on the coarse kernel;
+	// only the final fitness is re-scored at full resolution.
+	refineKern := kern
 	if e.cfg.Profile.coarseEnabled() {
 		if cpts, err := e.silhouettePointsStride(sil, e.cfg.PointStride*e.cfg.Profile.CoarseStrideScale); err == nil {
-			coarseFit = withPriors(newFitKernel(cpts, e.dims).Eval)
+			refineKern = newFitKernel(cpts, e.dims)
+			coarseFit = withPriors(refineKern.Eval)
 		}
 		// A silhouette too small to survive the coarse stride simply runs
 		// full-resolution throughout.
@@ -364,15 +371,12 @@ func (e *Estimator) estimateTemporal(sil segmentation.Silhouette, prev stickmode
 		valid := func(p stickmodel.Pose) bool {
 			return p.ContainmentFraction(dims, mask) >= minContain
 		}
-		// The coordinate-descent scans cost thousands of Eq. (3) calls per
-		// frame — more than the GA itself once the GA runs coarse-to-fine.
-		// Under a fast profile the scans therefore also run on the coarse
-		// kernel; only the final fitness is re-scored at full resolution.
-		refineFit := fit
-		if coarseFit != nil {
-			refineFit = coarseFit
+		// Each scan scores only the sticks it moves against the rest of
+		// the pose, precomputed once per scan (fitKernel.scanEval).
+		scanFit := func(base stickmodel.Pose, moving stickSet) func(stickmodel.Pose) float64 {
+			return withPriors(refineKern.scanEval(base, moving))
 		}
-		refined := refinePose(est.Pose, refineFit, valid, e.cfg.RefineRounds)
+		refined := refinePose(est.Pose, withPriors(refineKern.Eval), scanFit, valid, e.cfg.RefineRounds)
 		est.Pose = refined.Normalize()
 		est.Fitness = fit(refined)
 	}
@@ -510,15 +514,15 @@ func (e *Estimator) stickConfidence(eq3 func(stickmodel.Pose) float64, anchor st
 // with small angular jitter. Chains: the arm (shoulder→wrist) or the leg
 // (hip→ankle).
 func (e *Estimator) aimChainAtSilhouette(rng *rand.Rand, p *stickmodel.Pose, pts []imaging.Vec2) {
-	joints := p.Joints(e.dims)
+	segs := p.Segments(e.dims)
 	arm := rng.Float64() < 0.5
 	var origin imaging.Vec2
 	var reach float64
 	if arm {
-		origin = joints[stickmodel.JointShoulder]
+		origin = segs[stickmodel.UpperArm].A // shoulder
 		reach = e.dims.Length[stickmodel.UpperArm] + e.dims.Length[stickmodel.Forearm]
 	} else {
-		origin = joints[stickmodel.JointHip]
+		origin = segs[stickmodel.Thigh].A // hip
 		reach = e.dims.Length[stickmodel.Thigh] + e.dims.Length[stickmodel.Shank]
 	}
 	// A handful of tries to find a target within the chain's reach annulus.
@@ -605,6 +609,16 @@ func (e *Estimator) EstimateSequenceContext(ctx context.Context, sils []segmenta
 			est, err = e.EstimateNext(sils[k], prev)
 		}
 		span.End()
+		if errors.Is(err, ga.ErrNoValidSeed) {
+			// Not even the most relaxed containment bound admits a seed
+			// (segmentation lost much of the jumper): hold the previous
+			// pose, marked like frame 0 — no GA detail, Eq. (3) of the
+			// held pose.
+			var f float64
+			if f, err = e.Fitness(prev, sils[k]); err == nil {
+				est = &Estimate{Pose: prev, Fitness: f}
+			}
+		}
 		if err != nil {
 			return nil, fmt.Errorf("frame %d: %w", k, err)
 		}

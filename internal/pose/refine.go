@@ -4,6 +4,10 @@ import (
 	"github.com/sljmotion/sljmotion/internal/stickmodel"
 )
 
+// scanObjective returns the evaluator for a refinement scan from base that
+// moves only the sticks in moving.
+type scanObjective func(base stickmodel.Pose, moving stickSet) func(stickmodel.Pose) float64
+
 // refinePose runs group-coordinate refinement: each kinematic group is
 // scanned over a discrete candidate set while the rest of the pose is held
 // fixed, keeping the best valid candidate; the process repeats for the
@@ -11,7 +15,13 @@ import (
 // (they cover different silhouette regions), so coordinate descent with
 // full-circle scans reliably escapes the coordinated local optima that
 // grouped crossover alone cannot assemble (e.g. trunk-lean + arm-flip).
-func refinePose(start stickmodel.Pose, fit func(stickmodel.Pose) float64,
+//
+// fit scores any pose; scanFit(base, moving) must return the same values
+// as fit for every pose that differs from base only in the angles of the
+// sticks in moving. Each scan asks scanFit for its evaluator once, at the
+// scan's start, so an incremental evaluator can precompute the sticks the
+// scan holds fixed (fitKernel.scanEval).
+func refinePose(start stickmodel.Pose, fit func(stickmodel.Pose) float64, scanFit scanObjective,
 	valid func(stickmodel.Pose) bool, rounds int) stickmodel.Pose {
 
 	best := start
@@ -37,18 +47,18 @@ func refinePose(start stickmodel.Pose, fit func(stickmodel.Pose) float64,
 		}
 
 		// Trunk angle: full-circle scan, 5° steps.
-		scan1(&best, &bestFit, fit, valid, stickmodel.Trunk, 360, 5)
+		scan1(&best, &bestFit, scanFit, valid, stickmodel.Trunk, 360, 5)
 
 		// Neck and head: anatomically bounded joint scan around current.
-		scan2(&best, &bestFit, fit, valid, stickmodel.Neck, stickmodel.Head, 45, 9)
+		scan2(&best, &bestFit, scanFit, valid, stickmodel.Neck, stickmodel.Head, 45, 9)
 
 		// Arm chain: full-circle joint scan (the chain most prone to
 		// flipping when it crosses the trunk).
-		scan2(&best, &bestFit, fit, valid, stickmodel.UpperArm, stickmodel.Forearm, 180, 12)
+		scan2(&best, &bestFit, scanFit, valid, stickmodel.UpperArm, stickmodel.Forearm, 180, 12)
 
 		// Leg chain: full-circle thigh × shank, then foot alone.
-		scan2(&best, &bestFit, fit, valid, stickmodel.Thigh, stickmodel.Shank, 180, 12)
-		scan1(&best, &bestFit, fit, valid, stickmodel.Foot, 90, 6)
+		scan2(&best, &bestFit, scanFit, valid, stickmodel.Thigh, stickmodel.Shank, 180, 12)
+		scan1(&best, &bestFit, scanFit, valid, stickmodel.Foot, 90, 6)
 
 		if prevFit-bestFit < 1e-6 {
 			break // converged
@@ -59,10 +69,11 @@ func refinePose(start stickmodel.Pose, fit func(stickmodel.Pose) float64,
 
 // scan1 scans a single stick's angle within ±span of its current value at
 // the given step, keeping the best valid improvement.
-func scan1(best *stickmodel.Pose, bestFit *float64, fit func(stickmodel.Pose) float64,
+func scan1(best *stickmodel.Pose, bestFit *float64, scanFit scanObjective,
 	valid func(stickmodel.Pose) bool, id stickmodel.StickID, span, step float64) {
 
 	base := *best
+	fit := scanFit(base, movedBy(id))
 	for d := -span; d <= span; d += step {
 		if d == 0 {
 			continue
@@ -76,10 +87,11 @@ func scan1(best *stickmodel.Pose, bestFit *float64, fit func(stickmodel.Pose) fl
 }
 
 // scan2 jointly scans two sticks within ±span of their current values.
-func scan2(best *stickmodel.Pose, bestFit *float64, fit func(stickmodel.Pose) float64,
+func scan2(best *stickmodel.Pose, bestFit *float64, scanFit scanObjective,
 	valid func(stickmodel.Pose) bool, a, b stickmodel.StickID, span, step float64) {
 
 	base := *best
+	fit := scanFit(base, movedBy(a, b))
 	for da := -span; da <= span; da += step {
 		for db := -span; db <= span; db += step {
 			if da == 0 && db == 0 {

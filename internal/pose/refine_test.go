@@ -32,7 +32,7 @@ func TestRefineEscapesArmFlip(t *testing.T) {
 	stuck.Rho[stickmodel.UpperArm] = stickmodel.NormalizeAngle(truth.Rho[stickmodel.UpperArm] + 170)
 	stuck.Rho[stickmodel.Forearm] = stickmodel.NormalizeAngle(truth.Rho[stickmodel.Forearm] + 150)
 
-	refined := refinePose(stuck, fit, valid, 3)
+	refined := refinePose(stuck, fit, fullScans(fit), valid, 3)
 	armErr := math.Abs(stickmodel.AngleDiff(truth.Rho[stickmodel.UpperArm], refined.Rho[stickmodel.UpperArm]))
 	if armErr > 30 {
 		t.Errorf("refinement left arm error %.1f°", armErr)
@@ -58,7 +58,7 @@ func TestRefineNeverWorsens(t *testing.T) {
 	valid := func(p stickmodel.Pose) bool { return true }
 
 	for _, start := range []stickmodel.Pose{truth, truth.Translate(2, 2)} {
-		refined := refinePose(start, fit, valid, 2)
+		refined := refinePose(start, fit, fullScans(fit), valid, 2)
 		if fit(refined) > fit(start) {
 			t.Error("refine increased fitness")
 		}
@@ -78,7 +78,7 @@ func TestRefineZeroRoundsIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	fit := fitnessOver(pts, d)
-	got := refinePose(truth, fit, func(stickmodel.Pose) bool { return true }, 0)
+	got := refinePose(truth, fit, fullScans(fit), func(stickmodel.Pose) bool { return true }, 0)
 	if got != truth {
 		t.Error("0 rounds must return the input pose")
 	}
@@ -99,8 +99,73 @@ func TestRefineRespectsValidity(t *testing.T) {
 		t.Fatal(err)
 	}
 	fit := fitnessOver(pts, d)
-	got := refinePose(truth, fit, func(stickmodel.Pose) bool { return false }, 2)
+	got := refinePose(truth, fit, fullScans(fit), func(stickmodel.Pose) bool { return false }, 2)
 	if got != truth {
 		t.Error("all-invalid predicate must freeze the pose")
+	}
+}
+
+// fullScans is refinement with full evaluation: every scan scores all
+// eight sticks with fit.
+func fullScans(fit func(stickmodel.Pose) float64) scanObjective {
+	return func(stickmodel.Pose, stickSet) func(stickmodel.Pose) float64 { return fit }
+}
+
+// TestRefineIncrementalMatchesFull pins refinePose on the incremental scan
+// evaluators (with a prior wrapped around them, as estimateTemporal does)
+// to refinement with the full reference evaluation: same pose, same
+// fitness, on the full and the coarse kernel.
+func TestRefineIncrementalMatchesFull(t *testing.T) {
+	d := stickmodel.ChildDimensions(60)
+	truth := crouchPose(70, 70)
+	sil := cleanSilhouette(t, truth, d, 140, 140)
+	valid := func(p stickmodel.Pose) bool { return p.ContainmentFraction(d, sil.Mask) >= 0.6 }
+	withPrior := func(eq func(stickmodel.Pose) float64) func(stickmodel.Pose) float64 {
+		return func(p stickmodel.Pose) float64 { return eq(p) + 0.02*anatomyPenalty(p) }
+	}
+	armFlip := truth
+	armFlip.Rho[stickmodel.UpperArm] = stickmodel.NormalizeAngle(truth.Rho[stickmodel.UpperArm] + 170)
+	armFlip.Rho[stickmodel.Forearm] = stickmodel.NormalizeAngle(truth.Rho[stickmodel.Forearm] + 150)
+	legOff := truth.Translate(2, -1)
+	legOff.Rho[stickmodel.Thigh] += 40
+	legOff.Rho[stickmodel.Foot] -= 30
+	legOff.Rho[stickmodel.Neck] += 20
+
+	for _, stride := range []int{2, 2 * FastProfile().CoarseStrideScale} {
+		pts := maskPoints(sil.Mask, stride)
+		k := newFitKernel(pts, d)
+		ref := withPrior(fitnessOver(pts, d))
+		fit := withPrior(k.Eval)
+		scanFit := func(base stickmodel.Pose, moving stickSet) func(stickmodel.Pose) float64 {
+			return withPrior(k.scanEval(base, moving))
+		}
+		for i, start := range []stickmodel.Pose{truth, armFlip, legOff} {
+			want := refinePose(start, ref, fullScans(ref), valid, 2)
+			got := refinePose(start, fit, scanFit, valid, 2)
+			if got != want {
+				t.Errorf("stride %d start %d: incremental refine %+v, full %+v", stride, i, got, want)
+			}
+			if fit(got) != ref(want) {
+				t.Errorf("stride %d start %d: fitness %.17g, full %.17g", stride, i, fit(got), ref(want))
+			}
+		}
+	}
+}
+
+// BenchmarkRefineScans is one frame's refinement (two rounds, as
+// DefaultConfig) on the crouch silhouette from an arm-flipped start: the
+// refine layer of estimateTemporal measured directly.
+func BenchmarkRefineScans(b *testing.B) {
+	d := stickmodel.ChildDimensions(60)
+	truth := crouchPose(70, 70)
+	mask := truth.Rasterize(d, 140, 140)
+	k := newFitKernel(maskPoints(mask, 2), d)
+	valid := func(p stickmodel.Pose) bool { return p.ContainmentFraction(d, mask) >= 0.85 }
+	start := truth.Translate(1.5, -1.5)
+	start.Rho[stickmodel.UpperArm] = stickmodel.NormalizeAngle(truth.Rho[stickmodel.UpperArm] + 170)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		refinePose(start, k.Eval, k.scanEval, valid, DefaultConfig().RefineRounds)
 	}
 }
