@@ -23,14 +23,14 @@ import (
 	"github.com/sljmotion/sljmotion/internal/obs"
 )
 
-// fitnessEvalSeconds is the cohort fitness-evaluation latency histogram:
-// one observation per GA generation (a cohort of Population fitness
-// calls), the hot-path quantity behind the ROADMAP's "10× GA" item.
-// Registered once so the per-generation cost is a few atomic adds.
 // ErrNoValidSeed reports that rejection sampling found no valid genome to
 // start the population from.
 var ErrNoValidSeed = errors.New("ga: could not seed a valid genome")
 
+// fitnessEvalSeconds is the cohort fitness-evaluation latency histogram:
+// one observation per GA generation (a cohort of Population fitness
+// calls), the hot-path quantity behind the ROADMAP's "10× GA" item.
+// Registered once so the per-generation cost is a few atomic adds.
 var fitnessEvalSeconds = obs.Default.Histogram("slj_ga_fitness_eval_seconds",
 	"Wall-clock time to fitness-score one GA cohort (one generation), in seconds.",
 	obs.IOBuckets)
@@ -53,6 +53,9 @@ type Spec struct {
 	Seed func(rng *rand.Rand) Genome
 	// Valid reports whether a genome is admissible. Invalid genomes are
 	// "removed from the population" per the paper. Nil means all valid.
+	// Valid must be a pure function of the genome (as MemoizeFitness
+	// requires of Fitness): every population member has passed it, so an
+	// offspring bit-identical to a parent is admitted without a call.
 	Valid func(Genome) bool
 	// Groups partitions gene indices for multiple crossover and grouped
 	// mutation, e.g. the paper's (x0,y0)(ρ0)(ρ1,ρ4)(ρ2,ρ5)(ρ3,ρ6,ρ7).
@@ -525,7 +528,9 @@ func (e *Engine) tryImmigrantGenome(rng *rand.Rand) (Genome, bool) {
 
 // makeOffspringGenome applies grouped crossover then grouped mutation,
 // retrying until the child is valid; after MaxSeedTries it falls back to
-// cloning the first parent (which is valid by construction).
+// cloning the first parent (which is valid by construction). Both parents
+// are population members and so have passed Spec.Valid, which is pure: a
+// child bit-identical to either is admitted without re-checking it.
 func (e *Engine) makeOffspringGenome(rng *rand.Rand, a, b Genome) Genome {
 	for try := 0; try < e.cfg.MaxSeedTries; try++ {
 		child := a.Clone()
@@ -539,7 +544,7 @@ func (e *Engine) makeOffspringGenome(rng *rand.Rand, a, b Genome) Genome {
 				e.mutate(rng, child, group)
 			}
 		}
-		if e.isValid(child) {
+		if sameBits(child, a) || sameBits(child, b) || e.isValid(child) {
 			return child
 		}
 	}

@@ -341,3 +341,56 @@ func TestParallelismRejectsNegative(t *testing.T) {
 		t.Fatal("negative parallelism should be rejected")
 	}
 }
+
+// TestClonedOffspringSkipValid runs a constrained problem with a pure,
+// counting Valid. A child bit-identical to one of its parents is admitted
+// without a check (every population member is valid), so the run calls
+// Valid fewer times than the engine that checked every child, while the
+// evolution itself is unchanged: Best, History, Evaluations and MemoHits
+// equal the values pinned from that engine.
+func TestClonedOffspringSkipValid(t *testing.T) {
+	const (
+		pinnedValidCalls = 3185
+		pinnedBest       = 0x161cf2b41f04be7
+		pinnedHistory    = 0x938d2209f58ae0f8
+		pinnedHistoryLen = 61
+		pinnedEvals      = 1590
+		pinnedMemoHits   = 687
+	)
+	calls := 0
+	spec := sphereSpec([]float64{3, -2, 7, 1})
+	spec.Groups = [][]int{{0, 1}, {2}, {3}}
+	spec.Valid = func(g Genome) bool {
+		calls++
+		return g[0] >= 0 && g[0] <= 2.5 && g[2] <= 6
+	}
+	eng, err := New(spec, WithPopulationSize(30), WithGenerations(60),
+		WithImmigrantRate(0.1), WithMutationRate(0.2),
+		WithMemoization(true), WithRandSeed(21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := func(fs []float64) uint64 {
+		h := uint64(14695981039346656037)
+		for _, f := range fs {
+			h = (h ^ math.Float64bits(f)) * 1099511628211
+		}
+		return h
+	}
+	if calls >= pinnedValidCalls {
+		t.Errorf("Valid called %d times, want fewer than %d", calls, pinnedValidCalls)
+	}
+	if got := digest(res.Best); got != pinnedBest {
+		t.Errorf("best genome digest %#x, want %#x", got, uint64(pinnedBest))
+	}
+	if got := digest(res.History); got != pinnedHistory || len(res.History) != pinnedHistoryLen {
+		t.Errorf("history digest %#x (len %d), want %#x (len %d)", got, len(res.History), uint64(pinnedHistory), pinnedHistoryLen)
+	}
+	if res.Evaluations != pinnedEvals || res.MemoHits != pinnedMemoHits {
+		t.Errorf("evaluations %d, memo hits %d; want %d, %d", res.Evaluations, res.MemoHits, pinnedEvals, pinnedMemoHits)
+	}
+}

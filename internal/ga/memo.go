@@ -48,14 +48,23 @@ func genomeHash(g Genome) uint64 {
 	return h
 }
 
-func (m *memoTable) equalAt(slot int, g Genome) bool {
-	base := slot * m.n
-	for i, v := range g {
-		if math.Float64bits(m.keys[base+i]) != math.Float64bits(v) {
+// sameBits reports whether two genomes are bit-identical gene by gene,
+// the equality under which a memoized fitness (or a validity verdict) of
+// one is the value of the other.
+func sameBits(x, y Genome) bool {
+	if len(x) != len(y) {
+		return false
+	}
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
 			return false
 		}
 	}
 	return true
+}
+
+func (m *memoTable) equalAt(slot int, g Genome) bool {
+	return sameBits(m.keys[slot*m.n:(slot+1)*m.n], g)
 }
 
 // lookup returns the cached fitness for a bit-identical genome.

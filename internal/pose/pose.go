@@ -65,10 +65,11 @@ type Config struct {
 	// the paper's single-previous-frame seeding; ablatable.
 	UseVelocity bool
 	// TemporalLambda weights the soft temporal prior added to Eq. (3)
-	// during temporal estimation: λ · mean_l min(Δl/Δρl, 4)², where Δl is
-	// the shortest-arc change of stick l from the anchor pose. Motion
-	// within the joint-mobility window is nearly free; flips are expensive
-	// but not impossible, so a strong silhouette signal can still win.
+	// during temporal estimation: λ · mean_l c_l·min(Δl/Δρl, 2.5)², where Δl
+	// is the shortest-arc change of stick l from the anchor pose and c_l its
+	// observability weight (stickConfidence). Motion within the
+	// joint-mobility window is nearly free; flips are expensive but not
+	// impossible, so a strong silhouette signal can still win.
 	// 0 reproduces the paper's pure silhouette fitness.
 	TemporalLambda float64
 	// ExploreFraction is the fraction of initial seeds whose limb angles
@@ -369,10 +370,11 @@ func (e *Estimator) estimateTemporal(sil segmentation.Silhouette, prev stickmode
 	if e.cfg.RefineRounds > 0 {
 		dims, mask, minContain := e.dims, sil.Mask, e.cfg.MinContainment
 		valid := func(p stickmodel.Pose) bool {
-			return p.ContainmentFraction(dims, mask) >= minContain
+			return p.ContainedAtLeast(dims, mask, minContain)
 		}
 		// Each scan scores only the sticks it moves against the rest of
-		// the pose, precomputed once per scan (fitKernel.scanEval).
+		// the pose, precomputed once per scan or, in a joint scan, once
+		// per outer angle (fitKernel.scanEval).
 		scanFit := func(base stickmodel.Pose, moving stickSet) func(stickmodel.Pose) float64 {
 			return withPriors(refineKern.scanEval(base, moving))
 		}
@@ -676,7 +678,7 @@ func (e *Estimator) runOnce(sil segmentation.Silhouette, fit, coarseFit func(sti
 		if window != nil && !window.contains(p) {
 			return false
 		}
-		return p.ContainmentFraction(dims, mask) >= minContain
+		return p.ContainedAtLeast(dims, mask, minContain)
 	}
 	newEngine := func(fn func(ga.Genome) float64, initial []ga.Genome, gens, patience int, randSeed int64) (*ga.Engine, error) {
 		return ga.New(ga.Spec{

@@ -18,9 +18,10 @@ type scanObjective func(base stickmodel.Pose, moving stickSet) func(stickmodel.P
 //
 // fit scores any pose; scanFit(base, moving) must return the same values
 // as fit for every pose that differs from base only in the angles of the
-// sticks in moving. Each scan asks scanFit for its evaluator once, at the
-// scan's start, so an incremental evaluator can precompute the sticks the
-// scan holds fixed (fitKernel.scanEval).
+// sticks in moving. scan1 asks scanFit for its evaluator once, at the
+// scan's start, and scan2 once per outer angle, so an incremental
+// evaluator can precompute the sticks the scan holds fixed
+// (fitKernel.scanEval).
 func refinePose(start stickmodel.Pose, fit func(stickmodel.Pose) float64, scanFit scanObjective,
 	valid func(stickmodel.Pose) bool, rounds int) stickmodel.Pose {
 
@@ -87,18 +88,23 @@ func scan1(best *stickmodel.Pose, bestFit *float64, scanFit scanObjective,
 }
 
 // scan2 jointly scans two sticks within ±span of their current values.
+// Each outer angle of a asks scanFit for its own evaluator, so the inner
+// candidates measure only the sticks b moves against the rest of that
+// pose; the scan visits the same candidates in the same order.
 func scan2(best *stickmodel.Pose, bestFit *float64, scanFit scanObjective,
 	valid func(stickmodel.Pose) bool, a, b stickmodel.StickID, span, step float64) {
 
 	base := *best
-	fit := scanFit(base, movedBy(a, b))
+	inner := movedBy(b)
 	for da := -span; da <= span; da += step {
+		pa := base
+		pa.Rho[a] = stickmodel.NormalizeAngle(base.Rho[a] + da)
+		fit := scanFit(pa, inner)
 		for db := -span; db <= span; db += step {
 			if da == 0 && db == 0 {
 				continue
 			}
-			p := base
-			p.Rho[a] = stickmodel.NormalizeAngle(base.Rho[a] + da)
+			p := pa
 			p.Rho[b] = stickmodel.NormalizeAngle(base.Rho[b] + db)
 			if f := fit(p); f < *bestFit && valid(p) {
 				*best, *bestFit = p, f

@@ -152,6 +152,78 @@ func TestRefineIncrementalMatchesFull(t *testing.T) {
 	}
 }
 
+// scan2SinglePartial is scan2 with one evaluator for the whole scan, the
+// partial over every stick either angle moves: the reference the nested
+// per-outer-angle evaluators of scan2 are pinned against.
+func scan2SinglePartial(best *stickmodel.Pose, bestFit *float64, scanFit scanObjective,
+	valid func(stickmodel.Pose) bool, a, b stickmodel.StickID, span, step float64) {
+
+	base := *best
+	fit := scanFit(base, movedBy(a, b))
+	for da := -span; da <= span; da += step {
+		for db := -span; db <= span; db += step {
+			if da == 0 && db == 0 {
+				continue
+			}
+			p := base
+			p.Rho[a] = stickmodel.NormalizeAngle(base.Rho[a] + da)
+			p.Rho[b] = stickmodel.NormalizeAngle(base.Rho[b] + db)
+			if f := fit(p); f < *bestFit && valid(p) {
+				*best, *bestFit = p, f
+			}
+		}
+	}
+}
+
+// TestRefineNestedScan2MatchesSinglePartial pins every joint scan of
+// refinePose, run with a fresh partial per outer angle, to the same scan
+// on a single partial over both sticks: same pose, same fitness bits, on
+// the full and the coarse kernel with a prior wrapped around them.
+func TestRefineNestedScan2MatchesSinglePartial(t *testing.T) {
+	d := stickmodel.ChildDimensions(60)
+	truth := crouchPose(70, 70)
+	sil := cleanSilhouette(t, truth, d, 140, 140)
+	valid := func(p stickmodel.Pose) bool { return p.ContainedAtLeast(d, sil.Mask, 0.6) }
+	withPrior := func(eq func(stickmodel.Pose) float64) func(stickmodel.Pose) float64 {
+		return func(p stickmodel.Pose) float64 { return eq(p) + 0.02*anatomyPenalty(p) }
+	}
+	armFlip := truth
+	armFlip.Rho[stickmodel.UpperArm] = stickmodel.NormalizeAngle(truth.Rho[stickmodel.UpperArm] + 170)
+	armFlip.Rho[stickmodel.Forearm] = stickmodel.NormalizeAngle(truth.Rho[stickmodel.Forearm] + 150)
+	legOff := truth.Translate(2, -1)
+	legOff.Rho[stickmodel.Thigh] += 40
+	legOff.Rho[stickmodel.Foot] -= 30
+	legOff.Rho[stickmodel.Neck] += 20
+	scans := []struct {
+		a, b       stickmodel.StickID
+		span, step float64
+	}{
+		{stickmodel.Neck, stickmodel.Head, 45, 9},
+		{stickmodel.UpperArm, stickmodel.Forearm, 180, 12},
+		{stickmodel.Thigh, stickmodel.Shank, 180, 12},
+	}
+
+	for _, stride := range []int{2, 2 * FastProfile().CoarseStrideScale} {
+		k := newFitKernel(maskPoints(sil.Mask, stride), d)
+		fit := withPrior(k.Eval)
+		scanFit := func(base stickmodel.Pose, moving stickSet) func(stickmodel.Pose) float64 {
+			return withPrior(k.scanEval(base, moving))
+		}
+		for i, start := range []stickmodel.Pose{truth, armFlip, legOff} {
+			for _, sc := range scans {
+				want, wantFit := start, fit(start)
+				scan2SinglePartial(&want, &wantFit, scanFit, valid, sc.a, sc.b, sc.span, sc.step)
+				got, gotFit := start, fit(start)
+				scan2(&got, &gotFit, scanFit, valid, sc.a, sc.b, sc.span, sc.step)
+				if got != want || math.Float64bits(gotFit) != math.Float64bits(wantFit) {
+					t.Errorf("stride %d start %d scan %v×%v: nested %+v (%.17g), single partial %+v (%.17g)",
+						stride, i, sc.a, sc.b, got, gotFit, want, wantFit)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkRefineScans is one frame's refinement (two rounds, as
 // DefaultConfig) on the crouch silhouette from an arm-flipped start: the
 // refine layer of estimateTemporal measured directly.

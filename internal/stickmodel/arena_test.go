@@ -113,7 +113,24 @@ func BenchmarkContainmentFraction(b *testing.B) {
 	}
 }
 
-var sinkMask *imaging.Mask
+// BenchmarkContainedAtLeast is the GA's validity check at the temporal
+// bound (pose.DefaultConfig's MinContainment) on the pose's own
+// silhouette: a pass, decided once enough samples land inside.
+func BenchmarkContainedAtLeast(b *testing.B) {
+	d := ChildDimensions(60)
+	p := standingPose(48, 48)
+	m := p.Rasterize(d, 96, 96)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkContained = p.ContainedAtLeast(d, m, 0.85)
+	}
+}
+
+var (
+	sinkMask      *imaging.Mask
+	sinkContained bool
+)
 
 func BenchmarkArenaMaskClear(b *testing.B) {
 	var a Arena

@@ -52,6 +52,55 @@ func (p Pose) ContainmentFraction(d Dimensions, m *imaging.Mask) float64 {
 	return float64(inside) / float64(total)
 }
 
+// ContainedAtLeast reports exactly ContainmentFraction(d, m) >= min, but
+// stops sampling once the verdict is decided. It counts the same samples
+// as ContainmentFraction, finds the smallest inside count need whose
+// fraction (the same division) reaches min — the fraction is monotone in
+// the count — and walks the samples in the same order until inside
+// reaches need or the samples left cannot.
+func (p Pose) ContainedAtLeast(d Dimensions, m *imaging.Mask, min float64) bool {
+	segs := p.Segments(d)
+	var ns [NumSticks]int
+	total := 0
+	for i := 0; i < NumSticks; i++ {
+		ns[i] = int(segs[i].Len()/2) + 2
+		if ns[i] >= 0 {
+			total += ns[i] + 1
+		}
+	}
+	if total == 0 {
+		return 0 >= min
+	}
+	lo, hi := 0, total+1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if float64(mid)/float64(total) >= min {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	need := lo
+	inside, left := 0, total
+	for i := 0; i < NumSticks; i++ {
+		seg, n := segs[i], ns[i]
+		for s := 0; s <= n; s++ {
+			if inside >= need {
+				return true
+			}
+			if inside+left < need {
+				return false
+			}
+			pt := seg.At(float64(s) / float64(n))
+			left--
+			if m.At(int(pt.X+0.5), int(pt.Y+0.5)) {
+				inside++
+			}
+		}
+	}
+	return inside >= need
+}
+
 // maxThicknessScan bounds the perpendicular silhouette scan relative to the
 // stick's nominal thickness, so thickness estimation cannot run across the
 // whole body when sticks overlap.

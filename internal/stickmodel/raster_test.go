@@ -2,6 +2,7 @@ package stickmodel
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/sljmotion/sljmotion/internal/imaging"
@@ -44,6 +45,55 @@ func TestContainmentFraction(t *testing.T) {
 	far := p.Translate(40, 0)
 	if got := far.ContainmentFraction(d, own); got > 0.5 {
 		t.Errorf("shifted pose containment = %.3f, want < 0.5", got)
+	}
+}
+
+// TestContainedAtLeastMatchesFraction pins the early-exit containment
+// check to the full fraction at every threshold where the verdict can
+// flip: each exact k/total, its neighbouring floats, and the ends.
+func TestContainedAtLeastMatchesFraction(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	d := ChildDimensions(50)
+	randomPose := func() Pose {
+		p := Pose{X: 20 + 40*rng.Float64(), Y: 20 + 40*rng.Float64()}
+		for l := range p.Rho {
+			p.Rho[l] = 360 * rng.Float64()
+		}
+		return p
+	}
+	noise := imaging.NewMask(80, 80)
+	for i := range noise.Bits {
+		noise.Bits[i] = rng.Intn(2) == 0
+	}
+	masks := []*imaging.Mask{imaging.NewMask(80, 80), noise}
+	for i := 0; i < 4; i++ {
+		masks = append(masks, randomPose().Rasterize(d, 80, 80))
+	}
+	for i := 0; i < 40; i++ {
+		p := randomPose()
+		if i == 0 {
+			p.X = math.NaN() // no stick yields a sample: the fraction is 0
+		}
+		total := 0
+		for _, seg := range p.Segments(d) {
+			if n := int(seg.Len()/2) + 2; n >= 0 {
+				total += n + 1
+			}
+		}
+		mins := []float64{0, 1, -1, 2, math.Inf(-1), math.Inf(1), math.NaN()}
+		for k := 0; k <= total; k++ {
+			x := float64(k) / float64(total)
+			mins = append(mins, x, math.Nextafter(x, -1), math.Nextafter(x, 2))
+		}
+		for mi, m := range masks {
+			frac := p.ContainmentFraction(d, m)
+			for _, min := range mins {
+				if got, want := p.ContainedAtLeast(d, m, min), frac >= min; got != want {
+					t.Fatalf("pose %d mask %d min %v: ContainedAtLeast %v, fraction %v >= min is %v",
+						i, mi, min, got, frac, want)
+				}
+			}
+		}
 	}
 }
 
