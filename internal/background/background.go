@@ -62,44 +62,27 @@ func (c *ChangeDetection) Estimate(frames []*imaging.Image) (*imaging.Image, err
 		tau = DefaultStabilityThreshold
 	}
 
-	w, h := frames[0].W, frames[0].H
-	n := w * h
-	// stable[i] holds the colours observed at pixel i whenever consecutive
-	// frames agreed within tau. Bounded by the number of frame pairs.
-	stable := make([][]imaging.Color, n)
-
-	for k := 0; k+1 < len(frames); k++ {
-		a, b := frames[k], frames[k+1]
-		for i := 0; i < n; i++ {
-			if a.Pix[i].MaxChanDiff(b.Pix[i]) <= tau {
-				stable[i] = append(stable[i], b.Pix[i])
+	bg := imaging.NewImage(frames[0].W, frames[0].H)
+	s := newPixelSamples(len(frames))
+	r, g, b := s.r, s.g, s.b
+	for i := range bg.Pix {
+		// Gather pixel i's stable observations: the later colour of every
+		// consecutive pair that agrees within tau.
+		n := 0
+		prev := frames[0].Pix[i]
+		for _, f := range frames[1:] {
+			cur := f.Pix[i]
+			if prev.MaxChanDiff(cur) <= tau {
+				r[n], g[n], b[n] = cur.R, cur.G, cur.B
+				n++
 			}
+			prev = cur
 		}
-	}
-
-	bg := imaging.NewImage(w, h)
-	var unstable []int
-	rs := make([]uint8, 0, len(frames))
-	gs := make([]uint8, 0, len(frames))
-	bs := make([]uint8, 0, len(frames))
-	for i := 0; i < n; i++ {
-		if len(stable[i]) == 0 {
-			unstable = append(unstable, i)
+		if n == 0 {
+			bg.Pix[i] = s.temporalMedian(frames, i)
 			continue
 		}
-		rs, gs, bs = rs[:0], gs[:0], bs[:0]
-		for _, c := range stable[i] {
-			rs = append(rs, c.R)
-			gs = append(gs, c.G)
-			bs = append(bs, c.B)
-		}
-		bg.Pix[i] = imaging.Color{R: medianU8(rs), G: medianU8(gs), B: medianU8(bs)}
-	}
-	if len(unstable) > 0 {
-		med := medianPixels(frames, unstable)
-		for j, i := range unstable {
-			bg.Pix[i] = med[j]
-		}
+		bg.Pix[i] = s.median(n)
 	}
 	return bg, nil
 }
@@ -118,15 +101,11 @@ func (Median) Estimate(frames []*imaging.Image) (*imaging.Image, error) {
 	if err := checkSameSize(frames); err != nil {
 		return nil, err
 	}
-	w, h := frames[0].W, frames[0].H
-	n := w * h
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+	bg := imaging.NewImage(frames[0].W, frames[0].H)
+	s := newPixelSamples(len(frames))
+	for i := range bg.Pix {
+		bg.Pix[i] = s.temporalMedian(frames, i)
 	}
-	med := medianPixels(frames, idx)
-	bg := imaging.NewImage(w, h)
-	copy(bg.Pix, med)
 	return bg, nil
 }
 
@@ -225,36 +204,58 @@ func checkSameSize(frames []*imaging.Image) error {
 	return nil
 }
 
-// medianPixels returns the per-pixel temporal median colour for the given
-// pixel indices.
-func medianPixels(frames []*imaging.Image, idx []int) []imaging.Color {
-	out := make([]imaging.Color, len(idx))
-	rs := make([]uint8, len(frames))
-	gs := make([]uint8, len(frames))
-	bs := make([]uint8, len(frames))
-	for j, i := range idx {
-		for k, f := range frames {
-			rs[k], gs[k], bs[k] = f.Pix[i].R, f.Pix[i].G, f.Pix[i].B
-		}
-		out[j] = imaging.Color{R: medianU8(rs), G: medianU8(gs), B: medianU8(bs)}
-	}
-	return out
+// pixelSamples holds one pixel's samples per channel, at most one per
+// frame, and the per-channel histograms its medians count into. An
+// estimator makes one per call and reuses it for every pixel, so the
+// per-pixel work allocates nothing.
+type pixelSamples struct {
+	r, g, b []uint8
+	hist    [3][256]int32 // all zero between median calls
 }
 
-// medianU8 computes the median via a 256-bin counting pass, O(n+256),
-// without mutating its input.
-func medianU8(v []uint8) uint8 {
-	var hist [256]int
-	for _, x := range v {
-		hist[x]++
+func newPixelSamples(frames int) *pixelSamples {
+	return &pixelSamples{r: make([]uint8, frames), g: make([]uint8, frames), b: make([]uint8, frames)}
+}
+
+// temporalMedian returns the per-channel lower median of pixel i over all
+// frames.
+func (s *pixelSamples) temporalMedian(frames []*imaging.Image, i int) imaging.Color {
+	for k, f := range frames {
+		c := f.Pix[i]
+		s.r[k], s.g[k], s.b[k] = c.R, c.G, c.B
 	}
-	half := (len(v) + 1) / 2
-	run := 0
-	for i, c := range hist {
-		run += c
-		if run >= half {
-			return uint8(i)
-		}
+	return s.median(len(frames))
+}
+
+// median returns the per-channel lower median of the first n ≥ 1 samples:
+// the smallest value whose cumulative count reaches (n+1)/2. The three
+// channels count in one pass, each into its own histogram, and each scan
+// and clear touches only that channel's observed min..max range.
+func (s *pixelSamples) median(n int) imaging.Color {
+	r, g, b := s.r[:n], s.g[:n], s.b[:n]
+	g, b = g[:len(r)], b[:len(r)] // one length, so the loop needs no bounds checks
+	hr, hg, hb := &s.hist[0], &s.hist[1], &s.hist[2]
+	rlo, rhi, glo, ghi, blo, bhi := r[0], r[0], g[0], g[0], b[0], b[0]
+	for k := range r {
+		x, y, z := r[k], g[k], b[k]
+		hr[x]++
+		hg[y]++
+		hb[z]++
+		rlo, rhi = min(rlo, x), max(rhi, x)
+		glo, ghi = min(glo, y), max(ghi, y)
+		blo, bhi = min(blo, z), max(bhi, z)
 	}
-	return 0
+	half := int32(n+1) / 2
+	return imaging.Color{R: lowerMedian(hr, rlo, rhi, half), G: lowerMedian(hg, glo, ghi, half), B: lowerMedian(hb, blo, bhi, half)}
+}
+
+// lowerMedian scans hist from lo for the first value whose cumulative
+// count reaches half, then zeroes hist[lo..hi].
+func lowerMedian(hist *[256]int32, lo, hi uint8, half int32) uint8 {
+	med := lo
+	for run := hist[med]; run < half; run += hist[med] {
+		med++
+	}
+	clear(hist[lo : int(hi)+1])
+	return med
 }

@@ -214,9 +214,19 @@ func TestMedianU8(t *testing.T) {
 		{[]uint8{9, 9, 0, 0, 9}, 9},
 		{[]uint8{255, 0, 128}, 128},
 	}
+	s := newPixelSamples(8)
 	for _, tt := range tests {
-		if got := medianU8(tt.in); got != tt.want {
-			t.Errorf("medianU8(%v) = %d, want %d", tt.in, got, tt.want)
+		// The same samples in every channel, reversed in green, so each
+		// channel's histogram is exercised and must agree.
+		for k, x := range tt.in {
+			s.r[k], s.g[len(tt.in)-1-k], s.b[k] = x, x, x
+		}
+		want := imaging.Color{R: tt.want, G: tt.want, B: tt.want}
+		if got := s.median(len(tt.in)); got != want {
+			t.Errorf("median(%v) = %v, want %v", tt.in, got, want)
+		}
+		if s.hist != [3][256]int32{} {
+			t.Fatalf("median(%v) left a histogram dirty", tt.in)
 		}
 	}
 }

@@ -11,7 +11,9 @@ import (
 	"testing"
 
 	"github.com/sljmotion/sljmotion/internal/core"
+	"github.com/sljmotion/sljmotion/internal/jobs"
 	"github.com/sljmotion/sljmotion/internal/pose"
+	"github.com/sljmotion/sljmotion/internal/segmentation"
 	"github.com/sljmotion/sljmotion/internal/stickmodel"
 	"github.com/sljmotion/sljmotion/internal/synth"
 )
@@ -84,6 +86,64 @@ func TestPoseDeterminismTable(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// segDigests pins the segmentation stage's output for the determinism
+// table's clips: the SHA-256 of the Step 1 background (width, height, then
+// RGB row-major) and of the silhouettes bit-packed as on the wire, in frame
+// order. Segmentation is integer arithmetic end to end, so one table holds
+// for every GOARCH. A speedup of Steps 1-5 must leave every digest where
+// it is.
+var segDigests = map[string]struct{ background, silhouettes string }{
+	"good-form": {
+		"4dd8f77a1b7230ca8af2cd82705641701c30dad6ac17ea2bf871d9ca49688505",
+		"67bf705cd2b1b00a574205a405e567a20f3109935f69707cd0c34ca9f9b013d0",
+	},
+	"straight-arms": {
+		"8fdda4ef199f7b09f35a4241bc1e5014a32edffcd400fa860b363b5995af9f3f",
+		"77f13a157db3497e9a08c19870123115c0d75a7aacbbf6fd428b097d38f373f3",
+	},
+	"held-frame": {
+		"763c5362a404e27ac96b056c4a5f7487bbc8b41164464cc3730c8da1b66980cf",
+		"1640925435fe2aa6c52175ad5ea7aa68a9a6fe214b30be30a37eb76be6d16ad4",
+	},
+}
+
+func TestSegmentationDeterminismTable(t *testing.T) {
+	for clip, params := range determinismClips() {
+		t.Run(clip, func(t *testing.T) {
+			v, err := synth.Generate(params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pipe, err := segmentation.New(core.DefaultConfig().Segmentation)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bg, _, sils, err := pipe.RunDetailed(v.Frames)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			putInts(h, bg.W, bg.H)
+			for _, c := range bg.Pix {
+				h.Write([]byte{c.R, c.G, c.B})
+			}
+			gotBG := hex.EncodeToString(h.Sum(nil))
+			h.Reset()
+			for _, s := range sils {
+				h.Write(jobs.PackMask(s.Mask))
+			}
+			gotSils := hex.EncodeToString(h.Sum(nil))
+			want := segDigests[clip]
+			if gotBG != want.background {
+				t.Errorf("background digest %s, want %s", gotBG, want.background)
+			}
+			if gotSils != want.silhouettes {
+				t.Errorf("silhouettes digest %s, want %s", gotSils, want.silhouettes)
+			}
+		})
 	}
 }
 

@@ -36,14 +36,7 @@ func (c Color) Luma() uint8 {
 // MaxChanDiff returns the largest per-channel absolute difference between c
 // and o. It is the colour distance used by background subtraction.
 func (c Color) MaxChanDiff(o Color) int {
-	d := absInt(int(c.R) - int(o.R))
-	if g := absInt(int(c.G) - int(o.G)); g > d {
-		d = g
-	}
-	if b := absInt(int(c.B) - int(o.B)); b > d {
-		d = b
-	}
-	return d
+	return max(absInt(int(c.R)-int(o.R)), absInt(int(c.G)-int(o.G)), absInt(int(c.B)-int(o.B)))
 }
 
 // Scale multiplies each channel by f, clamping to [0,255]. It is used by the

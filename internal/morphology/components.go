@@ -117,21 +117,22 @@ func (l *Labels) MaskOf(label int) *imaging.Mask {
 }
 
 // RemoveSmallSpots implements the paper's "smaller spots can be removed from
-// the scene": components with an area below minArea are erased. It returns a
-// new mask.
-func RemoveSmallSpots(m *imaging.Mask, minArea int, conn Connectivity) *imaging.Mask {
+// the scene": components with an area below max(fraction × the largest
+// component's area, floor) are erased, so the bound scales with subject
+// size. It labels m once and returns a new mask.
+func RemoveSmallSpots(m *imaging.Mask, fraction float64, floor int, conn Connectivity) *imaging.Mask {
 	labels := Components(m, conn)
-	keep := make(map[int32]bool, len(labels.Regions))
-	for _, r := range labels.Regions {
-		if r.Area >= minArea {
-			keep[int32(r.Label)] = true
-		}
-	}
 	out := imaging.NewMask(m.W, m.H)
+	if len(labels.Regions) == 0 {
+		return out
+	}
+	minArea := max(int(fraction*float64(labels.Regions[0].Area)), floor)
+	keep := make([]bool, len(labels.Regions)+1) // indexed by label; 0 is background
+	for _, r := range labels.Regions {
+		keep[r.Label] = r.Area >= minArea
+	}
 	for i, v := range labels.Plane {
-		if v != 0 && keep[v] {
-			out.Bits[i] = true
-		}
+		out.Bits[i] = keep[v]
 	}
 	return out
 }
@@ -144,19 +145,4 @@ func KeepLargest(m *imaging.Mask, conn Connectivity) *imaging.Mask {
 		return imaging.NewMask(m.W, m.H)
 	}
 	return labels.MaskOf(labels.Regions[0].Label)
-}
-
-// AdaptiveSpotThreshold computes the paper-calibrated minimum spot area:
-// a fraction of the largest component with an absolute floor, so the
-// threshold scales with subject size.
-func AdaptiveSpotThreshold(m *imaging.Mask, fraction float64, floor int, conn Connectivity) int {
-	labels := Components(m, conn)
-	if len(labels.Regions) == 0 {
-		return floor
-	}
-	t := int(fraction * float64(labels.Regions[0].Area))
-	if t < floor {
-		t = floor
-	}
-	return t
 }

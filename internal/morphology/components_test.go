@@ -82,7 +82,7 @@ func TestRemoveSmallSpots(t *testing.T) {
 	imaging.FillRectMask(m, imaging.Rect{X0: 2, Y0: 2, X1: 9, Y1: 9})   // 64 px body
 	m.Set(15, 15, true)                                                 // 1 px spot
 	imaging.FillRectMask(m, imaging.Rect{X0: 15, Y0: 2, X1: 16, Y1: 3}) // 4 px spot
-	out := RemoveSmallSpots(m, 10, Conn8)
+	out := RemoveSmallSpots(m, 0, 10, Conn8)
 	if out.At(15, 15) || out.At(15, 2) {
 		t.Error("small spots survived")
 	}
@@ -105,15 +105,24 @@ func TestKeepLargest(t *testing.T) {
 }
 
 func TestAdaptiveSpotThreshold(t *testing.T) {
-	m := imaging.NewMask(30, 30)
-	imaging.FillRectMask(m, imaging.Rect{X0: 0, Y0: 0, X1: 19, Y1: 19}) // 400 px
-	if got := AdaptiveSpotThreshold(m, 0.2, 40, Conn8); got != 80 {
-		t.Errorf("threshold = %d, want 80 (0.2×400)", got)
+	m := imaging.NewMask(40, 40)
+	imaging.FillRectMask(m, imaging.Rect{X0: 0, Y0: 0, X1: 19, Y1: 19})   // 400 px
+	imaging.FillRectMask(m, imaging.Rect{X0: 25, Y0: 0, X1: 34, Y1: 7})   // 80 px
+	imaging.FillRectMask(m, imaging.Rect{X0: 0, Y0: 25, X1: 39, Y1: 26})  // 80 px
+	m.Set(39, 26, false)                                                  // now 79 px
+	imaging.FillRectMask(m, imaging.Rect{X0: 25, Y0: 12, X1: 29, Y1: 19}) // 40 px
+	kept := func(out *imaging.Mask) [4]bool {
+		return [4]bool{out.At(0, 0), out.At(25, 0), out.At(0, 25), out.At(25, 12)}
 	}
-	if got := AdaptiveSpotThreshold(m, 0.01, 40, Conn8); got != 40 {
-		t.Errorf("threshold = %d, want floor 40", got)
+	// 0.2×400 = 80: the 79 px strip and the 40 px block go.
+	if got := kept(RemoveSmallSpots(m, 0.2, 40, Conn8)); got != [4]bool{true, true, false, false} {
+		t.Errorf("bound 80 kept %v", got)
 	}
-	if got := AdaptiveSpotThreshold(imaging.NewMask(5, 5), 0.2, 40, Conn8); got != 40 {
-		t.Errorf("empty-mask threshold = %d, want floor", got)
+	// 0.01×400 = 4 < floor 40: everything down to 40 px stays.
+	if got := kept(RemoveSmallSpots(m, 0.01, 40, Conn8)); got != [4]bool{true, true, true, true} {
+		t.Errorf("floor 40 kept %v", got)
+	}
+	if RemoveSmallSpots(imaging.NewMask(5, 5), 0.2, 40, Conn8).Count() != 0 {
+		t.Error("empty mask should stay empty")
 	}
 }

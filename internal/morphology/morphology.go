@@ -25,20 +25,33 @@ var neigh4 = [4][2]int{{0, -1}, {-1, 0}, {1, 0}, {0, 1}}
 // kept"). It returns a new mask.
 func RemoveNoise(m *imaging.Mask, minNeighbors int) *imaging.Mask {
 	out := imaging.NewMask(m.W, m.H)
-	for y := 0; y < m.H; y++ {
-		for x := 0; x < m.W; x++ {
-			if !m.Bits[y*m.W+x] {
+	// Border pixels have neighbours outside the mask, which read clear.
+	forBorder(m.W, m.H, func(x, y int) {
+		if !m.Bits[y*m.W+x] {
+			return
+		}
+		n := 0
+		for _, d := range neigh8 {
+			if m.At(x+d[0], y+d[1]) {
+				n++
+			}
+		}
+		if n >= minNeighbors {
+			out.Bits[y*m.W+x] = true
+		}
+	})
+	w := m.W
+	for y := 1; y < m.H-1; y++ {
+		up, row, down := m.Bits[(y-1)*w:y*w], m.Bits[y*w:(y+1)*w], m.Bits[(y+1)*w:(y+2)*w]
+		kept := out.Bits[y*w : (y+1)*w]
+		for x := 1; x < w-1; x++ {
+			if !row[x] {
 				continue
 			}
-			n := 0
-			for _, d := range neigh8 {
-				if m.At(x+d[0], y+d[1]) {
-					n++
-				}
-			}
-			if n >= minNeighbors {
-				out.Bits[y*m.W+x] = true
-			}
+			n := b2i(up[x-1]) + b2i(up[x]) + b2i(up[x+1]) +
+				b2i(row[x-1]) + b2i(row[x+1]) +
+				b2i(down[x-1]) + b2i(down[x]) + b2i(down[x+1])
+			kept[x] = n >= minNeighbors
 		}
 	}
 	return out
@@ -48,25 +61,28 @@ func RemoveNoise(m *imaging.Mask, minNeighbors int) *imaging.Mask {
 // 4-neighbours are all set becomes set. One call performs a single pass, as
 // in the paper; use FillHolesN for repeated passes.
 func FillHoles(m *imaging.Mask) *imaging.Mask {
+	out, _ := fillHoles(m)
+	return out
+}
+
+// fillHoles is FillHoles that also reports whether the pass set any pixel.
+// A border pixel has a 4-neighbour outside the mask, which reads clear, so
+// only interior pixels can be filled.
+func fillHoles(m *imaging.Mask) (*imaging.Mask, bool) {
 	out := m.Clone()
-	for y := 0; y < m.H; y++ {
-		for x := 0; x < m.W; x++ {
-			if m.Bits[y*m.W+x] {
-				continue
-			}
-			all := true
-			for _, d := range neigh4 {
-				if !m.At(x+d[0], y+d[1]) {
-					all = false
-					break
-				}
-			}
-			if all {
-				out.Bits[y*m.W+x] = true
+	changed := false
+	w := m.W
+	for y := 1; y < m.H-1; y++ {
+		up, row, down := m.Bits[(y-1)*w:y*w], m.Bits[y*w:(y+1)*w], m.Bits[(y+1)*w:(y+2)*w]
+		filled := out.Bits[y*w : (y+1)*w]
+		for x := 1; x < w-1; x++ {
+			if !row[x] && up[x] && down[x] && row[x-1] && row[x+1] {
+				filled[x] = true
+				changed = true
 			}
 		}
 	}
-	return out
+	return out, changed
 }
 
 // FillHolesN applies FillHoles up to n passes, stopping early once a pass
@@ -74,13 +90,36 @@ func FillHoles(m *imaging.Mask) *imaging.Mask {
 func FillHolesN(m *imaging.Mask, n int) *imaging.Mask {
 	cur := m
 	for i := 0; i < n; i++ {
-		next := FillHoles(cur)
-		if masksEqual(cur, next) {
+		next, changed := fillHoles(cur)
+		if !changed {
 			return next
 		}
 		cur = next
 	}
 	return cur
+}
+
+// forBorder calls f once for every pixel of a w×h mask's outer ring.
+func forBorder(w, h int, f func(x, y int)) {
+	for x := 0; x < w; x++ {
+		f(x, 0)
+		if h > 1 {
+			f(x, h-1)
+		}
+	}
+	for y := 1; y < h-1; y++ {
+		f(0, y)
+		if w > 1 {
+			f(w-1, y)
+		}
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // FillEnclosed fills every background region not connected to the mask
@@ -169,16 +208,4 @@ func Erode(m *imaging.Mask, radius int) *imaging.Mask {
 		}
 	}
 	return out
-}
-
-func masksEqual(a, b *imaging.Mask) bool {
-	if a.W != b.W || a.H != b.H {
-		return false
-	}
-	for i := range a.Bits {
-		if a.Bits[i] != b.Bits[i] {
-			return false
-		}
-	}
-	return true
 }

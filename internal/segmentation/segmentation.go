@@ -71,8 +71,11 @@ func (c Config) Validate() error {
 	if c.NoiseMinNeighbors < 0 || c.NoiseMinNeighbors > 8 {
 		return fmt.Errorf("segmentation: NoiseMinNeighbors must be in [0,8], got %d", c.NoiseMinNeighbors)
 	}
-	if c.SpotFraction < 0 || c.SpotFraction > 1 {
+	if !(c.SpotFraction >= 0 && c.SpotFraction <= 1) { // negated so NaN fails
 		return fmt.Errorf("segmentation: SpotFraction must be in [0,1], got %v", c.SpotFraction)
+	}
+	if c.SpotFloor < 0 {
+		return fmt.Errorf("segmentation: SpotFloor must be >= 0, got %d", c.SpotFloor)
 	}
 	if c.HoleFillPasses < 0 {
 		return fmt.Errorf("segmentation: HoleFillPasses must be >= 0, got %d", c.HoleFillPasses)
@@ -173,8 +176,7 @@ func (p *Pipeline) SegmentFrame(frame, bg *imaging.Image) (*StageMasks, error) {
 
 	den := morphology.RemoveNoise(sub, p.cfg.NoiseMinNeighbors)
 
-	minArea := morphology.AdaptiveSpotThreshold(den, p.cfg.SpotFraction, p.cfg.SpotFloor, morphology.Conn8)
-	spots := morphology.RemoveSmallSpots(den, minArea, morphology.Conn8)
+	spots := morphology.RemoveSmallSpots(den, p.cfg.SpotFraction, p.cfg.SpotFloor, morphology.Conn8)
 
 	var holes *imaging.Mask
 	if p.cfg.FillEnclosed {

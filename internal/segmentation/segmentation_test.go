@@ -1,6 +1,7 @@
 package segmentation
 
 import (
+	"math"
 	"testing"
 
 	"github.com/sljmotion/sljmotion/internal/background"
@@ -17,6 +18,10 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.NoiseMinNeighbors = 9 },
 		func(c *Config) { c.NoiseMinNeighbors = -1 },
 		func(c *Config) { c.SpotFraction = 1.5 },
+		func(c *Config) { c.SpotFraction = math.NaN() },
+		func(c *Config) { c.SpotFloor = -1 },
+		func(c *Config) { c.Shadow.TauS = math.NaN() },
+		func(c *Config) { c.Shadow.TauH = math.NaN() },
 		func(c *Config) { c.HoleFillPasses = -1 },
 		func(c *Config) { c.Shadow.Alpha = 2; c.Shadow.Beta = 1 },
 	}

@@ -38,10 +38,10 @@ func (p Params) Validate() error {
 	if !(p.Alpha >= 0 && p.Alpha < p.Beta && p.Beta <= 1.5) {
 		return fmt.Errorf("shadow: need 0 <= alpha < beta <= 1.5, got alpha=%v beta=%v", p.Alpha, p.Beta)
 	}
-	if p.TauS < 0 || p.TauS > 1 {
+	if !(p.TauS >= 0 && p.TauS <= 1) { // negated so NaN fails
 		return fmt.Errorf("shadow: tauS must be in [0,1], got %v", p.TauS)
 	}
-	if p.TauH < 0 || p.TauH > 180 {
+	if !(p.TauH >= 0 && p.TauH <= 180) {
 		return fmt.Errorf("shadow: tauH must be in [0,180] degrees, got %v", p.TauH)
 	}
 	return nil

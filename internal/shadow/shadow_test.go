@@ -1,6 +1,7 @@
 package shadow
 
 import (
+	"math"
 	"testing"
 
 	"github.com/sljmotion/sljmotion/internal/hsv"
@@ -17,6 +18,9 @@ func TestParamsValidate(t *testing.T) {
 		{Alpha: 0.4, Beta: 0.9, TauS: 1.5, TauH: 60},  // tauS out of range
 		{Alpha: 0.4, Beta: 0.9, TauS: 0.1, TauH: 200}, // tauH out of range
 		{Alpha: 0.4, Beta: 2.0, TauS: 0.1, TauH: 60},  // beta too large
+		{Alpha: 0.4, Beta: 0.9, TauS: math.NaN(), TauH: 60},
+		{Alpha: 0.4, Beta: 0.9, TauS: 0.1, TauH: math.NaN()},
+		{Alpha: math.NaN(), Beta: 0.9, TauS: 0.1, TauH: 60},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
