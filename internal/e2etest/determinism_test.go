@@ -1,19 +1,27 @@
 package e2etest
 
 import (
+	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
+	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strconv"
 	"testing"
+	"time"
 
 	"github.com/sljmotion/sljmotion/internal/core"
+	"github.com/sljmotion/sljmotion/internal/dispatch"
 	"github.com/sljmotion/sljmotion/internal/jobs"
 	"github.com/sljmotion/sljmotion/internal/pose"
 	"github.com/sljmotion/sljmotion/internal/segmentation"
+	"github.com/sljmotion/sljmotion/internal/server"
 	"github.com/sljmotion/sljmotion/internal/stickmodel"
 	"github.com/sljmotion/sljmotion/internal/synth"
 )
@@ -87,6 +95,103 @@ func TestPoseDeterminismTable(t *testing.T) {
 			})
 		}
 	}
+}
+
+// serviceDigests pins, per GOARCH, the SHA-256 of the full-pipeline
+// response document (stage_ms deleted) for each determinism clip under the
+// harness config. TestServiceDeterminismTable checks that the synchronous
+// route, the async job route and a dispatch front end over one worker node
+// all serve this document. Only amd64 is populated, for the same reason as
+// poseDigests.
+var serviceDigests = map[string]map[string]string{
+	"amd64": {
+		"good-form":     "02a30823fb414dad80b45317955a0b4f2a377379463c496f5561911e496b4e3a",
+		"straight-arms": "c779c3cda32ead2973b2736ae4c5f72ae32739341db7df1ea2ad35ea372a5d29",
+		"held-frame":    "89aa5db3ad4a7bb4fbbf6e16bb98ca1f548a10bfb75632a6df5786b688cf3bfe",
+	},
+}
+
+func TestServiceDeterminismTable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full pipeline through three server stacks")
+	}
+	want, ok := serviceDigests[runtime.GOARCH]
+	if !ok {
+		t.Skipf("no service digests for GOARCH %s: fused multiply-adds change the floats", runtime.GOARCH)
+	}
+	for clip, params := range determinismClips() {
+		t.Run(clip, func(t *testing.T) {
+			v, err := synth.Generate(params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Each path gets its own server, so no path is answered from
+			// another's result cache.
+			body, ctype := ClipUpload(t, v, "", false)
+			resp, err := http.Post(serviceStack(t, server.DefaultOptions()).URL+"/v1/analyze", ctype, body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			syncRaw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("analyze status %d: %s", resp.StatusCode, syncRaw)
+			}
+			paths := map[string][]byte{
+				"analyze": syncRaw,
+				"jobs":    submitFull(t, serviceStack(t, server.DefaultOptions()).URL, v),
+			}
+			workerOpts := server.DefaultOptions()
+			workerOpts.Worker = true
+			d, err := dispatch.New(dispatch.Config{
+				Nodes:          []string{serviceStack(t, workerOpts).URL},
+				HealthInterval: 50 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			paths["dispatch"] = submitFull(t, serviceStack(t, server.Options{Dispatcher: d}).URL, v)
+
+			ref := StripVolatile(t, syncRaw)
+			for name, raw := range paths {
+				if got := StripVolatile(t, raw); !bytes.Equal(got, ref) {
+					t.Errorf("%s document differs from /v1/analyze:\n%s\nvs\n%s", name, got, ref)
+				}
+			}
+			sum := sha256.Sum256(ref)
+			if got := hex.EncodeToString(sum[:]); got != want[clip] {
+				t.Errorf("service digest %s, want %s", got, want[clip])
+			}
+		})
+	}
+}
+
+// serviceStack starts one server under the harness config on httptest and
+// closes it with the test.
+func serviceStack(t *testing.T, opts server.Options) *httptest.Server {
+	t.Helper()
+	s, err := server.NewWithOptions(Config(), nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		hs.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = s.Close(ctx)
+	})
+	return hs
+}
+
+// submitFull runs the clip's full pipeline through base's async route.
+func submitFull(t *testing.T, base string, v *synth.Video) []byte {
+	t.Helper()
+	doc, raw, code := Submit(t, base, v, "", false)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status %d: %s", code, raw)
+	}
+	return PollResult(t, base, doc.ResultURL, 2*time.Minute)
 }
 
 // segDigests pins the segmentation stage's output for the determinism
