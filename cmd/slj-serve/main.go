@@ -13,8 +13,7 @@
 //	          [-event-subscribers N] [-event-buffer N]
 //	          [-log-level info] [-log-format text] [-pprof]
 //
-// Endpoints (versioned under /v1; the unversioned paths remain as
-// aliases):
+// Endpoints (one route per resource, all under /v1):
 //
 //	POST /v1/analyze  synchronous: multipart form with 'frames' = PPM
 //	                  files (ordered by name), 'truth' = truth.txt with
@@ -340,7 +339,7 @@ func run() error {
 		logger.Warn("http shutdown", "err", err)
 	}
 	// The job queue gets its own drain budget: a slow in-flight synchronous
-	// /analyze may have consumed the whole HTTP budget above, and the queued
+	// /v1/analyze may have consumed the whole HTTP budget above, and the queued
 	// jobs still deserve their drain window before the hard cancel.
 	jobsCtx, cancelJobs := context.WithTimeout(context.Background(), *drain)
 	defer cancelJobs()

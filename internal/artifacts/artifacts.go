@@ -66,7 +66,6 @@ const (
 // Encoding sanity bounds: dimensions and counts beyond these are corrupt
 // blobs, not plausible clips, and are rejected before any allocation.
 const (
-	maxDim    = 1 << 15 // frames wider/taller than 32768 px are rejected
 	maxItems  = 1 << 20 // per-blob frame/silhouette/pose count bound
 	headerLen = 5       // len(magic) + 1 kind byte
 )
@@ -178,7 +177,7 @@ func (d *dec) image() *imaging.Image {
 	if d.err != nil {
 		return nil
 	}
-	if w <= 0 || h <= 0 || w > maxDim || h > maxDim {
+	if w <= 0 || h <= 0 || w > imaging.MaxDim || h > imaging.MaxDim {
 		d.fail("artifacts: invalid image size %dx%d", w, h)
 		return nil
 	}
@@ -308,7 +307,7 @@ func DecodeSilhouettes(blob []byte) (*imaging.Image, []segmentation.Silhouette, 
 		if d.err != nil {
 			break
 		}
-		if w <= 0 || h <= 0 || w > maxDim || h > maxDim {
+		if w <= 0 || h <= 0 || w > imaging.MaxDim || h > imaging.MaxDim {
 			d.fail("artifacts: invalid mask size %dx%d", w, h)
 			break
 		}

@@ -240,8 +240,8 @@ type Remote struct {
 
 const rttSample = 256
 
-// Remote is a Dispatcher.
-var _ jobs.Dispatcher = (*Remote)(nil)
+// Remote is the fleet-managing Dispatcher.
+var _ jobs.Fleet = (*Remote)(nil)
 
 // New builds a dispatcher over the configured worker pool and starts its
 // health prober. Nodes start healthy (optimistically routable) and are
@@ -308,11 +308,10 @@ func (r *Remote) Submit(p jobs.Payload) (string, error) {
 	return r.SubmitTraced(p, obs.SpanContext{})
 }
 
-// SubmitTraced is Submit under a caller-supplied parent span context
-// (jobs.TracedSubmitter); the zero SpanContext starts a fresh trace. The
-// dispatch trace records one "submit" span per node attempt, and the
-// traceparent of the successful attempt is what the worker node's own job
-// trace grafts under.
+// SubmitTraced is Submit under a caller-supplied parent span context; the
+// zero SpanContext starts a fresh trace. The dispatch trace records one
+// "submit" span per node attempt, and the traceparent of the successful
+// attempt is what the worker node's own job trace grafts under.
 func (r *Remote) SubmitTraced(p jobs.Payload, parent obs.SpanContext) (string, error) {
 	hash := r.placementHash(p)
 	r.mu.Lock()
@@ -689,7 +688,7 @@ func (r *Remote) Metrics() jobs.Metrics {
 	return m
 }
 
-// Jobs lists the dispatcher's routed jobs newest-first (jobs.Lister).
+// Jobs lists the dispatcher's routed jobs newest-first.
 // Terminal jobs report their observed status; jobs still out on a worker
 // report queued — the dispatcher deliberately does not fan a listing call
 // out to every node, so the running/queued distinction is only as fresh
@@ -735,21 +734,12 @@ func (r *Remote) Jobs(f jobs.JobFilter) []jobs.Status {
 	return out
 }
 
-// Remote is a Lister.
-var _ jobs.Lister = (*Remote)(nil)
-
-// Remote is a Tracer and a TracedSubmitter.
-var (
-	_ jobs.Tracer          = (*Remote)(nil)
-	_ jobs.TracedSubmitter = (*Remote)(nil)
-)
-
 // Trace returns the dispatch-side span tree for a routed job with the
 // worker node's own job trace grafted under the submit span that carried
-// its traceparent (jobs.Tracer). The worker fetch is best-effort: an
-// unreachable node or a worker that no longer knows the id yields the
-// dispatch spans alone rather than an error — cache-hit jobs never had a
-// worker job to begin with.
+// its traceparent. The worker fetch is best-effort: an unreachable node or
+// a worker that no longer knows the id yields the dispatch spans alone
+// rather than an error — cache-hit jobs never had a worker job to begin
+// with.
 func (r *Remote) Trace(id string) (*obs.TraceDoc, error) {
 	r.mu.Lock()
 	r.sweepLocked(r.clock())

@@ -10,9 +10,6 @@ import (
 	"github.com/sljmotion/sljmotion/internal/jobs"
 )
 
-// Remote is a FleetManager: its worker topology mutates at runtime.
-var _ jobs.FleetManager = (*Remote)(nil)
-
 // maxNodeWeight bounds a single node's share of the ring so a typo'd join
 // request cannot capture the whole key space.
 const maxNodeWeight = 64
@@ -62,7 +59,7 @@ func (r *Remote) rebuildLocked() {
 	}
 }
 
-// Fleet reports the current membership (jobs.FleetManager).
+// Fleet reports the current membership (jobs.Fleet).
 func (r *Remote) Fleet() jobs.FleetView {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -97,7 +94,7 @@ func (r *Remote) pendingLocked(n *node) int {
 }
 
 // JoinNode admits a worker into the fleet after probing its health
-// (jobs.FleetManager). A failed probe rejects the join with
+// (jobs.Fleet). A failed probe rejects the join with
 // jobs.ErrNodeUnhealthy and leaves the membership untouched. Joining a URL
 // that is already a member updates its weight and cancels a pending drain —
 // the idempotent re-announce a restarted worker sends. Weight clamps to
@@ -167,7 +164,7 @@ func (r *Remote) probeOnce(url string) error {
 	return nil
 }
 
-// DrainNode starts a graceful drain (jobs.FleetManager): the node leaves
+// DrainNode starts a graceful drain (jobs.Fleet): the node leaves
 // the ring immediately — no new keys route to it — while its running jobs
 // finish; the health loop removes it once none remain pending. Draining the
 // last routable node is refused with jobs.ErrLastNode.
@@ -204,7 +201,7 @@ func (r *Remote) DrainNode(url string) (jobs.FleetView, error) {
 	return jobs.FleetView{}, fmt.Errorf("dispatch: %s: %w", url, jobs.ErrNodeUnknown)
 }
 
-// RemoveNode drops a member immediately (jobs.FleetManager), pending jobs
+// RemoveNode drops a member immediately (jobs.Fleet), pending jobs
 // or not — the force path for a node that died while draining. Jobs still
 // routed to it fail over on their next poll (and recover from the ring
 // successor when replication is on).

@@ -2,7 +2,7 @@
 // federation, SLO tracking and deep-health planes. Each health cycle the
 // dispatcher scrapes every member's Prometheus exposition alongside the
 // liveness probe; the merged, node-labelled view is served through the
-// jobs.MetricsFederator seam at GET /v1/fleet/metrics. ComponentHealth
+// jobs.Fleet seam at GET /v1/fleet/metrics. ComponentHealth
 // contributes the fleet-routability and drain-stuck watchdogs to the
 // deep-health document.
 package dispatch
@@ -15,12 +15,6 @@ import (
 
 	"github.com/sljmotion/sljmotion/internal/jobs"
 	"github.com/sljmotion/sljmotion/internal/obs"
-)
-
-// Remote federates member metrics and reports component health.
-var (
-	_ jobs.MetricsFederator = (*Remote)(nil)
-	_ jobs.HealthReporter   = (*Remote)(nil)
 )
 
 // DefaultDrainStuckAfter is the drain-stuck threshold when
@@ -104,7 +98,7 @@ func (r *Remote) scrapeOne(url string) memberScrape {
 }
 
 // FederatedMetrics merges the cached member expositions into one
-// node-labelled cluster exposition (jobs.MetricsFederator). A cache that
+// node-labelled cluster exposition (jobs.Fleet). A cache that
 // has never been filled or has outlived two health intervals is refreshed
 // synchronously, so federation works before the first health tick and
 // under test configurations whose health loop never fires.
@@ -156,7 +150,7 @@ func (r *Remote) FederationStats() jobs.FederationStats {
 }
 
 // ComponentHealth contributes the dispatcher's watchdogs to the
-// deep-health document (jobs.HealthReporter):
+// deep-health document:
 //
 //   - "dispatch" degrades when no healthy routable node remains — every
 //     submission would fail with ErrQueueFull;

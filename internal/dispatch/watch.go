@@ -11,12 +11,6 @@ import (
 	"github.com/sljmotion/sljmotion/internal/jobs"
 )
 
-// Remote is a Watcher and an EventSource.
-var (
-	_ jobs.Watcher     = (*Remote)(nil)
-	_ jobs.EventSource = (*Remote)(nil)
-)
-
 // EventHub returns the dispatcher's local event feed: its own observations
 // of every routed job (submissions, cache-hit completions, terminal states
 // resolved by polls or streams), for the global dashboard route. Sequence

@@ -71,6 +71,11 @@ func absInt(v int) int {
 	return v
 }
 
+// MaxDim bounds the width and height of a decoded frame or mask. Codecs of
+// untrusted bytes reject larger sides before computing any size product,
+// so w*h (and 3*w*h) cannot overflow.
+const MaxDim = 1 << 15
+
 // Image is a dense RGB raster with row-major pixel storage.
 type Image struct {
 	W, H int

@@ -18,19 +18,40 @@ import (
 //
 // Contract, matching Manager's behaviour:
 //
-//   - Submit never blocks: a saturated backend returns ErrQueueFull
-//     (retryable — see Retryable, RetryAfterHint), a shut-down backend
-//     ErrClosed;
-//   - Status and Result return ErrNotFound for unknown or expired ids, and
-//     Result returns ErrNotFinished while the job is queued or running;
+//   - Submit and SubmitTraced never block: a saturated backend returns
+//     ErrQueueFull (retryable — see Retryable, RetryAfterHint), a shut-down
+//     backend ErrClosed;
+//   - Status, Result, Watch and Trace return ErrNotFound for unknown or
+//     expired ids, and Result returns ErrNotFinished while the job is
+//     queued or running;
 //   - Close stops intake, drains accepted work within ctx, then cancels.
 type Dispatcher interface {
 	// Submit enqueues one payload and returns its job id.
 	Submit(p Payload) (string, error)
+	// SubmitTraced is Submit under an inbound parent span context (the
+	// traceparent a dispatching front end stamps); the zero SpanContext
+	// starts a fresh trace.
+	SubmitTraced(p Payload, parent obs.SpanContext) (string, error)
 	// Status snapshots a job's lifecycle state and progress stage.
 	Status(id string) (Status, error)
 	// Result returns the finished job's value or its failure error.
 	Result(id string) (any, error)
+	// Jobs lists the known jobs matching f newest-first, as a non-nil
+	// slice.
+	Jobs(f JobFilter) []Status
+	// Watch streams one job's events after sequence number afterSeq; the
+	// channel closes after the terminal event, on ctx cancellation or on
+	// shutdown. A saturated event bus returns
+	// events.ErrTooManySubscribers (retryable).
+	Watch(ctx context.Context, id string, afterSeq uint64) (<-chan events.Event, error)
+	// EventHub returns the hub carrying every job's events.
+	EventHub() *events.Hub
+	// Trace returns the job's span tree; a journal-replayed job still
+	// awaiting its re-run returns ErrNotFound.
+	Trace(id string) (*obs.TraceDoc, error)
+	// ComponentHealth reports the backend's deep-health components in a
+	// fresh map the caller may extend.
+	ComponentHealth() map[string]ComponentHealth
 	// Metrics snapshots queue depth, throughput and latency counters.
 	Metrics() Metrics
 	// Close shuts the backend down, draining within ctx.
@@ -71,70 +92,5 @@ func (f JobFilter) AfterCursor(created time.Time, id string) bool {
 	return id > f.AfterID
 }
 
-// Lister is the optional listing capability of a Dispatcher: a snapshot of
-// the known jobs, newest-first by creation time. The server's GET /v1/jobs
-// history endpoint uses it when the backend offers it; both the Manager
-// (whose journal-backed table survives restarts) and the remote dispatcher
-// implement it.
-type Lister interface {
-	// Jobs lists the jobs matching f, newest-first.
-	Jobs(f JobFilter) []Status
-}
-
-// Watcher is the optional streaming capability of a Dispatcher: a live,
-// ordered feed of one job's lifecycle and per-stage progress events. The
-// server's GET /v1/jobs/{id}/events SSE route and the library's
-// JobQueue.Watch use it when the backend offers it. The Manager serves it
-// from its event hub; the remote dispatcher proxies the stream from the
-// job's worker node, falling back to polling-backed synthetic events when
-// the stream cannot be (re)established.
-type Watcher interface {
-	// Watch streams the job's events after sequence number afterSeq (0 =
-	// from the beginning, subject to the hub's retained history). The
-	// channel closes after the terminal event, on ctx cancellation, or on
-	// backend shutdown. Unknown ids return ErrNotFound; a saturated event
-	// bus returns events.ErrTooManySubscribers (retryable).
-	Watch(ctx context.Context, id string, afterSeq uint64) (<-chan events.Event, error)
-}
-
-// EventSource is the optional firehose capability of a Dispatcher: access
-// to the event hub carrying every job's events, for the global
-// GET /v1/events dashboard feed.
-type EventSource interface {
-	// EventHub returns the backend's event hub.
-	EventHub() *events.Hub
-}
-
-// Tracer is the optional tracing capability of a Dispatcher: the per-job
-// span tree behind GET /v1/jobs/{id}/trace. The Manager serves the trace
-// it recorded in-process; the remote dispatcher returns its own dispatch
-// spans with the worker node's tree grafted underneath. Terminal jobs
-// whose live trace died with a restart (journal-replayed records) are
-// served as a minimal stub with Replayed set; a replayed job still
-// awaiting its re-run returns ErrNotFound.
-type Tracer interface {
-	// Trace returns the job's span tree snapshot.
-	Trace(id string) (*obs.TraceDoc, error)
-}
-
-// TracedSubmitter is the optional trace-propagation capability of a
-// Dispatcher: Submit with an inbound parent span context, the receiving
-// half of the traceparent header carried on dispatch fan-out. The zero
-// SpanContext is valid and starts a fresh trace, making SubmitTraced a
-// strict generalisation of Submit.
-type TracedSubmitter interface {
-	// SubmitTraced enqueues one payload under the given remote parent.
-	SubmitTraced(p Payload, parent obs.SpanContext) (string, error)
-}
-
-// Manager is the canonical in-process Dispatcher, Lister, Watcher,
-// EventSource, Tracer, TracedSubmitter and HealthReporter.
-var (
-	_ Dispatcher      = (*Manager)(nil)
-	_ Lister          = (*Manager)(nil)
-	_ Watcher         = (*Manager)(nil)
-	_ EventSource     = (*Manager)(nil)
-	_ Tracer          = (*Manager)(nil)
-	_ TracedSubmitter = (*Manager)(nil)
-	_ HealthReporter  = (*Manager)(nil)
-)
+// Manager is the canonical in-process Dispatcher.
+var _ Dispatcher = (*Manager)(nil)

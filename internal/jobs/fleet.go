@@ -1,9 +1,13 @@
 package jobs
 
-import "errors"
+import (
+	"errors"
 
-// Fleet errors surfaced by FleetManager implementations. Servers map these
-// onto HTTP status codes, so they live here with the capability interface.
+	"github.com/sljmotion/sljmotion/internal/obs"
+)
+
+// Fleet errors surfaced by Fleet implementations. Servers map these
+// onto HTTP status codes, so they live here with the Fleet interface.
 var (
 	// ErrNodeUnknown reports a drain/remove request for a URL that is not a
 	// fleet member.
@@ -36,23 +40,6 @@ type FleetView struct {
 	Nodes []FleetNode `json:"nodes"`
 }
 
-// FleetManager is the optional capability interface for Dispatcher backends
-// whose worker topology can change at runtime. The in-process Manager does
-// not implement it; dispatch.Remote does.
-type FleetManager interface {
-	// Fleet reports the current membership.
-	Fleet() FleetView
-	// JoinNode admits a worker after its health probe passes. Joining an
-	// existing member updates its weight and cancels a pending drain.
-	JoinNode(url string, weight int) (FleetView, error)
-	// DrainNode stops routing new keys to the node; its running jobs finish
-	// and the node is removed once none remain pending.
-	DrainNode(url string) (FleetView, error)
-	// RemoveNode drops the node immediately, abandoning any pending jobs
-	// (replication/failover may still recover them).
-	RemoveNode(url string) (FleetView, error)
-}
-
 // FederationStats summarises the dispatcher's member-metrics scraping for
 // the /v1/fleet JSON rollup.
 type FederationStats struct {
@@ -67,15 +54,28 @@ type FederationStats struct {
 	LastScrapeUnixMS int64 `json:"last_scrape_unix_ms,omitempty"`
 }
 
-// MetricsFederator is the optional capability of a Dispatcher that
-// scrapes its members' Prometheus expositions and merges them into one
-// cluster-wide scrape with a node label per sample — the view behind
-// GET /v1/fleet/metrics. Only the remote dispatcher implements it.
-type MetricsFederator interface {
-	// FederatedMetrics returns the merged exposition and the scrape
-	// bookkeeping. Implementations refresh stale caches synchronously, so
-	// a fleet that has not ticked its health loop yet still federates.
+// Fleet is a Dispatcher whose worker topology changes at runtime. Only the
+// remote dispatcher has one; consumers assert it once, at construction.
+type Fleet interface {
+	Dispatcher
+	// Fleet reports the current membership.
+	Fleet() FleetView
+	// JoinNode admits a worker after its health probe passes. Joining an
+	// existing member updates its weight and cancels a pending drain.
+	JoinNode(url string, weight int) (FleetView, error)
+	// DrainNode stops routing new keys to the node; its running jobs finish
+	// and the node is removed once none remain pending.
+	DrainNode(url string) (FleetView, error)
+	// RemoveNode drops the node immediately, abandoning any pending jobs
+	// (replication/failover may still recover them).
+	RemoveNode(url string) (FleetView, error)
+	// FederatedMetrics merges the members' Prometheus expositions into one
+	// node-labelled scrape, refreshing a stale cache synchronously.
 	FederatedMetrics() ([]byte, FederationStats, error)
+	// FederationStats reports the scrape bookkeeping from cache only.
+	FederationStats() FederationStats
+	// SetSLO feeds the SLI store one observation per terminal job.
+	SetSLO(s *obs.SLO)
 }
 
 // ReplicaMetrics counts successor-replication pushes from one node.
@@ -99,4 +99,7 @@ type ReplicaSink interface {
 	ReplicateArtifact(target, hash string, blob []byte)
 	// ReplicaMetrics reports push counters.
 	ReplicaMetrics() ReplicaMetrics
+	// Backlog reports the push queue's depth and capacity, behind the
+	// deep-health "replication" component.
+	Backlog() (depth, capacity int)
 }

@@ -32,20 +32,12 @@ func HealthDegradedComponent(format string, args ...any) ComponentHealth {
 	return ComponentHealth{Status: HealthDegraded, Reason: fmt.Sprintf(format, args...)}
 }
 
-// HealthReporter is the optional capability a Dispatcher implements to
-// contribute components to the deep-health document. The in-process
-// Manager reports its queue-stall watchdog; the remote dispatcher reports
-// fleet routability and drain progress.
-type HealthReporter interface {
-	ComponentHealth() map[string]ComponentHealth
-}
-
 // DefaultStallAfter is the queue-stall threshold when Config.StallAfter
 // is zero: a job queued longer than this without a worker picking it up
 // flips the queue component to degraded.
 const DefaultStallAfter = 2 * time.Minute
 
-// ComponentHealth implements HealthReporter for the in-process Manager:
+// ComponentHealth reports the in-process Manager's components:
 // the "queue" component degrades when the oldest still-queued job has
 // waited past the stall threshold — the signature of a wedged worker
 // pool (every worker stuck in a payload that never returns).

@@ -663,7 +663,7 @@ func (m *Manager) Jobs(f JobFilter) []Status {
 }
 
 // SortStatuses orders a job listing newest-first by creation time, ties
-// broken by id. Shared by every Lister so histories paginate stably.
+// broken by id. Shared by every Dispatcher so histories paginate stably.
 func SortStatuses(out []Status) {
 	sort.Slice(out, func(i, k int) bool {
 		if !out[i].CreatedAt.Equal(out[k].CreatedAt) {

@@ -393,7 +393,7 @@ func encodeFrame(img *imaging.Image) FrameWire {
 }
 
 func decodeFrame(f FrameWire) (*imaging.Image, error) {
-	if f.W <= 0 || f.H <= 0 {
+	if f.W <= 0 || f.H <= 0 || f.W > imaging.MaxDim || f.H > imaging.MaxDim {
 		return nil, fmt.Errorf("invalid size %dx%d", f.W, f.H)
 	}
 	if len(f.RGB) != 3*f.W*f.H {
@@ -418,13 +418,17 @@ func PackMask(m *imaging.Mask) []byte {
 	return packed
 }
 
-// UnpackMask reverses PackMask.
+// UnpackMask reverses PackMask. The padding bits after the last pixel
+// must be zero, as PackMask writes them, so each mask has one encoding.
 func UnpackMask(w, h int, packed []byte) (*imaging.Mask, error) {
-	if w <= 0 || h <= 0 {
+	if w <= 0 || h <= 0 || w > imaging.MaxDim || h > imaging.MaxDim {
 		return nil, fmt.Errorf("invalid size %dx%d", w, h)
 	}
 	if len(packed) != (w*h+7)/8 {
 		return nil, fmt.Errorf("mask payload is %d bytes, want %d", len(packed), (w*h+7)/8)
+	}
+	if pad := w * h % 8; pad != 0 && packed[len(packed)-1]<<pad != 0 {
+		return nil, errors.New("mask padding bits are set")
 	}
 	m := imaging.NewMask(w, h)
 	for i := range m.Bits {

@@ -240,6 +240,47 @@ func TestMaskPacking(t *testing.T) {
 	if _, err := UnpackMask(0, 3, nil); err == nil {
 		t.Error("zero-size mask must be rejected")
 	}
+	padded := PackMask(m)
+	padded[len(padded)-1] |= 1
+	if _, err := UnpackMask(10, 3, padded); err == nil {
+		t.Error("a mask with padding bits set must be rejected")
+	}
+}
+
+// overflowPayload is a worker-intake body whose frame sides multiply to
+// 2^64: 3*w*h wraps to 0, so without a bound on each side the empty RGB
+// buffer passes the size check.
+const overflowPayload = `{"kind":"slj-analysis/v1","stages":"segmentation","frames":[` +
+	`{"w":4294967296,"h":4294967296,"rgb":""},` +
+	`{"w":4294967296,"h":4294967296,"rgb":""},` +
+	`{"w":4294967296,"h":4294967296,"rgb":""}]}`
+
+// TestDecodeRejectsOversizedDimensions bounds each side of a wire frame,
+// background and silhouette before any size product is taken.
+func TestDecodeRejectsOversizedDimensions(t *testing.T) {
+	var p Payload
+	if err := json.Unmarshal([]byte(overflowPayload), &p); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.AnalysisRequest(); err == nil {
+		t.Error("frames of 2^32 x 2^32 must be rejected")
+	}
+	huge := 1 << 32
+	sil := Payload{Kind: KindAnalysis, Silhouettes: []SilhouetteWire{{W: huge, H: huge}}}
+	if _, err := sil.AnalysisRequest(); err == nil {
+		t.Error("a silhouette of 2^32 x 2^32 must be rejected")
+	}
+	bg := Payload{Kind: KindAnalysis, Background: &FrameWire{W: huge, H: huge}}
+	if _, err := bg.AnalysisRequest(); err == nil {
+		t.Error("a background of 2^32 x 2^32 must be rejected")
+	}
+	wide := imaging.MaxDim + 1
+	if _, err := decodeFrame(FrameWire{W: wide, H: 1, RGB: make([]byte, 3*wide)}); err == nil {
+		t.Errorf("a frame %d px wide must be rejected", wide)
+	}
+	if _, err := UnpackMask(1, wide, make([]byte, (wide+7)/8)); err == nil {
+		t.Errorf("a mask %d px tall must be rejected", wide)
+	}
 }
 
 // TestFitProfileSeparatesKeys pins the cache-identity half of the fit

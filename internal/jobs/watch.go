@@ -6,17 +6,15 @@ import (
 	"github.com/sljmotion/sljmotion/internal/events"
 )
 
-// EventHub exposes the manager's event hub (the EventSource capability)
-// for the global dashboard feed.
+// EventHub exposes the manager's event hub for the global dashboard feed.
 func (m *Manager) EventHub() *events.Hub { return m.hub }
 
-// Watch streams one job's lifecycle and per-stage progress events
-// (the Watcher capability). Events arrive in per-job sequence order;
-// afterSeq resumes after that sequence number — the hub replays its
-// retained history past it, or opens with a snapshot when the gap is no
-// longer covered. The channel closes after the terminal event (done,
-// failed or evicted), when ctx is cancelled, or when the manager shuts
-// down. Unknown or expired ids return ErrNotFound.
+// Watch streams one job's lifecycle and per-stage progress events. Events
+// arrive in per-job sequence order; afterSeq resumes after that sequence
+// number — the hub replays its retained history past it, or opens with a
+// snapshot when the gap is no longer covered. The channel closes after the
+// terminal event (done, failed or evicted), when ctx is cancelled, or when
+// the manager shuts down. Unknown or expired ids return ErrNotFound.
 func (m *Manager) Watch(ctx context.Context, id string, afterSeq uint64) (<-chan events.Event, error) {
 	// Subscribe before the existence check: an eviction between the two
 	// is then delivered as an event instead of leaving the subscriber

@@ -152,11 +152,9 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 			"Replicated result documents stored in the result cache.", float64(rm.ResultsStored))
 	}
 
-	if es, ok := s.jobs.(jobs.EventSource); ok {
-		p.Counter("slj_events_dropped_total",
-			"Events dropped by the hub's never-block policy (slow subscribers are resynced instead).",
-			float64(es.EventHub().Dropped()))
-	}
+	p.Counter("slj_events_dropped_total",
+		"Events dropped by the hub's never-block policy (slow subscribers are resynced instead).",
+		float64(s.jobs.EventHub().Dropped()))
 
 	s.slo.WritePrometheus(p)
 	comps := s.componentHealth()

@@ -21,9 +21,8 @@
 //
 // Uploads take optional form fields: poses=1 / silhouettes=1 shape the
 // response, and stages selects a pipeline prefix (e.g. stages=segmentation
-// returns silhouettes without running the GA). The original unversioned
-// routes (/analyze, /jobs, ...) remain as thin aliases of their /v1
-// counterparts.
+// returns silhouettes without running the GA). Every resource has exactly
+// one route, under /v1; only the upload form at / sits outside it.
 //
 // Results are cached content-addressed (internal/cache): the SHA-256 of
 // the frame bytes, manual pose, analyzer-config fingerprint, stage
@@ -71,8 +70,7 @@ const MaxUploadBytes = 64 << 20
 
 // AnalysisResponse is the JSON document returned for one analysed clip.
 // Stage-limited requests fill only the fields their stages computed; the
-// stages field names them (it is omitted on full-pipeline runs, whose
-// document is unchanged from the unversioned API).
+// stages field names them (it is omitted on full-pipeline runs).
 type AnalysisResponse struct {
 	Frames       int             `json:"frames"`
 	TakeoffFrame int             `json:"takeoff_frame"`
@@ -252,6 +250,7 @@ type Server struct {
 	cfgFP  string // config fingerprint folded into cache keys
 	log    *slog.Logger
 	jobs   jobs.Dispatcher
+	fleet  jobs.Fleet   // the backend's fleet surface; nil answers the fleet routes 501
 	cache  *cache.Store // nil when caching is disabled
 	worker bool         // mounts the payload intake route
 	pprof  bool         // mounts /debug/pprof/
@@ -270,7 +269,7 @@ type Server struct {
 	streams     atomic.Int64
 
 	mu       sync.Mutex
-	analyzed int // clips analysed since start, served by /healthz
+	analyzed int // clips analysed since start, served by /v1/healthz
 
 	// slo is the rolling SLI store behind the burn-rate gauges, the
 	// /v1/fleet rollup and the deep-health "slo" component. Always set:
@@ -291,7 +290,7 @@ type Server struct {
 	replicaReceived uint64
 	replicaStored   uint64
 
-	// testExec, when set, replaces the analysis executor behind POST /jobs
+	// testExec, when set, replaces the analysis executor behind POST /v1/jobs
 	// (and makes the route skip upload parsing) — a white-box seam for
 	// deterministic queue tests.
 	testExec jobs.Executor
@@ -447,12 +446,14 @@ func NewWithOptions(cfg core.Config, logger *log.Logger, opts Options) (*Server,
 			return nil, err
 		}
 		dispatcher = mgr
-	} else if so, ok := dispatcher.(interface{ SetSLO(*obs.SLO) }); ok {
-		// A caller-supplied backend (the remote dispatcher) feeds the same
-		// SLI store from its submit→terminal round trips.
-		so.SetSLO(s.slo)
 	}
 	s.jobs = dispatcher
+	if fl, ok := dispatcher.(jobs.Fleet); ok {
+		// A fleet backend (the remote dispatcher) feeds the same SLI store
+		// from its submit→terminal round trips.
+		fl.SetSLO(s.slo)
+		s.fleet = fl
+	}
 	return s, nil
 }
 
@@ -468,40 +469,35 @@ func (s *Server) Close(ctx context.Context) error {
 	return err
 }
 
-// Handler returns the routed HTTP handler: the versioned /v1 surface plus
-// the original unversioned routes as aliases of the same handlers.
+// Handler returns the routed HTTP handler: the upload form at / and the
+// versioned /v1 surface, one route per resource.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handleIndex)
-	for _, prefix := range []string{"", "/v1"} {
-		mux.HandleFunc(prefix+"/analyze", method(http.MethodPost, s.handleAnalyze))
-		mux.HandleFunc(prefix+"/jobs", s.handleJobsRoot)
-		mux.HandleFunc(prefix+"/jobs/", method(http.MethodGet, s.handleJobPath))
-		mux.HandleFunc(prefix+"/metrics", method(http.MethodGet, s.handleMetrics))
-		mux.HandleFunc(prefix+"/rules", method(http.MethodGet, s.handleRules))
-		mux.HandleFunc(prefix+"/healthz", method(http.MethodGet, s.handleHealth))
-	}
-	// The global event feed is versioned-only, like the worker intake:
-	// it is a machine protocol with no pre-/v1 ancestor to alias.
+	mux.HandleFunc("/v1/analyze", method(http.MethodPost, s.handleAnalyze))
+	mux.HandleFunc("/v1/jobs", s.handleJobsRoot)
+	mux.HandleFunc("/v1/jobs/", method(http.MethodGet, s.handleJobPath))
+	mux.HandleFunc("/v1/metrics", method(http.MethodGet, s.handleMetrics))
+	mux.HandleFunc("/v1/rules", method(http.MethodGet, s.handleRules))
+	mux.HandleFunc("/v1/healthz", method(http.MethodGet, s.handleHealth))
 	mux.HandleFunc("/v1/events", method(http.MethodGet, s.handleEventFeed))
-	// The artifact store and clip-ingest sessions are likewise versioned-
-	// only machine protocols (DESIGN.md §14).
+	// The artifact store and clip-ingest sessions (DESIGN.md §14).
 	mux.HandleFunc("/v1/artifacts", method(http.MethodPost, s.handleArtifactPut))
 	mux.HandleFunc("/v1/artifacts/", method(http.MethodGet, s.handleArtifactGet))
 	mux.HandleFunc("/v1/clips", method(http.MethodPost, s.handleClipOpen))
 	mux.HandleFunc("/v1/clips/", s.handleClipPath)
-	// Fleet administration (versioned-only): answered 501 unless the job
-	// backend manages an elastic fleet (jobs.FleetManager).
+	// Fleet administration: answered 501 unless the job backend manages
+	// an elastic fleet (jobs.Fleet).
 	mux.HandleFunc("/v1/fleet", method(http.MethodGet, s.handleFleet))
-	// The federated cluster scrape (jobs.MetricsFederator): every member's
-	// Prometheus exposition merged under a node label.
+	// The federated cluster scrape: every member's Prometheus exposition
+	// merged under a node label.
 	mux.HandleFunc("/v1/fleet/metrics", method(http.MethodGet, s.handleFleetMetrics))
 	mux.HandleFunc("/v1/fleet/nodes", method(http.MethodPost, s.handleFleetJoin))
 	mux.HandleFunc("/v1/fleet/drain", method(http.MethodPost, s.handleFleetDrain))
 	mux.HandleFunc("/v1/fleet/remove", method(http.MethodPost, s.handleFleetRemove))
 	if s.worker {
-		// The worker intake is a machine protocol, versioned-only: no
-		// legacy alias, serialized payloads instead of multipart uploads.
+		// The worker intake: serialized payloads instead of multipart
+		// uploads.
 		mux.HandleFunc("/v1/worker/jobs", method(http.MethodPost, s.handleWorkerJobs))
 		// Successor-replication intake: replicated results from fleet peers.
 		mux.HandleFunc("/v1/worker/replica", method(http.MethodPost, s.handleWorkerReplica))
@@ -711,7 +707,7 @@ type submitResponse struct {
 	ResultURL string `json:"result_url"`
 }
 
-// handleJobsRoot routes the /jobs collection: POST submits a job, GET
+// handleJobsRoot routes the /v1/jobs collection: POST submits a job, GET
 // lists the job history.
 func (s *Server) handleJobsRoot(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
@@ -775,11 +771,6 @@ func decodeCursor(token string) (created time.Time, id string, err error) {
 // (it does not fan the listing out to worker nodes), so state=running is
 // only meaningful on the in-process backend.
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	lister, ok := s.jobs.(jobs.Lister)
-	if !ok {
-		writeError(w, http.StatusNotImplemented, "job listing is not supported by this backend")
-		return
-	}
 	f := jobs.JobFilter{Limit: 100}
 	if sv := r.URL.Query().Get("state"); sv != "" {
 		switch st := jobs.State(sv); st {
@@ -811,10 +802,7 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	// page exists, without a second listing call.
 	limit := f.Limit
 	f.Limit = limit + 1
-	listed := lister.Jobs(f)
-	if listed == nil {
-		listed = []jobs.Status{}
-	}
+	listed := s.jobs.Jobs(f)
 	resp := jobListResponse{}
 	if len(listed) > limit {
 		listed = listed[:limit]
@@ -874,14 +862,8 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 // remote dispatch span, so the front end can graft the worker's span tree
 // under its own.
 func (s *Server) submitPayload(w http.ResponseWriter, r *http.Request, p jobs.Payload) {
-	var id string
-	var err error
 	parent, fromRemote := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
-	if ts, ok := s.jobs.(jobs.TracedSubmitter); ok && fromRemote {
-		id, err = ts.SubmitTraced(p, parent)
-	} else {
-		id, err = s.jobs.Submit(p)
-	}
+	id, err := s.jobs.SubmitTraced(p, parent)
 	switch {
 	case jobs.Retryable(err):
 		// Propagate the backend's retry hint (a remote dispatcher carries
@@ -894,15 +876,11 @@ func (s *Server) submitPayload(w http.ResponseWriter, r *http.Request, p jobs.Pa
 		return
 	}
 	s.log.Info("job accepted", "job_id", id, "remote_trace", fromRemote)
-	base := "/jobs/"
-	if strings.HasPrefix(r.URL.Path, "/v1/") {
-		base = "/v1/jobs/"
-	}
 	writeJSON(w, http.StatusAccepted, submitResponse{
 		ID:        id,
 		State:     string(jobs.StateQueued),
-		StatusURL: base + id,
-		ResultURL: base + id + "/result",
+		StatusURL: "/v1/jobs/" + id,
+		ResultURL: "/v1/jobs/" + id + "/result",
 	})
 }
 
@@ -990,12 +968,10 @@ func (s *Server) executeAnalysis(ctx context.Context, p jobs.Payload, progress f
 	return resp, nil
 }
 
-// handleJobPath routes GET /v1/jobs/{id} (status) and /v1/jobs/{id}/result,
-// and the unversioned aliases.
+// handleJobPath routes GET /v1/jobs/{id} (status) and its /result,
+// /events and /trace sub-resources.
 func (s *Server) handleJobPath(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v1")
-	rest = strings.TrimPrefix(rest, "/jobs/")
-	id, sub, _ := strings.Cut(rest, "/")
+	id, sub, _ := strings.Cut(strings.TrimPrefix(r.URL.Path, "/v1/jobs/"), "/")
 	if id == "" {
 		writeError(w, http.StatusNotFound, "missing job id")
 		return
@@ -1020,12 +996,7 @@ func (s *Server) handleJobPath(w http.ResponseWriter, r *http.Request) {
 // the winning submit attempt. Jobs that carry no trace — journal-replayed
 // records from before the last restart — answer 404 like unknown ids.
 func (s *Server) writeJobTrace(w http.ResponseWriter, id string) {
-	tracer, ok := s.jobs.(jobs.Tracer)
-	if !ok {
-		writeError(w, http.StatusNotImplemented, "job tracing is not supported by this backend")
-		return
-	}
-	doc, err := tracer.Trace(id)
+	doc, err := s.jobs.Trace(id)
 	switch {
 	case errors.Is(err, jobs.ErrNotFound):
 		writeError(w, http.StatusNotFound, err.Error())
@@ -1164,20 +1135,12 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // routability and drain progress for the remote dispatcher), the
 // replication push backlog, and the short-window SLO burn rate.
 func (s *Server) componentHealth() map[string]jobs.ComponentHealth {
-	components := make(map[string]jobs.ComponentHealth)
-	if hr, ok := s.jobs.(jobs.HealthReporter); ok {
-		for k, v := range hr.ComponentHealth() {
-			components[k] = v
-		}
-	}
+	components := s.jobs.ComponentHealth()
 	if s.replica != nil {
 		comp := jobs.HealthOKComponent()
-		if b, ok := s.replica.(interface{ Backlog() (int, int) }); ok {
-			depth, capacity := b.Backlog()
-			if capacity > 0 && depth*5 >= capacity*4 {
-				comp = jobs.HealthDegradedComponent(
-					"replication backlog %d/%d: pushes are about to drop", depth, capacity)
-			}
+		if depth, capacity := s.replica.Backlog(); capacity > 0 && depth*5 >= capacity*4 {
+			comp = jobs.HealthDegradedComponent(
+				"replication backlog %d/%d: pushes are about to drop", depth, capacity)
 		}
 		components["replication"] = comp
 	}

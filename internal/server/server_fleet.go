@@ -1,7 +1,7 @@
 // Fleet administration and successor-replica intake: the HTTP half of the
 // elastic dispatch membership (internal/dispatch).
 //
-// A front end whose job backend implements jobs.FleetManager (the remote
+// A front end whose job backend implements jobs.Fleet (the remote
 // dispatcher) exposes runtime topology control:
 //
 //	GET  /v1/fleet          current membership (epoch + per-node state)
@@ -32,46 +32,40 @@ import (
 	"github.com/sljmotion/sljmotion/internal/obs"
 )
 
-// fleetManager unwraps the backend's fleet capability.
-func (s *Server) fleetManager(w http.ResponseWriter) (jobs.FleetManager, bool) {
-	fm, ok := s.jobs.(jobs.FleetManager)
-	if !ok {
+// requireFleet answers 501 when the backend has no fleet.
+func (s *Server) requireFleet(w http.ResponseWriter) bool {
+	if s.fleet == nil {
 		writeError(w, http.StatusNotImplemented, "fleet management is not supported by this backend")
-		return nil, false
+		return false
 	}
-	return fm, true
+	return true
 }
 
 // handleFleet serves GET /v1/fleet: the membership view plus the
-// observability rollup — the fleet-wide SLO document and, when the
-// backend federates member metrics, its scrape bookkeeping (from cache
-// only; listing the fleet must never trigger a scrape sweep).
+// observability rollup — the fleet-wide SLO document and the member
+// scrape bookkeeping (from cache only; listing the fleet must never
+// trigger a scrape sweep).
 func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
-	fm, ok := s.fleetManager(w)
-	if !ok {
+	if !s.requireFleet(w) {
 		return
 	}
-	view := fm.Fleet()
-	doc := map[string]any{
-		"epoch": view.Epoch,
-		"nodes": view.Nodes,
-		"slo":   s.slo.Doc(),
-	}
-	if fs, ok := s.jobs.(interface{ FederationStats() jobs.FederationStats }); ok {
-		doc["federation"] = fs.FederationStats()
-	}
-	writeJSON(w, http.StatusOK, doc)
+	view := s.fleet.Fleet()
+	writeJSON(w, http.StatusOK, map[string]any{
+		"epoch":      view.Epoch,
+		"nodes":      view.Nodes,
+		"slo":        s.slo.Doc(),
+		"federation": s.fleet.FederationStats(),
+	})
 }
 
 // handleFleetMetrics serves GET /v1/fleet/metrics: the merged Prometheus
 // exposition of every fleet member, each sample labelled with its node.
 func (s *Server) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {
-	mf, ok := s.jobs.(jobs.MetricsFederator)
-	if !ok {
+	if s.fleet == nil {
 		writeError(w, http.StatusNotImplemented, "metrics federation is not supported by this backend")
 		return
 	}
-	merged, _, err := mf.FederatedMetrics()
+	merged, _, err := s.fleet.FederatedMetrics()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, fmt.Sprintf("federate metrics: %v", err))
 		return
@@ -104,15 +98,14 @@ func decodeFleetNode(w http.ResponseWriter, r *http.Request) (fleetNodeDoc, bool
 // handleFleetJoin serves POST /v1/fleet/nodes: the worker registration
 // endpoint. The node is admitted only after its health probe passes.
 func (s *Server) handleFleetJoin(w http.ResponseWriter, r *http.Request) {
-	fm, ok := s.fleetManager(w)
-	if !ok {
+	if !s.requireFleet(w) {
 		return
 	}
 	doc, ok := decodeFleetNode(w, r)
 	if !ok {
 		return
 	}
-	view, err := fm.JoinNode(doc.URL, doc.Weight)
+	view, err := s.fleet.JoinNode(doc.URL, doc.Weight)
 	if err != nil {
 		writeFleetError(w, err)
 		return
@@ -123,15 +116,14 @@ func (s *Server) handleFleetJoin(w http.ResponseWriter, r *http.Request) {
 
 // handleFleetDrain serves POST /v1/fleet/drain.
 func (s *Server) handleFleetDrain(w http.ResponseWriter, r *http.Request) {
-	fm, ok := s.fleetManager(w)
-	if !ok {
+	if !s.requireFleet(w) {
 		return
 	}
 	doc, ok := decodeFleetNode(w, r)
 	if !ok {
 		return
 	}
-	view, err := fm.DrainNode(doc.URL)
+	view, err := s.fleet.DrainNode(doc.URL)
 	if err != nil {
 		writeFleetError(w, err)
 		return
@@ -142,15 +134,14 @@ func (s *Server) handleFleetDrain(w http.ResponseWriter, r *http.Request) {
 
 // handleFleetRemove serves POST /v1/fleet/remove.
 func (s *Server) handleFleetRemove(w http.ResponseWriter, r *http.Request) {
-	fm, ok := s.fleetManager(w)
-	if !ok {
+	if !s.requireFleet(w) {
 		return
 	}
 	doc, ok := decodeFleetNode(w, r)
 	if !ok {
 		return
 	}
-	view, err := fm.RemoveNode(doc.URL)
+	view, err := s.fleet.RemoveNode(doc.URL)
 	if err != nil {
 		writeFleetError(w, err)
 		return

@@ -104,10 +104,6 @@ func TestJobListEndpoint(t *testing.T) {
 	if _, code := list("?cursor=%21%21not-base64%21%21"); code != http.StatusBadRequest {
 		t.Errorf("bad cursor: code %d, want 400", code)
 	}
-	// The legacy alias serves the same history.
-	if doc, code := list(""); code != http.StatusOK || doc.Count != 3 {
-		t.Errorf("legacy listing: code %d, %+v", code, doc)
-	}
 }
 
 // TestJobListPagination walks the whole history in cursor-sized pages:
@@ -203,23 +199,3 @@ func TestJobListPagination(t *testing.T) {
 		t.Errorf("7 jobs at limit 3 should take >= 3 pages, took %d", pages)
 	}
 }
-
-// TestJobListUnsupportedBackend answers 501 for dispatchers without the
-// listing capability instead of panicking or faking an empty history.
-func TestJobListUnsupportedBackend(t *testing.T) {
-	s := fastServerWithOptions(t, Options{Workers: 1, QueueSize: 1, ResultTTL: time.Minute})
-	s.jobs = noListDispatcher{s.jobs}
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/v1/jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Errorf("listing on a non-Lister backend: %d, want 501", resp.StatusCode)
-	}
-}
-
-// noListDispatcher hides the Lister capability of the wrapped backend.
-type noListDispatcher struct{ jobs.Dispatcher }

@@ -92,7 +92,7 @@ func TestIndexPage(t *testing.T) {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
 	raw, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(raw), "/analyze") {
+	if !strings.Contains(string(raw), "/v1/analyze") {
 		t.Error("index page missing upload form")
 	}
 
@@ -110,7 +110,7 @@ func TestIndexPage(t *testing.T) {
 func TestHealthz(t *testing.T) {
 	srv := httptest.NewServer(fastServer(t).Handler())
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/healthz")
+	resp, err := http.Get(srv.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestHealthz(t *testing.T) {
 func TestRulesEndpoint(t *testing.T) {
 	srv := httptest.NewServer(fastServer(t).Handler())
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/rules")
+	resp, err := http.Get(srv.URL + "/v1/rules")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestRulesEndpoint(t *testing.T) {
 func TestRulesMethodNotAllowed(t *testing.T) {
 	srv := httptest.NewServer(fastServer(t).Handler())
 	defer srv.Close()
-	resp, err := http.Post(srv.URL+"/rules", "text/plain", strings.NewReader("x"))
+	resp, err := http.Post(srv.URL+"/v1/rules", "text/plain", strings.NewReader("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestRulesMethodNotAllowed(t *testing.T) {
 func TestAnalyzeRejectsGet(t *testing.T) {
 	srv := httptest.NewServer(fastServer(t).Handler())
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/analyze")
+	resp, err := http.Get(srv.URL + "/v1/analyze")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestAnalyzeRejectsMissingParts(t *testing.T) {
 		t.Fatal(err)
 	}
 	mw.Close()
-	resp, err := http.Post(srv.URL+"/analyze", mw.FormDataContentType(), &body)
+	resp, err := http.Post(srv.URL+"/v1/analyze", mw.FormDataContentType(), &body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestAnalyzeFullClip(t *testing.T) {
 
 	srv := httptest.NewServer(fastServer(t).Handler())
 	defer srv.Close()
-	resp, err := http.Post(srv.URL+"/analyze", mw.FormDataContentType(), &body)
+	resp, err := http.Post(srv.URL+"/v1/analyze", mw.FormDataContentType(), &body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestAnalyzeFullClip(t *testing.T) {
 	}
 
 	// Health counter advanced.
-	hresp, err := http.Get(srv.URL + "/healthz")
+	hresp, err := http.Get(srv.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestNewRejectsBadConfig(t *testing.T) {
 func TestJobsCollectionMethods(t *testing.T) {
 	srv := httptest.NewServer(fastServer(t).Handler())
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/jobs")
+	resp, err := http.Get(srv.URL + "/v1/jobs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestJobsCollectionMethods(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("GET /jobs (history listing) status %d, want 200", resp.StatusCode)
 	}
-	req, err := http.NewRequest(http.MethodDelete, srv.URL+"/jobs", nil)
+	req, err := http.NewRequest(http.MethodDelete, srv.URL+"/v1/jobs", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestJobsCollectionMethods(t *testing.T) {
 func TestJobStatusNotFound(t *testing.T) {
 	srv := httptest.NewServer(fastServer(t).Handler())
 	defer srv.Close()
-	for _, path := range []string{"/jobs/deadbeef", "/jobs/deadbeef/result", "/jobs/deadbeef/nope"} {
+	for _, path := range []string{"/v1/jobs/deadbeef", "/v1/jobs/deadbeef/result", "/v1/jobs/deadbeef/nope"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -333,7 +333,7 @@ func TestJobStatusNotFound(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	srv := httptest.NewServer(fastServer(t).Handler())
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/metrics")
+	resp, err := http.Get(srv.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestJobsBackpressureHTTP(t *testing.T) {
 	defer close(release)
 
 	submit := func() (*submitResponse, int) {
-		resp, err := http.Post(srv.URL+"/jobs", "text/plain", strings.NewReader(""))
+		resp, err := http.Post(srv.URL+"/v1/jobs", "text/plain", strings.NewReader(""))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -411,7 +411,7 @@ func TestJobsBackpressureHTTP(t *testing.T) {
 	if _, code := submit(); code != http.StatusAccepted {
 		t.Fatalf("second submit should queue: %d", code)
 	}
-	resp, err := http.Post(srv.URL+"/jobs", "text/plain", strings.NewReader(""))
+	resp, err := http.Post(srv.URL+"/v1/jobs", "text/plain", strings.NewReader(""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ func waitState(t *testing.T, base, id, want string) jobs.Status {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/jobs/" + id)
+		resp, err := http.Get(base + "/v1/jobs/" + id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -472,7 +472,7 @@ func TestJobRoundTripMatchesSync(t *testing.T) {
 
 	// Synchronous reference.
 	body, ctype := clipUpload(t, v, true)
-	sresp, err := http.Post(srv.URL+"/analyze", ctype, body)
+	sresp, err := http.Post(srv.URL+"/v1/analyze", ctype, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +484,7 @@ func TestJobRoundTripMatchesSync(t *testing.T) {
 
 	// Async path.
 	body, ctype = clipUpload(t, v, true)
-	jresp, err := http.Post(srv.URL+"/jobs", ctype, body)
+	jresp, err := http.Post(srv.URL+"/v1/jobs", ctype, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +518,7 @@ func TestJobRoundTripMatchesSync(t *testing.T) {
 	}
 
 	// Metrics reflect the served job.
-	mresp, err := http.Get(srv.URL + "/metrics")
+	mresp, err := http.Get(srv.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,7 +569,7 @@ func TestJobFailurePropagates(t *testing.T) {
 	fmt.Fprintln(fw, "0 4 4 0 0 180 180 0 180 180 90")
 	mw.Close()
 
-	resp, err := http.Post(srv.URL+"/jobs", mw.FormDataContentType(), &body)
+	resp, err := http.Post(srv.URL+"/v1/jobs", mw.FormDataContentType(), &body)
 	if err != nil {
 		t.Fatal(err)
 	}

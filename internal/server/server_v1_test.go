@@ -44,34 +44,35 @@ func getMetrics(t *testing.T, base string) metricsDoc {
 	return doc
 }
 
-// TestMethodNotAllowedEverywhere drives every route — versioned and legacy
-// — with a wrong method and expects 405, an Allow header and the JSON
-// error envelope.
+// TestMethodNotAllowedEverywhere drives every route with a wrong method
+// and expects 405, an Allow header and the JSON error envelope. The
+// pre-/v1 paths are not routes: they answer 404 with the same envelope.
 func TestMethodNotAllowedEverywhere(t *testing.T) {
 	srv := httptest.NewServer(fastServer(t).Handler())
 	defer srv.Close()
 
 	cases := []struct {
 		method, path, allow string
+		status              int
 	}{
-		{http.MethodGet, "/analyze", "POST"},
-		{http.MethodGet, "/v1/analyze", "POST"},
-		{http.MethodDelete, "/v1/analyze", "POST"},
-		{http.MethodDelete, "/jobs", "GET, POST"},
-		{http.MethodDelete, "/v1/jobs", "GET, POST"},
-		{http.MethodPost, "/jobs/deadbeef", "GET"},
-		{http.MethodPost, "/v1/jobs/deadbeef/result", "GET"},
-		{http.MethodPost, "/v1/jobs/deadbeef/events", "GET"},
-		{http.MethodDelete, "/v1/jobs/deadbeef/events", "GET"},
-		{http.MethodPost, "/v1/events", "GET"},
-		{http.MethodPut, "/v1/events", "GET"},
-		{http.MethodPost, "/metrics", "GET"},
-		{http.MethodPost, "/v1/metrics", "GET"},
-		{http.MethodPut, "/rules", "GET"},
-		{http.MethodPut, "/v1/rules", "GET"},
-		{http.MethodPost, "/healthz", "GET"},
-		{http.MethodPost, "/v1/healthz", "GET"},
-		{http.MethodPost, "/", "GET"},
+		{http.MethodGet, "/v1/analyze", "POST", http.StatusMethodNotAllowed},
+		{http.MethodDelete, "/v1/analyze", "POST", http.StatusMethodNotAllowed},
+		{http.MethodDelete, "/v1/jobs", "GET, POST", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/v1/jobs/deadbeef", "GET", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/v1/jobs/deadbeef/result", "GET", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/v1/jobs/deadbeef/events", "GET", http.StatusMethodNotAllowed},
+		{http.MethodDelete, "/v1/jobs/deadbeef/events", "GET", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/v1/events", "GET", http.StatusMethodNotAllowed},
+		{http.MethodPut, "/v1/events", "GET", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/v1/metrics", "GET", http.StatusMethodNotAllowed},
+		{http.MethodPut, "/v1/rules", "GET", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/v1/healthz", "GET", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/", "GET", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/analyze", "", http.StatusNotFound},
+		{http.MethodGet, "/jobs", "", http.StatusNotFound},
+		{http.MethodGet, "/metrics", "", http.StatusNotFound},
+		{http.MethodGet, "/rules", "", http.StatusNotFound},
+		{http.MethodGet, "/healthz", "", http.StatusNotFound},
 	}
 	for _, c := range cases {
 		req, err := http.NewRequest(c.method, srv.URL+c.path, strings.NewReader(""))
@@ -84,8 +85,8 @@ func TestMethodNotAllowedEverywhere(t *testing.T) {
 		}
 		raw, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Errorf("%s %s: status %d, want 405", c.method, c.path, resp.StatusCode)
+		if resp.StatusCode != c.status {
+			t.Errorf("%s %s: status %d, want %d", c.method, c.path, resp.StatusCode, c.status)
 			continue
 		}
 		if got := resp.Header.Get("Allow"); got != c.allow {
@@ -94,30 +95,6 @@ func TestMethodNotAllowedEverywhere(t *testing.T) {
 		var doc errorResponse
 		if err := json.Unmarshal(raw, &doc); err != nil || doc.Error == "" {
 			t.Errorf("%s %s: body is not the error envelope: %s", c.method, c.path, raw)
-		}
-	}
-}
-
-// TestV1AliasesServeSameDocuments spot-checks that the versioned read-only
-// routes serve the same documents as their legacy aliases.
-func TestV1AliasesServeSameDocuments(t *testing.T) {
-	srv := httptest.NewServer(fastServer(t).Handler())
-	defer srv.Close()
-	for _, path := range []string{"/rules", "/metrics", "/healthz"} {
-		get := func(p string) []byte {
-			resp, err := http.Get(srv.URL + p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("GET %s: status %d", p, resp.StatusCode)
-			}
-			raw, _ := io.ReadAll(resp.Body)
-			return raw
-		}
-		if legacy, v1 := get(path), get("/v1"+path); !bytes.Equal(legacy, v1) {
-			t.Errorf("%s and /v1%s disagree:\n%s\nvs\n%s", path, path, legacy, v1)
 		}
 	}
 }

@@ -125,6 +125,52 @@ func TestWorkerIntakeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWorkerIntakeRejectsOversizedFrames posts frames whose sides multiply
+// past 2^64: the intake must answer 400 with the error envelope instead of
+// accepting a job whose executor would panic, and the node keeps serving.
+func TestWorkerIntakeRejectsOversizedFrames(t *testing.T) {
+	s := workerServer(t)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	frame := `{"w":4294967296,"h":4294967296,"rgb":""}`
+	body := `{"kind":"slj-analysis/v1","stages":"segmentation","frames":[` +
+		frame + "," + frame + "," + frame + `]}`
+	resp, err := http.Post(srv.URL+"/v1/worker/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversized frames: status %d, want 400: %s", resp.StatusCode, raw)
+	}
+	var env errorResponse
+	if err := json.Unmarshal(raw, &env); err != nil || env.Error == "" {
+		t.Fatalf("body is not the error envelope: %s", raw)
+	}
+
+	// The node still runs a well-formed job to completion.
+	v, err := synth.Generate(synth.DefaultJumpParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, _ := json.Marshal(segmentationPayload(t, s, v))
+	resp, err = http.Post(srv.URL+"/v1/worker/jobs", "application/json", bytes.NewReader(good))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sub submitResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("well-formed intake status %d", resp.StatusCode)
+	}
+	waitState(t, srv.URL, sub.ID, string(jobs.StateDone))
+}
+
 // exactClipUpload is clipUploadStaged (stages=segmentation, silhouettes=1)
 // with the manual pose written at full float precision, so the server-side
 // parse reconstructs the exact ManualAnnotation floats.
@@ -287,7 +333,7 @@ func TestWorkerIntakeDisabledByDefault(t *testing.T) {
 }
 
 // TestFailedJobResultEnvelope pins the failed-job contract of
-// GET /v1/jobs/{id}/result and its legacy alias: 422, the shared JSON
+// GET /v1/jobs/{id}/result: 422, the shared JSON
 // error envelope carrying the job's error string, and the machine-readable
 // state field set to "failed".
 func TestFailedJobResultEnvelope(t *testing.T) {
@@ -331,25 +377,23 @@ func TestFailedJobResultEnvelope(t *testing.T) {
 		t.Fatal("failed status must carry the job error")
 	}
 
-	for _, path := range []string{"/v1/jobs/" + sub.ID + "/result", "/jobs/" + sub.ID + "/result"} {
-		rresp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, _ := io.ReadAll(rresp.Body)
-		rresp.Body.Close()
-		if rresp.StatusCode != http.StatusUnprocessableEntity {
-			t.Errorf("%s: status %d, want 422", path, rresp.StatusCode)
-		}
-		var env errorResponse
-		if err := json.Unmarshal(raw, &env); err != nil {
-			t.Fatalf("%s: body is not the error envelope: %s", path, raw)
-		}
-		if env.State != string(jobs.StateFailed) {
-			t.Errorf("%s: state = %q, want %q", path, env.State, jobs.StateFailed)
-		}
-		if !strings.Contains(env.Error, st.Err) {
-			t.Errorf("%s: envelope %q must carry the job error %q", path, env.Error, st.Err)
-		}
+	rresp, err := http.Get(srv.URL + sub.ResultURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(rresp.Body)
+	rresp.Body.Close()
+	if rresp.StatusCode != http.StatusUnprocessableEntity {
+		t.Errorf("result status %d, want 422", rresp.StatusCode)
+	}
+	var env errorResponse
+	if err := json.Unmarshal(raw, &env); err != nil {
+		t.Fatalf("result body is not the error envelope: %s", raw)
+	}
+	if env.State != string(jobs.StateFailed) {
+		t.Errorf("state = %q, want %q", env.State, jobs.StateFailed)
+	}
+	if !strings.Contains(env.Error, st.Err) {
+		t.Errorf("envelope %q must carry the job error %q", env.Error, st.Err)
 	}
 }

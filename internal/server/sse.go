@@ -56,11 +56,6 @@ func (s *Server) releaseStream() { s.streams.Add(-1) }
 
 // handleJobEvents streams one job's events (GET /v1/jobs/{id}/events).
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, id string) {
-	watcher, ok := s.jobs.(jobs.Watcher)
-	if !ok {
-		writeError(w, http.StatusNotImplemented, "event streaming is not supported by this backend")
-		return
-	}
 	after, err := afterSeq(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
@@ -72,7 +67,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, id stri
 		return
 	}
 	defer s.releaseStream()
-	ch, err := watcher.Watch(r.Context(), id, after)
+	ch, err := s.jobs.Watch(r.Context(), id, after)
 	switch {
 	case errors.Is(err, jobs.ErrNotFound):
 		writeError(w, http.StatusNotFound, err.Error())
@@ -94,11 +89,6 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, id stri
 // some"). The feed is live-only: there is no cross-job resume position,
 // so Last-Event-ID is not honoured here.
 func (s *Server) handleEventFeed(w http.ResponseWriter, r *http.Request) {
-	src, ok := s.jobs.(jobs.EventSource)
-	if !ok {
-		writeError(w, http.StatusNotImplemented, "event streaming is not supported by this backend")
-		return
-	}
 	state := r.URL.Query().Get("state")
 	if state != "" {
 		switch jobs.State(state) {
@@ -115,7 +105,7 @@ func (s *Server) handleEventFeed(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.releaseStream()
-	sub, err := src.EventHub().Subscribe("", 0)
+	sub, err := s.jobs.EventHub().Subscribe("", 0)
 	if err != nil {
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, err.Error())

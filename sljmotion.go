@@ -269,7 +269,10 @@ type (
 	JobNodeMetrics = jobs.NodeMetrics
 	// JobDispatcher is the pluggable job backend: the in-process worker
 	// pool by default, or the remote HTTP fan-out dispatcher, with the
-	// submit/poll lifecycle unchanged (DESIGN.md §9-10).
+	// submit/poll lifecycle unchanged (DESIGN.md §9-10). Its contract is
+	// the whole job surface: Submit and SubmitTraced, Status, Result, the
+	// Jobs history, Watch and the EventHub firehose, Trace,
+	// ComponentHealth, Metrics and Close.
 	JobDispatcher = jobs.Dispatcher
 	// JobPayload is one unit of asynchronous work as serializable data —
 	// what a JobQueue actually submits to its dispatcher (DESIGN.md §10).
@@ -373,8 +376,15 @@ func DefaultJobQueueOptions() JobQueueOptions {
 // job is polled via JobStatus / JobResult. It is the in-process equivalent
 // of the web service's POST /v1/jobs path (DESIGN.md §8-10).
 type JobQueue struct {
-	mgr jobs.Dispatcher
-	fp  string // config fingerprint stamped into payloads
+	mgr   jobs.Dispatcher
+	fleet jobs.Fleet // the backend's fleet surface; nil answers ErrFleetUnsupported
+	fp    string     // config fingerprint stamped into payloads
+}
+
+// newJobQueue wraps a validated configuration's backend.
+func newJobQueue(cfg Config, d jobs.Dispatcher) *JobQueue {
+	fl, _ := d.(jobs.Fleet)
+	return &JobQueue{mgr: d, fleet: fl, fp: jobs.ConfigFingerprint(cfg)}
 }
 
 // NewJobQueue builds an asynchronous analysis queue over the given analyzer
@@ -402,7 +412,7 @@ func NewJobQueue(cfg Config, opts JobQueueOptions) (*JobQueue, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &JobQueue{mgr: mgr, fp: jobs.ConfigFingerprint(cfg)}, nil
+	return newJobQueue(cfg, mgr), nil
 }
 
 // NewJobQueueWithDispatcher builds an asynchronous analysis queue over an
@@ -413,7 +423,7 @@ func NewJobQueueWithDispatcher(cfg Config, d JobDispatcher) (*JobQueue, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &JobQueue{mgr: d, fp: jobs.ConfigFingerprint(cfg)}, nil
+	return newJobQueue(cfg, d), nil
 }
 
 // NewRemoteJobQueue builds an asynchronous analysis queue whose jobs fan
@@ -457,7 +467,7 @@ func NewRemoteJobQueueWithOptions(cfg Config, opts RemoteJobQueueOptions) (*JobQ
 	if err != nil {
 		return nil, err
 	}
-	return &JobQueue{mgr: d, fp: jobs.ConfigFingerprint(cfg)}, nil
+	return newJobQueue(cfg, d), nil
 }
 
 // Fleet membership types of an elastic remote queue (DESIGN.md §16).
@@ -473,21 +483,12 @@ type (
 // backend has no runtime membership (the in-process pool).
 var ErrFleetUnsupported = errors.New("sljmotion: this queue's backend does not support fleet management")
 
-// fleet unwraps the backend's membership capability.
-func (q *JobQueue) fleet() (jobs.FleetManager, error) {
-	if fm, ok := q.mgr.(jobs.FleetManager); ok {
-		return fm, nil
-	}
-	return nil, ErrFleetUnsupported
-}
-
 // Fleet snapshots the current membership of a remote queue.
 func (q *JobQueue) Fleet() (FleetView, error) {
-	fm, err := q.fleet()
-	if err != nil {
-		return FleetView{}, err
+	if q.fleet == nil {
+		return FleetView{}, ErrFleetUnsupported
 	}
-	return fm.Fleet(), nil
+	return q.fleet.Fleet(), nil
 }
 
 // JoinFleetNode admits a worker node (base URL, consistent-hash weight >= 1;
@@ -495,22 +496,20 @@ func (q *JobQueue) Fleet() (FleetView, error) {
 // first and refused if unreachable. Joining is idempotent; re-announcing an
 // unchanged member keeps the current epoch.
 func (q *JobQueue) JoinFleetNode(url string, weight int) (FleetView, error) {
-	fm, err := q.fleet()
-	if err != nil {
-		return FleetView{}, err
+	if q.fleet == nil {
+		return FleetView{}, ErrFleetUnsupported
 	}
-	return fm.JoinNode(url, weight)
+	return q.fleet.JoinNode(url, weight)
 }
 
 // DrainFleetNode starts a graceful drain: the node stops receiving new keys
 // immediately, its running jobs finish, and the membership then forgets it.
 // Draining the last routable member is refused.
 func (q *JobQueue) DrainFleetNode(url string) (FleetView, error) {
-	fm, err := q.fleet()
-	if err != nil {
-		return FleetView{}, err
+	if q.fleet == nil {
+		return FleetView{}, ErrFleetUnsupported
 	}
-	return fm.DrainNode(url)
+	return q.fleet.DrainNode(url)
 }
 
 // Submit encodes one staged analysis request into a serializable payload
@@ -569,37 +568,18 @@ func (q *JobQueue) JobResultJSON(id string) ([]byte, error) {
 // JobMetrics snapshots queue depth, throughput counters and latency stats.
 func (q *JobQueue) JobMetrics() JobMetrics { return q.mgr.Metrics() }
 
-// Jobs lists the queue's job history newest-first, filtered per f. It
-// returns nil when the underlying dispatcher has no listing capability
-// (custom dispatchers may not). With a journal configured the history
-// survives restarts.
-func (q *JobQueue) Jobs(f JobFilter) []JobStatus {
-	if l, ok := q.mgr.(jobs.Lister); ok {
-		return l.Jobs(f)
-	}
-	return nil
-}
+// Jobs lists the queue's job history newest-first, filtered per f. With a
+// journal configured the history survives restarts.
+func (q *JobQueue) Jobs(f JobFilter) []JobStatus { return q.mgr.Jobs(f) }
 
 // Trace returns the span tree of a job the queue still remembers: where
 // its wall-clock time went, from submission through queue wait, the
 // executed pipeline stages and the terminal publish. Remote queues include
 // the dispatch fan-out spans with the worker node's tree grafted under the
 // winning submit attempt. It returns ErrJobNotFound for unknown or expired
-// ids, for journal-replayed jobs of an earlier process (their execution
-// was not observed by this one), and for backends without the tracing
-// capability (DESIGN.md §13).
-func (q *JobQueue) Trace(id string) (*JobTrace, error) {
-	t, ok := q.mgr.(jobs.Tracer)
-	if !ok {
-		return nil, ErrJobNotFound
-	}
-	return t.Trace(id)
-}
-
-// ErrWatchUnsupported marks a job backend without the streaming
-// capability (custom dispatchers may not implement it; the in-process
-// and remote backends both do).
-var ErrWatchUnsupported = errors.New("sljmotion: this job backend does not support event streaming")
+// ids and for journal-replayed jobs of an earlier process still awaiting
+// their re-run (DESIGN.md §13).
+func (q *JobQueue) Trace(id string) (*JobTrace, error) { return q.mgr.Trace(id) }
 
 // Watch streams one job's lifecycle and per-stage progress events: queued
 // → running → one stage event per executed pipeline stage → done or
@@ -610,11 +590,7 @@ var ErrWatchUnsupported = errors.New("sljmotion: this job backend does not suppo
 // falling back to polling-backed synthetic events if the stream drops
 // (DESIGN.md §12).
 func (q *JobQueue) Watch(ctx context.Context, id string) (<-chan JobEvent, error) {
-	w, ok := q.mgr.(jobs.Watcher)
-	if !ok {
-		return nil, ErrWatchUnsupported
-	}
-	return w.Watch(ctx, id, 0)
+	return q.mgr.Watch(ctx, id, 0)
 }
 
 // OpenJobJournal opens (or creates) the durable job journal at path, and
