@@ -15,12 +15,6 @@
 //	slj-analyze -synthetic -stages segmentation -ascii
 //	slj-analyze -synthetic -follow
 //	slj-analyze -synthetic -trace
-//	slj-analyze -synthetic -fit-profile fast
-//
-// -fit-profile selects the GA speed/fidelity trade: "default" keeps the
-// byte-identical reference output, "fast" runs the coarse-to-fine schedule
-// (several times the throughput within a bounded fitness tolerance —
-// DESIGN.md §15).
 //
 // -stages selects a pipeline prefix via the request API: "segmentation"
 // stops after the silhouettes (no GA — fast, useful for inspecting the
@@ -56,7 +50,6 @@ import (
 
 	"github.com/sljmotion/sljmotion"
 	"github.com/sljmotion/sljmotion/internal/clipio"
-	"github.com/sljmotion/sljmotion/internal/pose"
 	"github.com/sljmotion/sljmotion/internal/synth"
 )
 
@@ -76,7 +69,6 @@ func run() error {
 		ascii     = flag.Bool("ascii", false, "print per-frame silhouettes as ASCII art")
 		detect    = flag.Bool("detect-windows", false, "use detected takeoff/landing windows instead of the paper's fixed windows")
 		stages    = flag.String("stages", "all", "pipeline prefix to run: all, segmentation, segmentation..pose, ...")
-		fitProf   = flag.String("fit-profile", "default", "GA pose-fit profile: default (byte-identical reference output) or fast (coarse-to-fine fitting, converged-population termination)")
 		follow    = flag.Bool("follow", false, "run as an asynchronous job and stream lifecycle + per-stage progress events live")
 		trace     = flag.Bool("trace", false, "print the job's span tree after the report: queue wait, per-stage and per-frame timings")
 		clipURL   = flag.String("clip-session", "", "server base URL: stream the clip up in chunks via an ingest session and analyse it by hash")
@@ -145,11 +137,6 @@ func run() error {
 	if *detect {
 		cfg.Windows = sljmotion.WindowsDetected
 	}
-	profile, err := pose.ProfileByName(*fitProf)
-	if err != nil {
-		return err
-	}
-	cfg.Pose.Profile = profile
 	req := sljmotion.AnalysisRequest{
 		Frames:      frames,
 		ManualFirst: manual,

@@ -23,9 +23,7 @@
 // parallel, the remote dispatch round trip over an in-process two-node
 // worker pool (submit → hash-route → poll → result, cold and cache-hit),
 // the durable-journal overhead on the async job path (jobs/sec with
-// the journal off, on, and on with fsync-per-terminal), the GA fit
-// profiles (the clip analysed under the default and fast pose.FitProfile,
-// with the fast row's fitness excess and memo hit rate), the streaming
+// the journal off, on, and on with fsync-per-terminal), the streaming
 // clip-ingest path (chunked upload + seal wall clock, eager-segmentation
 // reuse, inline vs by-hash dispatch payload bytes, and the by-hash
 // analyze round trip cold and cache-hit), and the observability-plane
@@ -65,7 +63,6 @@ import (
 	"github.com/sljmotion/sljmotion/internal/jobs"
 	"github.com/sljmotion/sljmotion/internal/journal"
 	"github.com/sljmotion/sljmotion/internal/obs"
-	"github.com/sljmotion/sljmotion/internal/pose"
 	"github.com/sljmotion/sljmotion/internal/segmentation"
 	"github.com/sljmotion/sljmotion/internal/server"
 	"github.com/sljmotion/sljmotion/internal/synth"
@@ -175,7 +172,6 @@ type perfDoc struct {
 	Height        int                `json:"height"`
 	Segmentation  []perfSample       `json:"segmentation"`
 	EndToEnd      []perfE2E          `json:"end_to_end"`
-	GAProfiles    []perfGAProfile    `json:"ga_profiles,omitempty"`
 	Dispatch      *perfDispatch      `json:"dispatch,omitempty"`
 	Fleet         *perfFleet         `json:"fleet,omitempty"`
 	Journal       *perfJournal       `json:"journal,omitempty"`
@@ -183,33 +179,6 @@ type perfDoc struct {
 	Ingest        *perfIngest        `json:"ingest,omitempty"`
 	Observability *perfObservability `json:"observability,omitempty"`
 }
-
-// perfGAProfile is one fit-profile row: the canonical clip analysed
-// end-to-end under the named pose.FitProfile. The default row is the
-// byte-identity reference; the fast row's worth is its frames/sec multiple,
-// and its cost is FitnessDeltaVsDefault — the mean full-resolution Eq. (3)
-// fitness excess over the default profile's poses, which the fidelity
-// tolerance of DESIGN.md §15 bounds.
-type perfGAProfile struct {
-	Profile      string  `json:"profile"`
-	Seconds      float64 `json:"seconds"`
-	FramesPerSec float64 `json:"frames_per_sec"`
-	// MeanFitness averages Estimate.Fitness over the tracked frames
-	// (lower is a tighter silhouette fit).
-	MeanFitness           float64 `json:"mean_fitness"`
-	FitnessDeltaVsDefault float64 `json:"fitness_delta_vs_default"`
-	// Evaluations counts fitness scores the GA requested across all
-	// frames; MemoHitRate is the fraction answered from the memo table.
-	Evaluations int     `json:"evaluations"`
-	MemoHitRate float64 `json:"memo_hit_rate"`
-}
-
-// gaFitnessToleranceAbs is the determinism-sensitive compare guard: a
-// fresh fast-profile row whose mean fitness exceeds the default profile's
-// by more than this absolute amount fails -compare regardless of the
-// percentage threshold (it means the speed profile started returning
-// materially worse poses).
-const gaFitnessToleranceAbs = 0.05
 
 // perfIngest measures the streaming clip-ingest path against the inline
 // upload it replaces: the chunked upload + seal wall clock (with the
@@ -433,12 +402,6 @@ func runPerf(seed int64, fast bool, baselinePath string, thresholdPct float64) e
 		}
 	}
 
-	gps, err := runGAProfilePerf(v, fast)
-	if err != nil {
-		return err
-	}
-	doc.GAProfiles = gps
-
 	disp, err := runDispatchPerf(seed)
 	if err != nil {
 		return err
@@ -480,70 +443,6 @@ func runPerf(seed int64, fast bool, baselinePath string, thresholdPct float64) e
 		return compareBaseline(doc, baselinePath, thresholdPct)
 	}
 	return nil
-}
-
-// runGAProfilePerf analyses the canonical clip under each fit profile and
-// reports the speed/fidelity trade: wall clock, mean Eq. (3) fitness (with
-// the fast row's excess over the default row), and the GA's evaluation and
-// memo-hit accounting. fast trims the GA budget the same way the e2e rows
-// do, so the two sections stay comparable.
-func runGAProfilePerf(v *synth.Video, fast bool) ([]perfGAProfile, error) {
-	manual := v.ManualAnnotation(synth.DefaultAnnotationError(), 1)
-	var rows []perfGAProfile
-	for _, name := range []string{"default", "fast"} {
-		profile, err := pose.ProfileByName(name)
-		if err != nil {
-			return nil, err
-		}
-		cfg := core.DefaultConfig()
-		cfg.Pose.Profile = profile
-		if fast {
-			cfg.Pose.Population = 40
-			cfg.Pose.Generations = 40
-			cfg.Pose.Patience = 10
-			cfg.Pose.RefineRounds = 1
-		}
-		an, err := core.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		res, err := an.Analyze(v.Frames, manual)
-		if err != nil {
-			return nil, err
-		}
-		secs := time.Since(start).Seconds()
-		var fitSum float64
-		var fitN, evals, hits int
-		for k, est := range res.Estimates {
-			if k == 0 {
-				continue // frame 0 echoes the manual pose
-			}
-			fitSum += est.Fitness
-			fitN++
-			if est.GA != nil {
-				evals += est.GA.Evaluations
-				hits += est.GA.MemoHits
-			}
-		}
-		row := perfGAProfile{
-			Profile:      name,
-			Seconds:      secs,
-			FramesPerSec: float64(len(v.Frames)) / secs,
-			Evaluations:  evals,
-		}
-		if fitN > 0 {
-			row.MeanFitness = fitSum / float64(fitN)
-		}
-		if evals > 0 {
-			row.MemoHitRate = float64(hits) / float64(evals)
-		}
-		if len(rows) > 0 {
-			row.FitnessDeltaVsDefault = row.MeanFitness - rows[0].MeanFitness
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }
 
 // runEventsPerf times the event bus: one publisher, four firehose
@@ -640,31 +539,6 @@ func compareBaseline(doc perfDoc, path string, thresholdPct float64) error {
 			}
 		}
 	}
-	// GA-profile rows likewise only compare at matching budgets.
-	if doc.Fast == base.Fast {
-		for _, b := range base.GAProfiles {
-			for _, n := range doc.GAProfiles {
-				if n.Profile == b.Profile {
-					rows = append(rows, compareRow{
-						name: fmt.Sprintf("ga_profile %s frames/sec", b.Profile),
-						old:  b.FramesPerSec, new: n.FramesPerSec, higherBetter: true,
-					})
-				}
-			}
-		}
-	}
-	// Determinism-sensitive guard, independent of the percentage threshold:
-	// the fast profile's fitness excess over the default row is bounded by
-	// the fidelity tolerance, not allowed to drift with a noisy baseline.
-	fitnessGuardFailures := 0
-	for _, n := range doc.GAProfiles {
-		if n.FitnessDeltaVsDefault > gaFitnessToleranceAbs {
-			fmt.Fprintf(os.Stderr,
-				"R ga_profile %s fitness delta %.4f exceeds tolerance %.2f\n",
-				n.Profile, n.FitnessDeltaVsDefault, gaFitnessToleranceAbs)
-			fitnessGuardFailures++
-		}
-	}
 	if base.Journal != nil && doc.Journal != nil {
 		rows = append(rows,
 			compareRow{name: "journal off jobs/sec", old: base.Journal.OffJobsPerSec, new: doc.Journal.OffJobsPerSec, higherBetter: true},
@@ -704,14 +578,15 @@ func compareBaseline(doc perfDoc, path string, thresholdPct float64) error {
 			compareRow{name: "observability off jobs/sec", old: base.Observability.OffJobsPerSec, new: doc.Observability.OffJobsPerSec, higherBetter: true},
 		)
 	}
-	// Absolute guard on the observability plane, like the fitness guard:
-	// tracing + accounting must stay under observabilityOverheadMaxPct of
-	// job throughput regardless of the percentage threshold.
+	// Absolute guard on the observability plane: tracing + accounting must
+	// stay under observabilityOverheadMaxPct of job throughput regardless of
+	// the percentage threshold.
+	guardFailures := 0
 	if doc.Observability != nil && doc.Observability.OverheadPct > observabilityOverheadMaxPct {
 		fmt.Fprintf(os.Stderr,
 			"R observability overhead %.1f%% exceeds the %.0f%% guard\n",
 			doc.Observability.OverheadPct, observabilityOverheadMaxPct)
-		fitnessGuardFailures++
+		guardFailures++
 	}
 
 	fmt.Fprintf(os.Stderr, "bench compare vs %s (threshold %.0f%%):\n", path, thresholdPct)
@@ -732,7 +607,7 @@ func compareBaseline(doc perfDoc, path string, thresholdPct float64) error {
 		}
 		fmt.Fprintf(os.Stderr, "%s%-38s %12.2f -> %12.2f  (%+.1f%%)\n", mark, r.name, r.old, r.new, deltaPct)
 	}
-	regressions += fitnessGuardFailures
+	regressions += guardFailures
 	if regressions > 0 {
 		return fmt.Errorf("%d measurement(s) regressed beyond %.0f%% vs %s", regressions, thresholdPct, path)
 	}

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	slj-serve [-addr :8080] [-workers N] [-queue N] [-result-ttl 15m]
-//	          [-parallelism N] [-fit-profile default|fast]
+//	          [-parallelism N]
 //	          [-cache-size N] [-cache-ttl 15m]
 //	          [-journal path] [-worker] [-dispatch-nodes url1,url2,...]
 //	          [-fleet] [-replicate]
@@ -151,7 +151,6 @@ import (
 	"github.com/sljmotion/sljmotion/internal/dispatch"
 	"github.com/sljmotion/sljmotion/internal/journal"
 	"github.com/sljmotion/sljmotion/internal/obs"
-	"github.com/sljmotion/sljmotion/internal/pose"
 	"github.com/sljmotion/sljmotion/internal/server"
 )
 
@@ -170,7 +169,6 @@ func run() error {
 		queue       = flag.Int("queue", defaults.QueueSize, "job submission queue size (backpressure beyond it)")
 		resultTTL   = flag.Duration("result-ttl", defaults.ResultTTL, "how long finished job results stay pollable")
 		parallelism = flag.Int("parallelism", 0, "per-analysis frame/fitness fan-out (0 = sequential)")
-		fitProfile  = flag.String("fit-profile", "default", "GA pose-fit profile: default (byte-identical reference output) or fast (coarse-to-fine fitting, converged-population termination)")
 		cacheSize   = flag.Int("cache-size", defaults.CacheEntries, "result cache entry bound (0 disables caching)")
 		cacheTTL    = flag.Duration("cache-ttl", defaults.CacheTTL, "result cache entry lifetime")
 		drain       = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown drain budget")
@@ -210,11 +208,6 @@ func run() error {
 	}
 	cfg := core.DefaultConfig()
 	cfg.Parallelism = *parallelism
-	profile, err := pose.ProfileByName(*fitProfile)
-	if err != nil {
-		return err
-	}
-	cfg.Pose.Profile = profile
 	opts := server.Options{
 		Workers:          *workers,
 		QueueSize:        *queue,
@@ -308,7 +301,7 @@ func run() error {
 	errCh := make(chan error, 1)
 	go func() {
 		logger.Info("listening", "addr", *addr, "workers", *workers, "queue", *queue,
-			"result_ttl", *resultTTL, "parallelism", *parallelism, "fit_profile", profile.Name,
+			"result_ttl", *resultTTL, "parallelism", *parallelism,
 			"cache_entries", *cacheSize, "cache_ttl", *cacheTTL, "pprof", *pprofOn)
 		errCh <- httpServer.ListenAndServe()
 	}()

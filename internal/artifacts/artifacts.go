@@ -39,6 +39,7 @@ import (
 
 	"github.com/sljmotion/sljmotion/internal/cache"
 	"github.com/sljmotion/sljmotion/internal/imaging"
+	"github.com/sljmotion/sljmotion/internal/jobs"
 	"github.com/sljmotion/sljmotion/internal/segmentation"
 	"github.com/sljmotion/sljmotion/internal/stickmodel"
 )
@@ -281,7 +282,7 @@ func EncodeSilhouettes(bg *imaging.Image, sils []segmentation.Silhouette) ([]byt
 		e.u32(s.Frame)
 		e.u32(s.Mask.W)
 		e.u32(s.Mask.H)
-		e.raw(packMask(s.Mask))
+		e.raw(jobs.PackMask(s.Mask))
 	}
 	return e.buf, nil
 }
@@ -294,8 +295,12 @@ func DecodeSilhouettes(blob []byte) (*imaging.Image, []segmentation.Silhouette, 
 		return nil, nil, err
 	}
 	var bg *imaging.Image
-	if d.byteVal() == 1 {
+	switch hasBG := d.byteVal(); hasBG {
+	case 0:
+	case 1:
 		bg = d.image()
+	default:
+		d.fail("artifacts: invalid background flag %d", hasBG)
 	}
 	n := d.u32()
 	if d.err == nil && (n <= 0 || n > maxItems) {
@@ -315,7 +320,12 @@ func DecodeSilhouettes(blob []byte) (*imaging.Image, []segmentation.Silhouette, 
 		if packed == nil {
 			break
 		}
-		sils = append(sils, segmentation.NewSilhouette(frame, unpackMask(w, h, packed)))
+		mask, err := jobs.UnpackMask(w, h, packed)
+		if err != nil {
+			d.fail("artifacts: silhouette %d: %v", i, err)
+			break
+		}
+		sils = append(sils, segmentation.NewSilhouette(frame, mask))
 	}
 	if err := d.done(); err != nil {
 		return nil, nil, err
@@ -372,26 +382,6 @@ func DecodePoses(blob []byte) ([]stickmodel.Pose, stickmodel.Dimensions, error) 
 		return nil, stickmodel.Dimensions{}, err
 	}
 	return poses, dims, nil
-}
-
-// packMask bit-packs a mask row-major, MSB first within each byte — the
-// same layout as jobs.PackMask and the web service's mask_b64 field.
-func packMask(m *imaging.Mask) []byte {
-	packed := make([]byte, (len(m.Bits)+7)/8)
-	for i, b := range m.Bits {
-		if b {
-			packed[i/8] |= 1 << (7 - i%8)
-		}
-	}
-	return packed
-}
-
-func unpackMask(w, h int, packed []byte) *imaging.Mask {
-	m := imaging.NewMask(w, h)
-	for i := range m.Bits {
-		m.Bits[i] = packed[i/8]&(1<<(7-i%8)) != 0
-	}
-	return m
 }
 
 // Config parameterises a Store.

@@ -173,24 +173,66 @@ func TestPosesRoundTrip(t *testing.T) {
 	}
 }
 
+// reencoders decode a blob as one kind and encode what was accepted again.
+// The codec is canonical, so an accepted blob must come back byte for byte.
+var reencoders = map[Kind]func([]byte) ([]byte, error){
+	KindFrames: func(blob []byte) ([]byte, error) {
+		frames, err := DecodeFrames(blob)
+		if err != nil {
+			return nil, err
+		}
+		return EncodeFrames(frames)
+	},
+	KindSilhouettes: func(blob []byte) ([]byte, error) {
+		bg, sils, err := DecodeSilhouettes(blob)
+		if err != nil {
+			return nil, err
+		}
+		return EncodeSilhouettes(bg, sils)
+	},
+	KindPoses: func(blob []byte) ([]byte, error) {
+		poses, dims, err := DecodePoses(blob)
+		if err != nil {
+			return nil, err
+		}
+		return EncodePoses(poses, dims)
+	},
+}
+
 func TestDecodeRejectsCorruptBlobs(t *testing.T) {
-	frames := testFrames(2, 16, 8)
-	blob, err := EncodeFrames(frames)
+	frames, err := EncodeFrames(testFrames(2, 16, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := KindOf([]byte("not an artifact")); ok {
 		t.Fatal("KindOf accepted garbage")
 	}
-	if _, err := DecodeFrames(blob[:len(blob)-3]); err == nil {
-		t.Fatal("DecodeFrames accepted a truncated blob")
+	// A 5×3 mask packs into two bytes with one padding bit after the last
+	// pixel; the byte after the header is the background flag.
+	sils, err := EncodeSilhouettes(nil, []segmentation.Silhouette{segmentation.NewSilhouette(0, imaging.NewMask(5, 3))})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := DecodeFrames(append(bytes.Clone(blob), 0xFF)); err == nil {
-		t.Fatal("DecodeFrames accepted trailing bytes")
-	}
-	// A frames blob is not a poses blob: the kind tag must be honoured.
-	if _, _, err := DecodePoses(blob); err == nil {
-		t.Fatal("DecodePoses accepted a frames blob")
+	padded := bytes.Clone(sils)
+	padded[len(padded)-1] |= 1
+	badFlag := bytes.Clone(sils)
+	badFlag[headerLen] = 7
+
+	for _, tc := range []struct {
+		name string
+		kind Kind
+		blob []byte
+	}{
+		{"truncated", KindFrames, frames[:len(frames)-3]},
+		{"trailing bytes", KindFrames, append(bytes.Clone(frames), 0xFF)},
+		// A frames blob is not a poses blob: the kind tag must be honoured.
+		{"wrong kind", KindPoses, frames},
+		{"mask padding bits set", KindSilhouettes, padded},
+		{"background flag 7", KindSilhouettes, badFlag},
+	} {
+		if _, err := reencoders[tc.kind](tc.blob); err == nil {
+			t.Errorf("%s: decoding as %s accepted the blob", tc.name, tc.kind)
+		}
 	}
 }
 

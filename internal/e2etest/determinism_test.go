@@ -19,28 +19,24 @@ import (
 	"github.com/sljmotion/sljmotion/internal/core"
 	"github.com/sljmotion/sljmotion/internal/dispatch"
 	"github.com/sljmotion/sljmotion/internal/jobs"
-	"github.com/sljmotion/sljmotion/internal/pose"
 	"github.com/sljmotion/sljmotion/internal/segmentation"
 	"github.com/sljmotion/sljmotion/internal/server"
 	"github.com/sljmotion/sljmotion/internal/stickmodel"
 	"github.com/sljmotion/sljmotion/internal/synth"
 )
 
-// poseDigests pins the pose stage's output per GOARCH: for each clip and
-// fit profile, a SHA-256 over the per-frame poses and fitness bits, the GA
-// detail (evaluations, memo hits, generations, BestFoundAt, history) and
-// the Table 2 report. A speedup of the pose stage must leave every digest
+// poseDigests pins the pose stage's output per GOARCH: for each clip under
+// the default config, a SHA-256 over the per-frame poses and fitness bits,
+// the GA detail (evaluations, memo hits, generations, BestFoundAt, history)
+// and the Table 2 report. A speedup of the pose stage must leave every digest
 // where it is. Only amd64 is populated: a compiler that fuses
 // multiply-adds (arm64, ppc64, s390x) rounds differently, so its floats
 // are not comparable to this table.
 var poseDigests = map[string]map[string]string{
 	"amd64": {
 		"good-form/default":     "6ff72f0c95075793e6e10031c206cb51",
-		"good-form/fast":        "8ad9535d67928abfdf4d7b22e250dd7c",
 		"straight-arms/default": "872740217eb8956f727098e586fdc819",
-		"straight-arms/fast":    "f8e1a9207a1b971e9c6389af95250c30",
 		"held-frame/default":    "28ad5228b389289a483ba588a0b4c39a",
-		"held-frame/fast":       "0c0e9e680a77fedca9ea5c9a73847649",
 	},
 }
 
@@ -69,31 +65,26 @@ func TestPoseDeterminismTable(t *testing.T) {
 	if !ok {
 		t.Skipf("no pose digests for GOARCH %s: fused multiply-adds change the floats", runtime.GOARCH)
 	}
-	profiles := []pose.FitProfile{pose.DefaultProfile(), pose.FastProfile()}
 	for clip, params := range determinismClips() {
 		v, err := synth.Generate(params)
 		if err != nil {
 			t.Fatal(err)
 		}
 		manual := twoDecimals(v.ManualAnnotation(synth.DefaultAnnotationError(), 1))
-		for _, prof := range profiles {
-			name := clip + "/" + prof.Name
-			t.Run(name, func(t *testing.T) {
-				cfg := core.DefaultConfig()
-				cfg.Pose.Profile = prof
-				an, err := core.New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := an.Analyze(v.Frames, manual)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := poseDigest(res); got != want[name] {
-					t.Errorf("pose digest %s, want %s", got, want[name])
-				}
-			})
-		}
+		name := clip + "/default"
+		t.Run(name, func(t *testing.T) {
+			an, err := core.New(core.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := an.Analyze(v.Frames, manual)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := poseDigest(res); got != want[name] {
+				t.Errorf("pose digest %s, want %s", got, want[name])
+			}
+		})
 	}
 }
 

@@ -64,14 +64,6 @@ type Spec struct {
 	// Mutate perturbs the genes of one group in place. Nil selects a
 	// default Gaussian perturbation with per-gene sigma 1.
 	Mutate func(rng *rand.Rand, g Genome, group []int)
-	// InitialPopulation optionally injects genomes into the initial
-	// population (the coarse-to-fine hand-off: a finished coarse run seeds
-	// the full-resolution run with its final population). Genomes failing
-	// Valid are skipped; remaining slots are rejection-sampled from Seed as
-	// usual. Injected genomes are cloned, and their fitness is evaluated
-	// fresh — the fitness function may differ from the run that produced
-	// them. Nil leaves seeding unchanged.
-	InitialPopulation []Genome
 }
 
 func (s *Spec) validate() error {
@@ -126,15 +118,6 @@ type Config struct {
 	// change any result — Result.Evaluations still counts requested scores,
 	// with MemoHits/MemoMisses breaking out how many hit the table.
 	MemoizeFitness bool
-	// ConvergeSpread stops evolution once the population has collapsed:
-	// when the fitness spread between the best individual and the 75th
-	// percentile drops to this value or below, further generations only
-	// shuffle near-identical genomes. The percentile (not the worst slot)
-	// keeps random immigrants — deliberately unfit diversity — from
-	// masking convergence. 0 disables (default). This early stop changes
-	// results, so callers needing reference-identical output must leave it
-	// off.
-	ConvergeSpread float64
 }
 
 // DefaultConfig returns the paper-calibrated hyper-parameters.
@@ -159,26 +142,25 @@ func (c Config) Validate() error {
 	if c.Generations < 1 {
 		return fmt.Errorf("ga: generations must be >= 1, got %d", c.Generations)
 	}
-	if c.EliteFraction < 0 || c.EliteFraction > 1 {
+	// The rate checks are negated so that NaN, which fails every
+	// comparison, is rejected too.
+	if !(c.EliteFraction >= 0 && c.EliteFraction <= 1) {
 		return fmt.Errorf("ga: elite fraction must be in [0,1], got %v", c.EliteFraction)
 	}
-	if c.CrossoverRate < 0 || c.CrossoverRate > 1 {
+	if !(c.CrossoverRate >= 0 && c.CrossoverRate <= 1) {
 		return fmt.Errorf("ga: crossover rate must be in [0,1], got %v", c.CrossoverRate)
 	}
-	if c.MutationRate < 0 || c.MutationRate > 1 {
+	if !(c.MutationRate >= 0 && c.MutationRate <= 1) {
 		return fmt.Errorf("ga: mutation rate must be in [0,1], got %v", c.MutationRate)
 	}
 	if c.MaxSeedTries < 1 {
 		return fmt.Errorf("ga: max seed tries must be >= 1, got %d", c.MaxSeedTries)
 	}
-	if c.ImmigrantRate < 0 || c.ImmigrantRate > 1 {
+	if !(c.ImmigrantRate >= 0 && c.ImmigrantRate <= 1) {
 		return fmt.Errorf("ga: immigrant rate must be in [0,1], got %v", c.ImmigrantRate)
 	}
 	if c.Parallelism < 0 {
 		return fmt.Errorf("ga: parallelism must be >= 0, got %d", c.Parallelism)
-	}
-	if c.ConvergeSpread < 0 {
-		return fmt.Errorf("ga: converge spread must be >= 0, got %v", c.ConvergeSpread)
 	}
 	return nil
 }
@@ -225,10 +207,6 @@ func WithParallelism(n int) Option { return func(c *Config) { c.Parallelism = n 
 // Config.MemoizeFitness).
 func WithMemoization(on bool) Option { return func(c *Config) { c.MemoizeFitness = on } }
 
-// WithConvergeSpread enables converged-population early termination (see
-// Config.ConvergeSpread).
-func WithConvergeSpread(s float64) Option { return func(c *Config) { c.ConvergeSpread = s } }
-
 // Individual pairs a genome with its fitness.
 type Individual struct {
 	Genome  Genome
@@ -261,12 +239,6 @@ type Result struct {
 	// Config.MemoizeFitness is on; both stay 0 otherwise.
 	MemoHits   int
 	MemoMisses int
-	// ConvergedEarly reports that the run stopped on Config.ConvergeSpread.
-	ConvergedEarly bool
-	// FinalPopulation is the last generation's genomes, fittest first —
-	// the hand-off a coarse run passes to Spec.InitialPopulation of the
-	// full-resolution run.
-	FinalPopulation []Genome
 }
 
 // Engine runs the evolution strategy.
@@ -332,17 +304,6 @@ func (e *Engine) Run() (*Result, error) {
 			gen--
 			break
 		}
-		if e.cfg.ConvergeSpread > 0 {
-			qi := (len(pop) * 3) / 4
-			if qi >= len(pop) {
-				qi = len(pop) - 1
-			}
-			if pop[qi].Fitness-pop[0].Fitness <= e.cfg.ConvergeSpread {
-				res.ConvergedEarly = true
-				gen--
-				break
-			}
-		}
 		next := make([]Individual, 0, e.cfg.PopulationSize)
 		for i := 0; i < elite; i++ {
 			next = append(next, Individual{Genome: pop[i].Genome.Clone(), Fitness: pop[i].Fitness})
@@ -381,10 +342,6 @@ func (e *Engine) Run() (*Result, error) {
 	res.Best = best.Genome
 	res.BestFitness = best.Fitness
 	res.Generations = gen
-	res.FinalPopulation = make([]Genome, len(pop))
-	for i, ind := range pop {
-		res.FinalPopulation[i] = ind.Genome.Clone()
-	}
 	res.NearBestFoundAt = res.BestFoundAt
 	// Fitness is non-negative in this system; guard the tolerance anyway.
 	if tol := math.Abs(best.Fitness) * 0.02; tol > 0 {
@@ -404,15 +361,6 @@ func (e *Engine) Run() (*Result, error) {
 func (e *Engine) initialGenomes(rng *rand.Rand) ([]Genome, error) {
 	genomes := make([]Genome, 0, e.cfg.PopulationSize)
 	var lastValid Genome
-	for _, g := range e.spec.InitialPopulation {
-		if len(genomes) == e.cfg.PopulationSize {
-			break
-		}
-		if e.isValid(g) {
-			lastValid = g.Clone()
-			genomes = append(genomes, lastValid)
-		}
-	}
 	for len(genomes) < e.cfg.PopulationSize {
 		var g Genome
 		ok := false

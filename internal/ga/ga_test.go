@@ -44,6 +44,10 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.MutationRate = 2 },
 		func(c *Config) { c.MaxSeedTries = 0 },
 		func(c *Config) { c.ImmigrantRate = -1 },
+		func(c *Config) { c.EliteFraction = math.NaN() },
+		func(c *Config) { c.CrossoverRate = math.NaN() },
+		func(c *Config) { c.MutationRate = math.NaN() },
+		func(c *Config) { c.ImmigrantRate = math.NaN() },
 	}
 	for i, mod := range bad {
 		cfg := DefaultConfig()

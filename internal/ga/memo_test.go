@@ -167,109 +167,6 @@ func TestMemoizationDeterministicUnderParallelism(t *testing.T) {
 	}
 }
 
-func TestInitialPopulationSeedsRun(t *testing.T) {
-	target := []float64{3, -2}
-	optimum := Genome{3, -2}
-	eng, err := New(Spec{
-		Fitness:           sphereSpec(target).Fitness,
-		Seed:              sphereSpec(target).Seed,
-		InitialPopulation: []Genome{optimum},
-	}, WithPopulationSize(10), WithGenerations(1), WithMutationRate(0), WithRandSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The injected optimum must survive generation 0 via elitism.
-	if res.BestFitness != 0 {
-		t.Errorf("injected optimum lost: best fitness %v", res.BestFitness)
-	}
-	// The engine must have cloned the injected genome, not retained it.
-	optimum[0] = 99
-	if res.Best[0] != 3 {
-		t.Error("InitialPopulation genome was retained, not cloned")
-	}
-}
-
-func TestInitialPopulationFiltersInvalid(t *testing.T) {
-	spec := sphereSpec([]float64{5})
-	spec.Valid = func(g Genome) bool { return g[0] >= 0 }
-	spec.InitialPopulation = []Genome{{-3}, {4}}
-	eng, err := New(spec, WithPopulationSize(8), WithGenerations(2),
-		WithMutationRate(0), WithRandSeed(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Best[0] < 0 {
-		t.Errorf("invalid injected genome survived: %v", res.Best[0])
-	}
-}
-
-func TestFinalPopulationSortedAndCloned(t *testing.T) {
-	eng, err := New(sphereSpec([]float64{1}),
-		WithPopulationSize(12), WithGenerations(10), WithRandSeed(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.FinalPopulation) != 12 {
-		t.Fatalf("final population size %d, want 12", len(res.FinalPopulation))
-	}
-	if res.FinalPopulation[0][0] != res.Best[0] {
-		t.Error("final population must lead with the best genome")
-	}
-}
-
-func TestConvergeSpreadStopsEarly(t *testing.T) {
-	// A constant fitness converges instantly under any spread threshold.
-	spec := Spec{
-		Fitness: func(Genome) float64 { return 1 },
-		Seed:    func(rng *rand.Rand) Genome { return Genome{rng.Float64()} },
-	}
-	eng, err := New(spec, WithPopulationSize(10), WithGenerations(500),
-		WithConvergeSpread(1e-9), WithRandSeed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.ConvergedEarly {
-		t.Error("ConvergedEarly not reported")
-	}
-	if res.Generations > 3 {
-		t.Errorf("converged run lasted %d generations", res.Generations)
-	}
-	// Disabled (0) must not stop a constant run before its patience/budget.
-	eng2, err := New(spec, WithPopulationSize(10), WithGenerations(20), WithRandSeed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := eng2.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.ConvergedEarly {
-		t.Error("spread 0 must disable convergence termination")
-	}
-}
-
-func TestConvergeSpreadRejectsNegative(t *testing.T) {
-	if _, err := New(sphereSpec([]float64{0}), WithConvergeSpread(-1)); err == nil {
-		t.Fatal("negative ConvergeSpread should be rejected")
-	}
-}
-
 func BenchmarkMemoLookupHit(b *testing.B) {
 	m := newMemoTable()
 	rng := rand.New(rand.NewSource(1))

@@ -7,7 +7,6 @@ import (
 
 	"github.com/sljmotion/sljmotion/internal/core"
 	"github.com/sljmotion/sljmotion/internal/imaging"
-	"github.com/sljmotion/sljmotion/internal/pose"
 	"github.com/sljmotion/sljmotion/internal/segmentation"
 	"github.com/sljmotion/sljmotion/internal/stickmodel"
 	"github.com/sljmotion/sljmotion/internal/synth"
@@ -280,33 +279,5 @@ func TestDecodeRejectsOversizedDimensions(t *testing.T) {
 	}
 	if _, err := UnpackMask(1, wide, make([]byte, (wide+7)/8)); err == nil {
 		t.Errorf("a mask %d px tall must be rejected", wide)
-	}
-}
-
-// TestFitProfileSeparatesKeys pins the cache-identity half of the fit
-// profile contract: the same clip analysed under the default and fast
-// profiles is different work — distinct config fingerprints, distinct
-// request keys, so neither the result cache nor a worker node's cache can
-// ever serve one profile's poses for the other's request.
-func TestFitProfileSeparatesKeys(t *testing.T) {
-	req := analysisRequest(t)
-
-	defCfg := core.DefaultConfig()
-	fastCfg := core.DefaultConfig()
-	fastCfg.Pose.Profile = pose.FastProfile()
-
-	defFP := ConfigFingerprint(defCfg)
-	fastFP := ConfigFingerprint(fastCfg)
-	if defFP == fastFP {
-		t.Fatal("default and fast profiles must produce distinct config fingerprints")
-	}
-	if ConfigFingerprint(defCfg) != defFP {
-		t.Fatal("fingerprint must be deterministic")
-	}
-
-	defKey := RequestKey(defFP, req)
-	fastKey := RequestKey(fastFP, req)
-	if defKey == fastKey {
-		t.Fatal("same clip under different profiles must have distinct request keys")
 	}
 }

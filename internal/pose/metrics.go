@@ -7,7 +7,7 @@ import (
 )
 
 // Process-wide GA memoization counters, aggregated across every GA run the
-// process performs (all frames, all jobs, coarse and fine phases). Surfaced
+// process performs (all frames, all jobs). Surfaced
 // as the "ga" section of /v1/metrics and as Prometheus counters.
 var (
 	gaMemoHits   atomic.Uint64

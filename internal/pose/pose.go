@@ -93,13 +93,6 @@ type Config struct {
 	// assignment ambiguities of short or collinear sticks that the
 	// silhouette alone cannot disambiguate. 0 disables (paper-pure).
 	AnatomyLambda float64
-	// Profile selects the speed/fidelity trade of the GA fit (see
-	// FitProfile). The zero value / DefaultProfile keeps output
-	// byte-identical to the reference pipeline; FastProfile runs most
-	// generations coarse and terminates converged populations early. The
-	// profile feeds the config fingerprint, so cache keys of different
-	// profiles never collide.
-	Profile FitProfile
 	// RandSeed makes runs reproducible.
 	RandSeed int64
 }
@@ -134,20 +127,26 @@ func DefaultConfig() Config {
 		ExploreFraction:    0.25,
 		RefineRounds:       2,
 		AnatomyLambda:      0.02,
-		Profile:            DefaultProfile(),
 		RandSeed:           1,
 	}
 }
 
 // Validate rejects unusable configurations.
 func (c Config) Validate() error {
-	if c.DeltaXY <= 0 {
+	// Comparisons are negated so that NaN, which fails every comparison,
+	// is rejected too.
+	if !(c.DeltaXY > 0) {
 		return fmt.Errorf("pose: DeltaXY must be > 0, got %v", c.DeltaXY)
 	}
-	if c.MinContainment < 0 || c.MinContainment > 1 {
+	for l, d := range c.DeltaRho {
+		if !(d > 0) {
+			return fmt.Errorf("pose: DeltaRho[%d] must be > 0, got %v", l, d)
+		}
+	}
+	if !(c.MinContainment >= 0 && c.MinContainment <= 1) {
 		return fmt.Errorf("pose: MinContainment must be in [0,1], got %v", c.MinContainment)
 	}
-	if c.ColdMinContainment < 0 || c.ColdMinContainment > 1 {
+	if !(c.ColdMinContainment >= 0 && c.ColdMinContainment <= 1) {
 		return fmt.Errorf("pose: ColdMinContainment must be in [0,1], got %v", c.ColdMinContainment)
 	}
 	if c.PointStride < 1 {
@@ -159,23 +158,20 @@ func (c Config) Validate() error {
 	if c.Generations < 1 || c.ColdGenerations < 1 {
 		return fmt.Errorf("pose: generation budgets must be >= 1")
 	}
-	if c.TemporalLambda < 0 {
+	if !(c.TemporalLambda >= 0) {
 		return fmt.Errorf("pose: TemporalLambda must be >= 0, got %v", c.TemporalLambda)
 	}
-	if c.ExploreFraction < 0 || c.ExploreFraction > 1 {
+	if !(c.ExploreFraction >= 0 && c.ExploreFraction <= 1) {
 		return fmt.Errorf("pose: ExploreFraction must be in [0,1], got %v", c.ExploreFraction)
 	}
 	if c.RefineRounds < 0 {
 		return fmt.Errorf("pose: RefineRounds must be >= 0, got %d", c.RefineRounds)
 	}
-	if c.AnatomyLambda < 0 {
+	if !(c.AnatomyLambda >= 0) {
 		return fmt.Errorf("pose: AnatomyLambda must be >= 0, got %v", c.AnatomyLambda)
 	}
 	if c.Parallelism < 0 {
 		return fmt.Errorf("pose: Parallelism must be >= 0, got %d", c.Parallelism)
-	}
-	if err := c.Profile.Validate(); err != nil {
-		return err
 	}
 	return nil
 }
@@ -272,8 +268,8 @@ func (e *Estimator) estimateTemporal(sil segmentation.Silhouette, prev stickmode
 	lambda := e.cfg.TemporalLambda
 	anatomy := e.cfg.AnatomyLambda
 	// withPriors composes the temporal and anatomical priors over an
-	// Eq. (3) evaluator; reused for the coarse-phase kernel under a fast
-	// profile so both phases optimise the same shaped objective.
+	// Eq. (3) evaluator: the full kernel for the GA, the partial kernels
+	// for the refinement scans.
 	withPriors := func(eq func(stickmodel.Pose) float64) func(stickmodel.Pose) float64 {
 		return eq
 	}
@@ -283,8 +279,7 @@ func (e *Estimator) estimateTemporal(sil segmentation.Silhouette, prev stickmode
 		// Eq. (3) at the anchor (it is buried inside the silhouette) gets a
 		// weak prior so the tracker can re-lock once it emerges; a clearly
 		// observable stick keeps the full prior. The floor keeps hidden
-		// sticks from random-walking. Probed once on the full-resolution
-		// kernel, shared by both phases.
+		// sticks from random-walking.
 		var conf [stickmodel.NumSticks]float64
 		if lambda > 0 {
 			conf = e.stickConfidence(eq3, anchor)
@@ -303,20 +298,6 @@ func (e *Estimator) estimateTemporal(sil segmentation.Silhouette, prev stickmode
 		}
 	}
 	fit := withPriors(eq3)
-	var coarseFit func(stickmodel.Pose) float64
-	// The coordinate-descent scans cost thousands of Eq. (3) calls per
-	// frame — more than the GA itself once the GA runs coarse-to-fine.
-	// Under a fast profile the scans therefore run on the coarse kernel;
-	// only the final fitness is re-scored at full resolution.
-	refineKern := kern
-	if e.cfg.Profile.coarseEnabled() {
-		if cpts, err := e.silhouettePointsStride(sil, e.cfg.PointStride*e.cfg.Profile.CoarseStrideScale); err == nil {
-			refineKern = newFitKernel(cpts, e.dims)
-			coarseFit = withPriors(refineKern.Eval)
-		}
-		// A silhouette too small to survive the coarse stride simply runs
-		// full-resolution throughout.
-	}
 
 	// Seed centres around the centroid corrected by the model-based offset
 	// between the previous pose centre and its own silhouette centroid, so
@@ -363,7 +344,7 @@ func (e *Estimator) estimateTemporal(sil segmentation.Silhouette, prev stickmode
 			deltaXY: e.cfg.DeltaXY, deltaRho: e.cfg.DeltaRho,
 		}
 	}
-	est, err := e.run(sil, fit, coarseFit, seed, e.cfg.MinContainment, e.cfg.Generations, window)
+	est, err := e.run(sil, fit, seed, e.cfg.MinContainment, e.cfg.Generations, window)
 	if err != nil {
 		return nil, err
 	}
@@ -376,9 +357,9 @@ func (e *Estimator) estimateTemporal(sil segmentation.Silhouette, prev stickmode
 		// the pose, precomputed once per scan or, in a joint scan, once
 		// per outer angle (fitKernel.scanEval).
 		scanFit := func(base stickmodel.Pose, moving stickSet) func(stickmodel.Pose) float64 {
-			return withPriors(refineKern.scanEval(base, moving))
+			return withPriors(kern.scanEval(base, moving))
 		}
-		refined := refinePose(est.Pose, withPriors(refineKern.Eval), scanFit, valid, e.cfg.RefineRounds)
+		refined := refinePose(est.Pose, fit, scanFit, valid, e.cfg.RefineRounds)
 		est.Pose = refined.Normalize()
 		est.Fitness = fit(refined)
 	}
@@ -447,11 +428,7 @@ anchors:
 func softWindowPenalty(p, anchor stickmodel.Pose, deltaRho, conf [stickmodel.NumSticks]float64) float64 {
 	var sum float64
 	for l := 0; l < stickmodel.NumSticks; l++ {
-		w := deltaRho[l]
-		if w <= 0 {
-			w = 30
-		}
-		r := math.Abs(stickmodel.AngleDiff(anchor.Rho[l], p.Rho[l])) / w
+		r := math.Abs(stickmodel.AngleDiff(anchor.Rho[l], p.Rho[l])) / deltaRho[l]
 		if r > 2.5 {
 			r = 2.5 // cap so a recoverable flip is expensive, not fatal
 		}
@@ -568,10 +545,7 @@ func (e *Estimator) EstimateCold(sil segmentation.Silhouette) (*Estimate, error)
 		return p.Genome()
 	}
 
-	// The cold baseline never runs coarse (it exists to reproduce [5]);
-	// under a fast profile it still benefits from memoization and
-	// converged-population termination via runOnce.
-	return e.run(sil, fit, nil, seed, e.cfg.ColdMinContainment, e.cfg.ColdGenerations, nil)
+	return e.run(sil, fit, seed, e.cfg.ColdMinContainment, e.cfg.ColdGenerations, nil)
 }
 
 // EstimateSequence runs temporal estimation across a silhouette sequence.
@@ -631,7 +605,7 @@ func (e *Estimator) EstimateSequenceContext(ctx context.Context, sils []segmenta
 	return out, nil
 }
 
-func (e *Estimator) run(sil segmentation.Silhouette, fit, coarseFit func(stickmodel.Pose) float64,
+func (e *Estimator) run(sil segmentation.Silhouette, fit func(stickmodel.Pose) float64,
 	seed func(*rand.Rand) ga.Genome, minContain float64, generations int,
 	window *searchWindow) (*Estimate, error) {
 
@@ -640,7 +614,7 @@ func (e *Estimator) run(sil segmentation.Silhouette, fit, coarseFit func(stickmo
 	// yields a degraded estimate instead of a hard failure.
 	var lastErr error
 	for _, relax := range []float64{1, 0.85, 0.7, 0.5} {
-		est, err := e.runOnce(sil, fit, coarseFit, seed, minContain*relax, generations, window)
+		est, err := e.runOnce(sil, fit, seed, minContain*relax, generations, window)
 		if err == nil {
 			return est, nil
 		}
@@ -649,27 +623,13 @@ func (e *Estimator) run(sil segmentation.Silhouette, fit, coarseFit func(stickmo
 	return nil, lastErr
 }
 
-// runOnce performs one GA fit. Under a fast profile with a coarse fitness,
-// it runs the coarse-to-fine schedule: CoarseFraction of the generation
-// budget evolves against the subsampled kernel, then the remaining
-// generations refine at full resolution with the coarse final population
-// injected (and re-scored under the full-resolution fitness). The default
-// profile runs the single-phase reference schedule unchanged.
-func (e *Estimator) runOnce(sil segmentation.Silhouette, fit, coarseFit func(stickmodel.Pose) float64,
+// runOnce performs one GA fit at the containment bound minContain.
+func (e *Estimator) runOnce(sil segmentation.Silhouette, fit func(stickmodel.Pose) float64,
 	seed func(*rand.Rand) ga.Genome, minContain float64, generations int,
 	window *searchWindow) (*Estimate, error) {
 
 	dims := e.dims
 	mask := sil.Mask
-	genomeFit := func(fn func(stickmodel.Pose) float64) func(ga.Genome) float64 {
-		return func(g ga.Genome) float64 {
-			p, err := stickmodel.PoseFromGenome(g)
-			if err != nil {
-				return 1e18 // unreachable for engine-produced genomes
-			}
-			return fn(p)
-		}
-	}
 	valid := func(g ga.Genome) bool {
 		p, err := stickmodel.PoseFromGenome(g)
 		if err != nil {
@@ -680,75 +640,31 @@ func (e *Estimator) runOnce(sil segmentation.Silhouette, fit, coarseFit func(sti
 		}
 		return p.ContainedAtLeast(dims, mask, minContain)
 	}
-	newEngine := func(fn func(ga.Genome) float64, initial []ga.Genome, gens, patience int, randSeed int64) (*ga.Engine, error) {
-		return ga.New(ga.Spec{
-			Fitness:           fn,
-			Seed:              seed,
-			Valid:             valid,
-			Groups:            stickmodel.CrossoverGroups(),
-			Mutate:            e.mutateGroup,
-			InitialPopulation: initial,
+	eng, err := ga.New(ga.Spec{
+		Fitness: func(g ga.Genome) float64 {
+			p, err := stickmodel.PoseFromGenome(g)
+			if err != nil {
+				return 1e18 // unreachable for engine-produced genomes
+			}
+			return fit(p)
 		},
-			ga.WithPopulationSize(e.cfg.Population),
-			ga.WithGenerations(gens),
-			ga.WithEliteFraction(e.cfg.EliteFraction),
-			ga.WithCrossoverRate(e.cfg.CrossoverRate),
-			ga.WithMutationRate(e.cfg.MutationRate),
-			ga.WithPatience(patience),
-			ga.WithRandSeed(randSeed),
-			ga.WithMaxSeedTries(600),
-			ga.WithImmigrantRate(0.08),
-			ga.WithParallelism(e.cfg.Parallelism),
-			ga.WithMemoization(true),
-			ga.WithConvergeSpread(e.cfg.Profile.ConvergeSpread),
-		)
-	}
-
-	fineGens := generations
-	finePatience := e.cfg.Patience
-	var initial []ga.Genome
-	var coarseRes *ga.Result
-	if coarseFit != nil && e.cfg.Profile.coarseEnabled() && generations >= 2 {
-		coarseGens := int(e.cfg.Profile.CoarseFraction*float64(generations) + 0.5)
-		if coarseGens < 1 {
-			coarseGens = 1
-		}
-		if coarseGens > generations-1 {
-			coarseGens = generations - 1
-		}
-		// The patience budget is split in proportion to each phase's
-		// generation share, so the two phases together wait about as long
-		// without improvement as a single reference run would.
-		coarsePatience := e.cfg.Patience
-		if coarsePatience > 0 {
-			coarsePatience = int(e.cfg.Profile.CoarseFraction*float64(e.cfg.Patience) + 0.5)
-			if coarsePatience < 2 {
-				coarsePatience = 2
-			}
-			finePatience = e.cfg.Patience - coarsePatience
-			if finePatience < 2 {
-				finePatience = 2
-			}
-		}
-		eng, err := newEngine(genomeFit(coarseFit), nil, coarseGens, coarsePatience, e.cfg.RandSeed)
-		if err != nil {
-			return nil, err
-		}
-		coarseRes, err = eng.Run()
-		if err != nil {
-			return nil, err
-		}
-		recordMemoStats(coarseRes)
-		initial = coarseRes.FinalPopulation
-		fineGens = generations - coarseGens
-	}
-	randSeed := e.cfg.RandSeed
-	if coarseRes != nil {
-		// A distinct stream for the fine phase; the coarse phase consumed
-		// the base stream.
-		randSeed++
-	}
-	eng, err := newEngine(genomeFit(fit), initial, fineGens, finePatience, randSeed)
+		Seed:   seed,
+		Valid:  valid,
+		Groups: stickmodel.CrossoverGroups(),
+		Mutate: e.mutateGroup,
+	},
+		ga.WithPopulationSize(e.cfg.Population),
+		ga.WithGenerations(generations),
+		ga.WithEliteFraction(e.cfg.EliteFraction),
+		ga.WithCrossoverRate(e.cfg.CrossoverRate),
+		ga.WithMutationRate(e.cfg.MutationRate),
+		ga.WithPatience(e.cfg.Patience),
+		ga.WithRandSeed(e.cfg.RandSeed),
+		ga.WithMaxSeedTries(600),
+		ga.WithImmigrantRate(0.08),
+		ga.WithParallelism(e.cfg.Parallelism),
+		ga.WithMemoization(true),
+	)
 	if err != nil {
 		return nil, err
 	}
@@ -757,17 +673,6 @@ func (e *Estimator) runOnce(sil segmentation.Silhouette, fit, coarseFit func(sti
 		return nil, err
 	}
 	recordMemoStats(res)
-	if coarseRes != nil {
-		// Fold the coarse phase into the reported convergence detail so
-		// Evaluations/History reflect the whole frame fit.
-		res.Evaluations += coarseRes.Evaluations
-		res.MemoHits += coarseRes.MemoHits
-		res.MemoMisses += coarseRes.MemoMisses
-		res.Generations += coarseRes.Generations
-		res.BestFoundAt += coarseRes.Generations
-		res.NearBestFoundAt += coarseRes.Generations
-		res.History = append(coarseRes.History, res.History...)
-	}
 	p, err := stickmodel.PoseFromGenome(res.Best)
 	if err != nil {
 		return nil, err
@@ -783,30 +688,21 @@ func (e *Estimator) mutateGroup(rng *rand.Rand, g ga.Genome, group []int) {
 		case gi < 2:
 			g[gi] += rng.NormFloat64() * 2
 		default:
-			l := gi - 2
-			sigma := e.cfg.DeltaRho[l] / 3
-			if sigma <= 0 {
-				sigma = 5
-			}
+			sigma := e.cfg.DeltaRho[gi-2] / 3
 			g[gi] = stickmodel.NormalizeAngle(g[gi] + rng.NormFloat64()*sigma)
 		}
 	}
 }
 
-// silhouettePoints extracts (subsampled) silhouette pixel coordinates at
-// the configured stride.
+// silhouettePoints extracts silhouette pixel coordinates sampled on a
+// PointStride×PointStride grid, in row-major order (the order the fitness
+// kernel preserves).
 func (e *Estimator) silhouettePoints(sil segmentation.Silhouette) ([]imaging.Vec2, error) {
-	return e.silhouettePointsStride(sil, e.cfg.PointStride)
-}
-
-// silhouettePointsStride extracts silhouette pixel coordinates sampled on a
-// stride×stride grid, in row-major order (the order the fitness kernel
-// preserves).
-func (e *Estimator) silhouettePointsStride(sil segmentation.Silhouette, stride int) ([]imaging.Vec2, error) {
 	if sil.Mask == nil {
 		return nil, ErrEmptySilhouette
 	}
 	m := sil.Mask
+	stride := e.cfg.PointStride
 	// Capacity bound: the sampling grid has ceil(W/s)·ceil(H/s) sites and
 	// at most Area of them are foreground. The former Area/s²+1 estimate
 	// under-allocates whenever the foreground is elongated along one axis

@@ -57,6 +57,17 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.ExploreFraction = 2 },
 		func(c *Config) { c.RefineRounds = -1 },
 		func(c *Config) { c.AnatomyLambda = -0.5 },
+		func(c *Config) { c.DeltaXY = math.NaN() },
+		func(c *Config) { c.MinContainment = math.NaN() },
+		func(c *Config) { c.ColdMinContainment = math.NaN() },
+		func(c *Config) { c.TemporalLambda = math.NaN() },
+		func(c *Config) { c.ExploreFraction = math.NaN() },
+		func(c *Config) { c.AnatomyLambda = math.NaN() },
+	}
+	for l := range stickmodel.NumSticks {
+		bad = append(bad,
+			func(c *Config) { c.DeltaRho[l] = 0 },
+			func(c *Config) { c.DeltaRho[l] = math.NaN() })
 	}
 	for i, mod := range bad {
 		cfg := DefaultConfig()
@@ -214,6 +225,18 @@ func TestEstimateSequenceChainsFrames(t *testing.T) {
 	}
 	if out[0].Pose != p0 {
 		t.Error("frame 0 must echo the manual pose")
+	}
+	var evals, hits, misses int
+	for _, e := range out[1:] {
+		evals += e.GA.Evaluations
+		hits += e.GA.MemoHits
+		misses += e.GA.MemoMisses
+	}
+	if hits+misses != evals {
+		t.Errorf("memo accounting broken: hits %d + misses %d != evals %d", hits, misses, evals)
+	}
+	if hits == 0 {
+		t.Error("memoization produced no hits on a tracked sequence")
 	}
 	for k, truth := range []stickmodel.Pose{p0, p1, p2} {
 		diff := math.Abs(stickmodel.AngleDiff(truth.Rho[stickmodel.UpperArm], out[k].Pose.Rho[stickmodel.UpperArm]))

@@ -114,7 +114,7 @@ func fullScans(fit func(stickmodel.Pose) float64) scanObjective {
 // TestRefineIncrementalMatchesFull pins refinePose on the incremental scan
 // evaluators (with a prior wrapped around them, as estimateTemporal does)
 // to refinement with the full reference evaluation: same pose, same
-// fitness, on the full and the coarse kernel.
+// fitness, at point strides 2 and 4.
 func TestRefineIncrementalMatchesFull(t *testing.T) {
 	d := stickmodel.ChildDimensions(60)
 	truth := crouchPose(70, 70)
@@ -131,7 +131,7 @@ func TestRefineIncrementalMatchesFull(t *testing.T) {
 	legOff.Rho[stickmodel.Foot] -= 30
 	legOff.Rho[stickmodel.Neck] += 20
 
-	for _, stride := range []int{2, 2 * FastProfile().CoarseStrideScale} {
+	for _, stride := range []int{2, 4} {
 		pts := maskPoints(sil.Mask, stride)
 		k := newFitKernel(pts, d)
 		ref := withPrior(fitnessOver(pts, d))
@@ -177,8 +177,8 @@ func scan2SinglePartial(best *stickmodel.Pose, bestFit *float64, scanFit scanObj
 
 // TestRefineNestedScan2MatchesSinglePartial pins every joint scan of
 // refinePose, run with a fresh partial per outer angle, to the same scan
-// on a single partial over both sticks: same pose, same fitness bits, on
-// the full and the coarse kernel with a prior wrapped around them.
+// on a single partial over both sticks: same pose, same fitness bits, at
+// point strides 2 and 4 with a prior wrapped around them.
 func TestRefineNestedScan2MatchesSinglePartial(t *testing.T) {
 	d := stickmodel.ChildDimensions(60)
 	truth := crouchPose(70, 70)
@@ -203,7 +203,7 @@ func TestRefineNestedScan2MatchesSinglePartial(t *testing.T) {
 		{stickmodel.Thigh, stickmodel.Shank, 180, 12},
 	}
 
-	for _, stride := range []int{2, 2 * FastProfile().CoarseStrideScale} {
+	for _, stride := range []int{2, 4} {
 		k := newFitKernel(maskPoints(sil.Mask, stride), d)
 		fit := withPrior(k.Eval)
 		scanFit := func(base stickmodel.Pose, moving stickSet) func(stickmodel.Pose) float64 {
