@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/sljmotion/sljmotion"
 	"github.com/sljmotion/sljmotion/internal/core"
 	"github.com/sljmotion/sljmotion/internal/dispatch"
 	"github.com/sljmotion/sljmotion/internal/jobs"
@@ -91,7 +92,8 @@ func TestPoseDeterminismTable(t *testing.T) {
 // serviceDigests pins, per GOARCH, the SHA-256 of the full-pipeline
 // response document (stage_ms deleted) for each determinism clip under the
 // harness config. TestServiceDeterminismTable checks that the synchronous
-// route, the async job route and a dispatch front end over one worker node
+// route, the async job route, a dispatch front end over one worker node and
+// a by-hash analysis of the clip streamed through a chunked ingest session
 // all serve this document. Only amd64 is populated, for the same reason as
 // poseDigests.
 var serviceDigests = map[string]map[string]string{
@@ -142,6 +144,7 @@ func TestServiceDeterminismTable(t *testing.T) {
 				t.Fatal(err)
 			}
 			paths["dispatch"] = submitFull(t, serviceStack(t, server.Options{Dispatcher: d}).URL, v)
+			paths["by-hash"] = analyzeByHash(t, serviceStack(t, server.DefaultOptions()).URL, v)
 
 			ref := StripVolatile(t, syncRaw)
 			for name, raw := range paths {
@@ -173,6 +176,32 @@ func serviceStack(t *testing.T, opts server.Options) *httptest.Server {
 		_ = s.Close(ctx)
 	})
 	return hs
+}
+
+// analyzeByHash streams the clip into an ingest session on base in 4-frame
+// chunks, seals it, and runs the full pipeline over the sealed frames by
+// content hash through the synchronous route.
+func analyzeByHash(t *testing.T, base string, v *synth.Video) []byte {
+	t.Helper()
+	cs, err := sljmotion.OpenClipSession(base, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(v.Frames); i += 4 {
+		if err := cs.AppendFrames(v.Frames[i:min(i+4, len(v.Frames))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seal, err := cs.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	manual := twoDecimals(v.ManualAnnotation(synth.DefaultAnnotationError(), 1))
+	raw, err := cs.Analyze(seal, manual, sljmotion.ClipAnalyzeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }
 
 // submitFull runs the clip's full pipeline through base's async route.
