@@ -2,10 +2,10 @@ package sljmotion
 
 // ClipSession is the streaming-upload client of the web service's chunked
 // clip-ingest protocol (DESIGN.md §14): open a session, append frame
-// chunks as they become available — the server segments them speculatively
-// while the rest of the clip is still uploading — then seal to obtain
-// content hashes and analyse the stored clip by hash, without re-uploading
-// a byte. The analysis response is byte-identical (modulo stage timings)
+// chunks as they become available, then seal — the server segments the
+// complete clip once, as the batch pipeline does — to obtain content
+// hashes, and analyse the stored clip by hash without re-uploading a
+// byte. The analysis response is byte-identical (modulo stage timings)
 // to submitting the same frames inline.
 
 import (
@@ -22,15 +22,17 @@ import (
 )
 
 // ClipSeal is the terminal document of a sealed ingest session: the
-// content hashes a by-hash analysis needs, plus how much of the clip's
-// segmentation overlapped the upload.
+// content hashes a by-hash analysis needs.
 type ClipSeal struct {
-	ClipID           string `json:"clip_id"`
-	FramesHash       string `json:"frames_hash"`
-	SilhouettesHash  string `json:"silhouettes_hash"`
-	Frames           int    `json:"frames"`
-	EagerReused      int    `json:"eager_reused"`
-	EagerResegmented int    `json:"eager_resegmented"`
+	ClipID          string `json:"clip_id"`
+	FramesHash      string `json:"frames_hash"`
+	SilhouettesHash string `json:"silhouettes_hash"`
+	Frames          int    `json:"frames"`
+	// Deprecated: the server no longer segments while a clip uploads, so
+	// nothing is reused and the field is always 0.
+	EagerReused int `json:"eager_reused"`
+	// Deprecated: always 0; see EagerReused.
+	EagerResegmented int `json:"eager_resegmented"`
 }
 
 // ClipAnalyzeOptions shape a by-hash analysis of a sealed clip.
@@ -117,9 +119,9 @@ func (cs *ClipSession) AppendFrames(frames []*Image) error {
 	return nil
 }
 
-// Seal closes the session: the server finishes segmentation (reusing what
-// it already computed during the upload) and stores the frames and
-// silhouettes artifacts. Idempotent — resealing returns the same document.
+// Seal closes the session: the server segments the complete clip and
+// stores the frames and silhouettes artifacts. Idempotent — resealing
+// returns the same document.
 func (cs *ClipSession) Seal() (*ClipSeal, error) {
 	resp, err := cs.client.Post(cs.base+"/v1/clips/"+cs.id+"/seal", "application/json", nil)
 	if err != nil {

@@ -215,8 +215,7 @@ func streamClip(base string, frames []*sljmotion.Image, manual sljmotion.Pose, s
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "sealed: frames %s (%d eagerly segmented and reused, %d re-segmented)\n",
-		seal.FramesHash, seal.EagerReused, seal.EagerResegmented)
+	fmt.Fprintf(os.Stderr, "sealed: frames %s (%d frames)\n", seal.FramesHash, seal.Frames)
 	raw, err := cs.Analyze(seal, manual, sljmotion.ClipAnalyzeOptions{Stages: sel.String()})
 	if err != nil {
 		return err

@@ -24,9 +24,9 @@
 // worker pool (submit → hash-route → poll → result, cold and cache-hit),
 // the durable-journal overhead on the async job path (jobs/sec with
 // the journal off, on, and on with fsync-per-terminal), the streaming
-// clip-ingest path (chunked upload + seal wall clock, eager-segmentation
-// reuse, inline vs by-hash dispatch payload bytes, and the by-hash
-// analyze round trip cold and cache-hit), and the observability-plane
+// clip-ingest path (chunked upload + seal wall clock, inline vs by-hash
+// dispatch payload bytes, and the by-hash analyze round trip cold and
+// cache-hit), and the observability-plane
 // overhead (jobs/sec with tracing, per-job resource accounting and SLO
 // observation on vs off; -compare fails if it exceeds 5%) — and emits one
 // machine-readable JSON document (schema slj-bench-perf/v1, frames/sec
@@ -181,17 +181,14 @@ type perfDoc struct {
 }
 
 // perfIngest measures the streaming clip-ingest path against the inline
-// upload it replaces: the chunked upload + seal wall clock (with the
-// eager-segmentation reuse accounting the overlap buys), the dispatch
+// upload it replaces: the chunked upload + seal wall clock, the dispatch
 // payload size of a by-hash submission versus the same clip inline, and
 // the by-hash analyze round trip cold (memo-assisted pipeline run) and
 // resubmitted (result-cache hit).
 type perfIngest struct {
-	Frames           int     `json:"frames"`
-	Chunks           int     `json:"chunks"`
-	UploadSealMS     float64 `json:"upload_seal_ms"`
-	EagerReused      int     `json:"eager_reused"`
-	EagerResegmented int     `json:"eager_resegmented"`
+	Frames       int     `json:"frames"`
+	Chunks       int     `json:"chunks"`
+	UploadSealMS float64 `json:"upload_seal_ms"`
 	// InlinePayloadBytes vs ByHashPayloadBytes is the point of the
 	// artifact store: the by-hash dispatch payload carries two content
 	// hashes and a pose where the inline one carries every pixel.
@@ -1213,8 +1210,6 @@ func runIngestPerf(v *synth.Video) (*perfIngest, error) {
 		Frames:             seal.Frames,
 		Chunks:             chunks,
 		UploadSealMS:       uploadSealMS,
-		EagerReused:        seal.EagerReused,
-		EagerResegmented:   seal.EagerResegmented,
 		InlinePayloadBytes: len(inlineRaw),
 		ByHashPayloadBytes: len(refRaw),
 		ByHashColdMS:       statsOf([]float64{coldMS}),

@@ -1,27 +1,23 @@
 // Streaming clip ingest: chunked upload sessions over the artifact store.
 //
-// A session accepts a clip as ordered frame chunks. The paper's pipeline is
-// batch — Step 1 estimates the background over the *whole* sequence before
-// Steps 2-5 touch any frame — so a naive streaming design would either wait
-// for the last chunk (no overlap) or segment against a partial background
-// (different answer). The session does neither: as each chunk arrives it
-// speculatively segments the new frames against the background estimated
-// over the frames received so far, tagging every speculative silhouette
-// with the content hash of that prefix background. Seal then estimates the
-// final background over the complete clip and keeps exactly the
-// speculative silhouettes whose background tag matches it, re-segmenting
-// the rest. Because SegmentFrame is deterministic in (frame, background),
-// the sealed output is bit-identical to the batch pipeline regardless of
-// how much speculation survived — overlap is a pure latency win, never a
-// result change. On stable footage the prefix estimate converges to the
-// final background after a few frames, so in practice most of the clip is
-// segmented before the upload finishes.
+// A session accepts a clip as ordered frame chunks and holds the frames
+// until seal. The paper's pipeline is batch: Step 1 estimates the
+// background over the *whole* sequence, and Steps 2-5 segment every frame
+// against that one background. Seal does exactly that, once, over the
+// complete clip, so the sealed output is the batch pipeline's output by
+// construction. Nothing is segmented during the upload: against a prefix
+// background, only the last chunk's silhouettes survive seal (4 of 20 on
+// perfbench's 5x4-frame clip), while every chunk re-runs Step 1 over the
+// whole prefix. Segmenting only at seal took perfbench's ingest_fleet from
+// 12.5 to 18.3 ops/s on a 2-CPU host (DESIGN.md §14).
 //
 // Seal stores two artifacts — the frames and the segmentation output — and
 // registers a frames-hash → silhouettes-hash memo, which the server uses
 // to answer a by-hash analysis over the same clip without re-running
-// segmentation (the injected silhouettes being, again, bit-identical to a
-// recompute).
+// segmentation (the injected silhouettes being bit-identical to a
+// recompute). Append refuses a chunk that would make those two artifacts
+// larger than the store can hold, so every clip a session accepts can be
+// sealed.
 package artifacts
 
 import (
@@ -33,7 +29,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/sljmotion/sljmotion/internal/cache"
 	"github.com/sljmotion/sljmotion/internal/imaging"
 	"github.com/sljmotion/sljmotion/internal/segmentation"
 )
@@ -69,14 +64,11 @@ type SessionConfig struct {
 // SessionMetrics is a point-in-time snapshot of the ingest layer.
 type SessionMetrics struct {
 	// Open counts unsealed sessions, the ones MaxSessions bounds.
-	Open             int    `json:"open"`
-	Opened           uint64 `json:"opened"`
-	Sealed           uint64 `json:"sealed"`
-	Expired          uint64 `json:"expired"`
-	FramesIngested   uint64 `json:"frames_ingested"`
-	EagerSegmented   uint64 `json:"eager_segmented"`
-	EagerReused      uint64 `json:"eager_reused"`
-	EagerResegmented uint64 `json:"eager_resegmented"`
+	Open           int    `json:"open"`
+	Opened         uint64 `json:"opened"`
+	Sealed         uint64 `json:"sealed"`
+	Expired        uint64 `json:"expired"`
+	FramesIngested uint64 `json:"frames_ingested"`
 }
 
 // OutOfOrderError rejects a chunk appended out of sequence; Expected is the
@@ -93,18 +85,18 @@ func (e *OutOfOrderError) Error() string {
 // ErrSessionSealed rejects appends to a sealed (or sealing) session.
 var ErrSessionSealed = errors.New("artifacts: session is sealed")
 
+// ErrClipTooLarge rejects a chunk that would make the clip's sealed
+// artifacts larger than the store's byte capacity. The session keeps the
+// frames it already holds, so it can still be sealed.
+var ErrClipTooLarge = errors.New("artifacts: clip too large for the artifact store")
+
 // SealDoc is the terminal document of one ingest session: the content
-// hashes a by-hash analysis request needs, plus the speculation outcome.
+// hashes a by-hash analysis request needs.
 type SealDoc struct {
 	ClipID          string `json:"clip_id"`
 	FramesHash      string `json:"frames_hash"`
 	SilhouettesHash string `json:"silhouettes_hash"`
 	Frames          int    `json:"frames"`
-	// EagerReused counts frames whose speculative (mid-upload) segmentation
-	// was computed against what turned out to be the final background and
-	// was therefore kept; EagerResegmented counts the rest.
-	EagerReused      int `json:"eager_reused"`
-	EagerResegmented int `json:"eager_resegmented"`
 }
 
 // SessionStatus reports one session's progress.
@@ -112,10 +104,7 @@ type SessionStatus struct {
 	ClipID string `json:"clip_id"`
 	Frames int    `json:"frames"`
 	Chunks int    `json:"chunks"`
-	// EagerSegmented counts frames whose speculative segmentation has
-	// completed (against some prefix background; seal decides reuse).
-	EagerSegmented int  `json:"eager_segmented"`
-	Sealed         bool `json:"sealed"`
+	Sealed bool   `json:"sealed"`
 }
 
 // Sessions manages the open ingest sessions of one server.
@@ -131,13 +120,10 @@ type Sessions struct {
 	memo      map[string]string
 	memoOrder []string
 
-	opened           atomic.Uint64
-	sealedN          atomic.Uint64
-	expired          atomic.Uint64
-	framesIngested   atomic.Uint64
-	eagerSegmented   atomic.Uint64
-	eagerReused      atomic.Uint64
-	eagerResegmented atomic.Uint64
+	opened         atomic.Uint64
+	sealedN        atomic.Uint64
+	expired        atomic.Uint64
+	framesIngested atomic.Uint64
 
 	janitorStop chan struct{}
 	janitor     sync.WaitGroup
@@ -187,7 +173,6 @@ func (s *Sessions) Open() (*Session, error) {
 	sess := &Session{
 		id:      id,
 		owner:   s,
-		eager:   make(map[int]eagerResult),
 		expires: s.clock().Add(s.cfg.TTL),
 	}
 	s.mu.Lock()
@@ -256,14 +241,11 @@ func (s *Sessions) Metrics() SessionMetrics {
 	open := s.openLocked()
 	s.mu.Unlock()
 	return SessionMetrics{
-		Open:             open,
-		Opened:           s.opened.Load(),
-		Sealed:           s.sealedN.Load(),
-		Expired:          s.expired.Load(),
-		FramesIngested:   s.framesIngested.Load(),
-		EagerSegmented:   s.eagerSegmented.Load(),
-		EagerReused:      s.eagerReused.Load(),
-		EagerResegmented: s.eagerResegmented.Load(),
+		Open:           open,
+		Opened:         s.opened.Load(),
+		Sealed:         s.sealedN.Load(),
+		Expired:        s.expired.Load(),
+		FramesIngested: s.framesIngested.Load(),
 	}
 }
 
@@ -329,13 +311,6 @@ func newSessionID() (string, error) {
 	return hex.EncodeToString(b[:]), nil
 }
 
-// eagerResult is one frame's speculative segmentation, tagged with the
-// content hash of the prefix background it was computed against.
-type eagerResult struct {
-	bgHash cache.Key
-	sil    segmentation.Silhouette
-}
-
 // Session is one in-flight chunked clip upload.
 type Session struct {
 	id    string
@@ -348,16 +323,9 @@ type Session struct {
 	mu      sync.Mutex
 	frames  []*imaging.Image
 	chunks  int
-	eager   map[int]eagerResult
 	sealing bool
 	sealed  *SealDoc
-	// eagerN is len(eager) at seal time: Seal releases the frames and the
-	// speculative results, and Status still reports them.
-	eagerN  int
 	expires time.Time
-
-	// pending tracks in-flight speculative segmentation goroutines.
-	pending sync.WaitGroup
 }
 
 // ID returns the session identifier.
@@ -378,8 +346,10 @@ func (ss *Session) expired(now time.Time) bool {
 // Append adds one chunk of frames to the session. Chunks are numbered from
 // zero and must arrive in order — an out-of-sequence chunk is rejected with
 // an OutOfOrderError naming the expected index, and a sealed session
-// rejects every append. The new frames start segmenting speculatively in
-// the background immediately; only Seal waits for anything.
+// rejects every append. A chunk whose frames differ in size from the clip,
+// or that would make the sealed artifacts exceed the store's capacity
+// (ErrClipTooLarge), is rejected whole: the session is left as it was.
+// Nothing is segmented before Seal.
 func (ss *Session) Append(chunk int, frames []*imaging.Image) error {
 	if len(frames) == 0 {
 		return errors.New("artifacts: empty chunk")
@@ -392,79 +362,58 @@ func (ss *Session) Append(chunk int, frames []*imaging.Image) error {
 	if chunk != ss.chunks {
 		return &OutOfOrderError{Got: chunk, Expected: ss.chunks}
 	}
-	for _, f := range frames {
-		if len(ss.frames) > 0 && !ss.frames[0].SameSize(f) {
-			return fmt.Errorf("artifacts: chunk %d frame is %dx%d, clip is %dx%d: %w",
-				chunk, f.W, f.H, ss.frames[0].W, ss.frames[0].H, imaging.ErrSizeMismatch)
-		}
-		ss.frames = append(ss.frames, f)
+	ref := frames[0]
+	if len(ss.frames) > 0 {
+		ref = ss.frames[0]
 	}
+	for _, f := range frames {
+		if !ref.SameSize(f) {
+			return fmt.Errorf("artifacts: chunk %d frame is %dx%d, clip is %dx%d: %w",
+				chunk, f.W, f.H, ref.W, ref.H, imaging.ErrSizeMismatch)
+		}
+	}
+	n := len(ss.frames) + len(frames)
+	if need, capacity := sealBytes(n, ref.W, ref.H), ss.owner.cfg.Store.Config().MaxBytes; need > capacity {
+		return fmt.Errorf("%w: %d frames of %dx%d seal into %d bytes, the store holds %d",
+			ErrClipTooLarge, n, ref.W, ref.H, need, capacity)
+	}
+	ss.frames = append(ss.frames, frames...)
 	ss.chunks++
 	ss.expires = ss.owner.clock().Add(ss.owner.cfg.TTL)
 	ss.owner.framesIngested.Add(uint64(len(frames)))
-
-	// Speculatively segment the new frames against the background estimated
-	// over everything received so far. The prefix slice is a stable
-	// read-only view: frames are append-only and never mutated.
-	prefix := ss.frames[:len(ss.frames):len(ss.frames)]
-	start := len(prefix) - len(frames)
-	ss.pending.Add(1)
-	go ss.eagerSegment(prefix, start)
 	return nil
 }
 
-// eagerSegment runs the speculative segmentation of frames [start, len) of
-// the prefix. Errors are swallowed: a failed speculation just means those
-// frames re-segment at seal, where errors do surface.
-func (ss *Session) eagerSegment(prefix []*imaging.Image, start int) {
-	defer ss.pending.Done()
-	bg, err := ss.owner.pipe.EstimateBackground(prefix)
-	if err != nil {
-		return
-	}
-	tag := imageHash(bg)
-	results := make(map[int]eagerResult, len(prefix)-start)
-	for i := start; i < len(prefix); i++ {
-		st, err := ss.owner.pipe.SegmentFrame(prefix[i], bg)
-		if err != nil {
-			continue
-		}
-		results[i] = eagerResult{bgHash: tag, sil: segmentation.NewSilhouette(i, st.Object)}
-	}
-	ss.mu.Lock()
-	for i, r := range results {
-		ss.eager[i] = r
-	}
-	ss.mu.Unlock()
-	ss.owner.eagerSegmented.Add(uint64(len(results)))
+// sealBytes is what Seal stores for an n-frame clip of w×h frames: the
+// frames blob (EncodeFrames) plus the silhouettes blob (EncodeSilhouettes:
+// the background and n bit-packed masks). Both go into the same store, so
+// a clip whose frames blob fits alone could still evict it with its own
+// silhouettes.
+func sealBytes(n, w, h int) int64 {
+	px := int64(w) * int64(h)
+	frames := headerLen + 4 + int64(n)*(8+3*px)
+	sils := headerLen + 5 + 8 + 3*px + int64(n)*(12+(px+7)/8)
+	return frames + sils
 }
 
-// Status reports the session's progress; the overlap tests poll it to
-// observe early-chunk segmentation completing before later chunks upload.
+// Status reports the session's progress.
 func (ss *Session) Status() SessionStatus {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	st := SessionStatus{
-		ClipID:         ss.id,
-		Frames:         len(ss.frames),
-		Chunks:         ss.chunks,
-		EagerSegmented: len(ss.eager),
-	}
+	st := SessionStatus{ClipID: ss.id, Frames: len(ss.frames), Chunks: ss.chunks}
 	if ss.sealed != nil {
-		st.Frames, st.EagerSegmented, st.Sealed = ss.sealed.Frames, ss.eagerN, true
+		st.Frames, st.Sealed = ss.sealed.Frames, true
 	}
 	return st
 }
 
-// Seal closes the session: it waits for in-flight speculation, estimates
-// the final background over the complete clip, keeps every speculative
-// silhouette whose background tag matches it (re-segmenting the rest),
-// stores the frames and segmentation artifacts, registers the
-// frames→silhouettes memo, and returns the seal document. Seal is
-// idempotent — a second call returns the same document without redoing any
-// work — and a failed seal leaves the session open for retry. A sealed
-// session releases its frames and speculative results (the store holds
-// the artifacts) and stops counting against MaxSessions.
+// Seal closes the session: it estimates the background over the complete
+// clip, segments every frame against it, stores the frames and
+// segmentation artifacts, registers the frames→silhouettes memo, and
+// returns the seal document. Seal is idempotent — a second call returns
+// the same document without redoing any work — and a failed seal leaves
+// the session open for retry. A sealed session releases its frames (the
+// store holds the artifacts) and stops counting against MaxSessions.
 func (ss *Session) Seal() (*SealDoc, error) {
 	ss.sealMu.Lock()
 	defer ss.sealMu.Unlock()
@@ -479,7 +428,7 @@ func (ss *Session) Seal() (*SealDoc, error) {
 		ss.mu.Unlock()
 		return nil, errors.New("artifacts: cannot seal a session with no frames")
 	}
-	ss.sealing = true // Append now rejects; pending can only drain
+	ss.sealing = true // Append now rejects
 	frames := ss.frames[:len(ss.frames):len(ss.frames)]
 	ss.mu.Unlock()
 
@@ -489,8 +438,7 @@ func (ss *Session) Seal() (*SealDoc, error) {
 		ss.sealing = false
 	} else {
 		ss.sealed = doc
-		ss.eagerN = len(ss.eager)
-		ss.frames, ss.eager = nil, nil
+		ss.frames = nil
 		ss.expires = ss.owner.clock().Add(ss.owner.cfg.TTL)
 	}
 	ss.mu.Unlock()
@@ -502,35 +450,17 @@ func (ss *Session) Seal() (*SealDoc, error) {
 }
 
 func (ss *Session) seal(frames []*imaging.Image) (*SealDoc, error) {
-	ss.pending.Wait()
-
 	bg, err := ss.owner.pipe.EstimateBackground(frames)
 	if err != nil {
 		return nil, err
 	}
-	finalTag := imageHash(bg)
-
-	ss.mu.Lock()
-	eager := make(map[int]eagerResult, len(ss.eager))
-	for i, r := range ss.eager {
-		eager[i] = r
-	}
-	ss.mu.Unlock()
-
 	sils := make([]segmentation.Silhouette, len(frames))
-	reused, resegmented := 0, 0
-	for i := range frames {
-		if r, ok := eager[i]; ok && r.bgHash == finalTag {
-			sils[i] = r.sil
-			reused++
-			continue
-		}
-		st, err := ss.owner.pipe.SegmentFrame(frames[i], bg)
+	for i, f := range frames {
+		st, err := ss.owner.pipe.SegmentFrame(f, bg)
 		if err != nil {
 			return nil, fmt.Errorf("artifacts: seal frame %d: %w", i, err)
 		}
 		sils[i] = segmentation.NewSilhouette(i, st.Object)
-		resegmented++
 	}
 
 	framesBlob, err := EncodeFrames(frames)
@@ -550,27 +480,10 @@ func (ss *Session) seal(frames []*imaging.Image) (*SealDoc, error) {
 		return nil, err
 	}
 	ss.owner.recordMemo(framesHash, silsHash)
-	ss.owner.eagerReused.Add(uint64(reused))
-	ss.owner.eagerResegmented.Add(uint64(resegmented))
 	return &SealDoc{
-		ClipID:           ss.id,
-		FramesHash:       framesHash,
-		SilhouettesHash:  silsHash,
-		Frames:           len(frames),
-		EagerReused:      reused,
-		EagerResegmented: resegmented,
+		ClipID:          ss.id,
+		FramesHash:      framesHash,
+		SilhouettesHash: silsHash,
+		Frames:          len(frames),
 	}, nil
-}
-
-// imageHash content-addresses one image (the background tag).
-func imageHash(img *imaging.Image) cache.Key {
-	k := cache.NewKeyer()
-	k.WriteInt(img.W)
-	k.WriteInt(img.H)
-	buf := make([]byte, 0, 3*len(img.Pix))
-	for _, px := range img.Pix {
-		buf = append(buf, px.R, px.G, px.B)
-	}
-	k.WriteBytes(buf)
-	return k.Sum()
 }

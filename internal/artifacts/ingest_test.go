@@ -73,6 +73,18 @@ func TestSessionRejectsMismatchedFrameSize(t *testing.T) {
 	if err := sess.Append(1, testFrames(1, 32, 8)); !errors.Is(err, imaging.ErrSizeMismatch) {
 		t.Fatalf("mismatched frame size: %v, want ErrSizeMismatch", err)
 	}
+	// A mismatch inside a chunk refuses the whole chunk: none of its frames
+	// join the clip, so a corrected retry of the same index is accepted.
+	mixed := append(testFrames(1, 16, 8), testFrames(1, 32, 8)...)
+	if err := sess.Append(1, mixed); !errors.Is(err, imaging.ErrSizeMismatch) {
+		t.Fatalf("mismatch inside a chunk: %v, want ErrSizeMismatch", err)
+	}
+	if st := sess.Status(); st.Frames != 2 || st.Chunks != 1 {
+		t.Fatalf("status after a refused chunk = %+v, want 2 frames in 1 chunk", st)
+	}
+	if err := sess.Append(1, testFrames(1, 16, 8)); err != nil {
+		t.Fatalf("retried chunk: %v", err)
+	}
 }
 
 func TestSealIdempotentAndAppendAfterSealRejected(t *testing.T) {
@@ -220,54 +232,26 @@ func TestOpenAfterCloseFails(t *testing.T) {
 	}
 }
 
-// TestEagerSegmentationOverlapsUpload is the overlap proof: the first
-// chunk's speculative segmentation completes while later chunks have not
-// been appended yet, and — because the test clip's prefix background
-// converges immediately — seal keeps every speculative silhouette and
-// still produces exactly the batch pipeline's output.
-func TestEagerSegmentationOverlapsUpload(t *testing.T) {
+// TestSealMatchesBatchSegmentation: a clip appended in uneven chunks seals
+// into exactly the batch pipeline's output — the Step 1 background over the
+// whole clip and every frame's silhouette against it, bit for bit.
+func TestSealMatchesBatchSegmentation(t *testing.T) {
 	s, store := newTestSessions(t, SessionConfig{})
 	sess, err := s.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
 	frames := testFrames(7, 64, 16)
-
-	if err := sess.Append(0, frames[:3]); err != nil {
-		t.Fatal(err)
-	}
-	// Wait for the first chunk's speculation to finish BEFORE uploading the
-	// rest: segmentation demonstrably overlapped the (still unfinished)
-	// upload.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st := sess.Status()
-		if st.EagerSegmented >= 3 {
-			break
+	for chunk, r := range [][2]int{{0, 3}, {3, 5}, {5, 7}} {
+		if err := sess.Append(chunk, frames[r[0]:r[1]]); err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("speculative segmentation never completed: %+v", st)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err := sess.Append(1, frames[3:5]); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Append(2, frames[5:]); err != nil {
-		t.Fatal(err)
 	}
 	doc, err := sess.Seal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The clip is built so every >=3-frame prefix background equals the
-	// final background (the figure clears its own footprint every frame),
-	// so nothing needs re-segmenting at seal.
-	if doc.EagerReused != 7 || doc.EagerResegmented != 0 {
-		t.Fatalf("seal doc = %+v, want all 7 frames eagerly reused", doc)
-	}
 
-	// Bit-identity with the batch pipeline: same background, same masks.
 	pipe, err := segmentation.New(segmentation.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -299,9 +283,68 @@ func TestEagerSegmentationOverlapsUpload(t *testing.T) {
 			t.Fatalf("frame %d: sealed silhouette differs from the batch segmentation", i)
 		}
 	}
-	m := s.Metrics()
-	if m.EagerSegmented < 7 || m.EagerReused != 7 {
-		t.Fatalf("metrics = %+v", m)
+}
+
+// TestAppendRejectsClipPastStoreCapacity: a chunk that would make the sealed
+// artifacts larger than the store is refused with ErrClipTooLarge and
+// leaves the session as it was, so what it already holds still seals.
+func TestAppendRejectsClipPastStoreCapacity(t *testing.T) {
+	const w, h = 16, 8
+	store, err := NewStore(Config{MaxBlobs: 8, MaxBytes: sealBytes(4, w, h)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	s, _ := newTestSessions(t, SessionConfig{Store: store})
+	sess, err := s.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := testFrames(5, w, h)
+	if err := sess.Append(0, frames[:3]); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Append(1, frames[3:5]); !errors.Is(err, ErrClipTooLarge) {
+		t.Fatalf("append past capacity: %v, want ErrClipTooLarge", err)
+	}
+	if st := sess.Status(); st.Frames != 3 || st.Chunks != 1 {
+		t.Fatalf("status after a refused chunk = %+v, want 3 frames in 1 chunk", st)
+	}
+	if err := sess.Append(1, frames[3:4]); err != nil {
+		t.Fatalf("append up to capacity: %v", err)
+	}
+	doc, err := sess.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc.Frames != 4 {
+		t.Fatalf("sealed %d frames, want 4", doc.Frames)
+	}
+	// Both artifacts fit side by side: sealing the frames did not evict them.
+	if _, _, ok := store.Get(doc.FramesHash); !ok {
+		t.Fatal("frames artifact evicted by its own silhouettes")
+	}
+}
+
+// TestSealBytesMatchesEncoders pins sealBytes to the encoders it predicts.
+func TestSealBytesMatchesEncoders(t *testing.T) {
+	for _, n := range []int{1, 2, 5} {
+		frames := testFrames(n, 13, 7)
+		fb, err := EncodeFrames(frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sils := make([]segmentation.Silhouette, n)
+		for i := range sils {
+			sils[i] = segmentation.NewSilhouette(i, imaging.NewMask(13, 7))
+		}
+		sb, err := EncodeSilhouettes(frames[0], sils)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sealBytes(n, 13, 7), int64(len(fb)+len(sb)); got != want {
+			t.Fatalf("sealBytes(%d, 13, 7) = %d, encoders wrote %d", n, got, want)
+		}
 	}
 }
 
@@ -387,7 +430,7 @@ func TestSealedSessionsLeaveTheTable(t *testing.T) {
 			t.Fatalf("sealed status = %+v", st)
 		}
 		got.mu.Lock()
-		released := got.frames == nil && got.eager == nil
+		released := got.frames == nil
 		got.mu.Unlock()
 		if !released {
 			t.Fatal("sealed session still holds its frames")

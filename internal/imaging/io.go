@@ -144,7 +144,7 @@ func DecodePBM(r io.Reader) (*Mask, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pbm height %q: %w", hTok, err)
 	}
-	if w <= 0 || h <= 0 || w*h > 1<<28 {
+	if !reasonableSize(w, h) {
 		return nil, fmt.Errorf("pbm: unreasonable size %dx%d", w, h)
 	}
 	m := NewMask(w, h)
@@ -254,8 +254,15 @@ func readPNMDims(br *bufio.Reader) (w, h, maxV int, err error) {
 		}
 		toks[i] = v
 	}
-	if toks[0] <= 0 || toks[1] <= 0 || toks[0]*toks[1] > 1<<28 {
+	if !reasonableSize(toks[0], toks[1]) {
 		return 0, 0, 0, fmt.Errorf("pnm: unreasonable size %dx%d", toks[0], toks[1])
 	}
 	return toks[0], toks[1], toks[2], nil
+}
+
+// reasonableSize bounds each side by MaxDim before taking the product, so
+// a header like "4 4611686018427387904" cannot wrap w*h around to a small
+// number and pass.
+func reasonableSize(w, h int) bool {
+	return w > 0 && h > 0 && w <= MaxDim && h <= MaxDim && w*h <= 1<<28
 }

@@ -95,10 +95,33 @@ func TestDecodePPMErrors(t *testing.T) {
 		{"zero size", "P6\n0 2\n255\n"},
 		{"garbage dims", "P6\nab cd\n255\n"},
 		{"empty", ""},
+		// 4 x 2^62 wraps w*h to 0: the rows would index an empty Pix.
+		{"overflowing height", "P6 4 4611686018427387904 255\n" + strings.Repeat("x", 24)},
+		{"overflowing width", "P6 4611686018427387904 4 255\n" + strings.Repeat("x", 24)},
+		{"side past MaxDim", "P6 32769 1 255\n"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			if _, err := DecodePPM(strings.NewReader(tt.data)); err == nil {
+				t.Error("expected error")
+			}
+		})
+	}
+}
+
+func TestDecodePGMErrors(t *testing.T) {
+	tests := []struct {
+		name string
+		data string
+	}{
+		{"wrong magic", "P6\n2 2\n255\n"},
+		{"truncated", "P5\n4 4\n255\nxx"},
+		// Would decode to a 4 x 2^62 image with an empty Pix.
+		{"overflowing height", "P5 4 4611686018427387904 255\n" + strings.Repeat("x", 24)},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if _, err := DecodePGM(strings.NewReader(tt.data)); err == nil {
 				t.Error("expected error")
 			}
 		})
@@ -113,6 +136,7 @@ func TestDecodePBMErrors(t *testing.T) {
 		{"wrong magic", "P2\n2 2\n"},
 		{"bad byte", "P1\n2 1\n0X\n"},
 		{"truncated", "P1\n3 3\n01"},
+		{"overflowing height", "P1\n4 4611686018427387904\n0000"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -122,12 +122,6 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 	p.Counter("slj_clip_sessions_sealed_total", "Clip-ingest sessions sealed.", float64(sm.Sealed))
 	p.Counter("slj_clip_sessions_expired_total", "Clip-ingest sessions expired unsealed.", float64(sm.Expired))
 	p.Counter("slj_clip_frames_ingested_total", "Frames appended across all ingest sessions.", float64(sm.FramesIngested))
-	p.Counter("slj_clip_eager_segmented_total",
-		"Frames speculatively segmented while their clip was still uploading.", float64(sm.EagerSegmented))
-	p.Counter("slj_clip_eager_reused_total",
-		"Speculative segmentations kept at seal (background tag matched).", float64(sm.EagerReused))
-	p.Counter("slj_clip_eager_resegmented_total",
-		"Frames re-segmented at seal (speculation missed or stale).", float64(sm.EagerResegmented))
 
 	gm := pose.GAMetrics()
 	p.Counter("slj_ga_fitness_memo_hits_total",

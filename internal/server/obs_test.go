@@ -55,10 +55,7 @@ const metricsJSONGolden = `{
     "opened": 0,
     "sealed": 0,
     "expired": 0,
-    "frames_ingested": 0,
-    "eager_segmented": 0,
-    "eager_reused": 0,
-    "eager_resegmented": 0
+    "frames_ingested": 0
   },
   "clips_analyzed": 0,
   "ga": {
@@ -313,7 +310,7 @@ func TestPrometheusConformance(t *testing.T) {
 		"slj_artifact_misses_total", "slj_artifact_evicted_total",
 		"slj_artifact_pulls_total", "slj_artifact_pull_failures_total",
 		"slj_clip_sessions_open", "slj_clip_sessions_sealed_total",
-		"slj_clip_frames_ingested_total", "slj_clip_eager_reused_total",
+		"slj_clip_frames_ingested_total",
 		"slj_dispatch_failovers_total", "slj_dispatch_membership_epoch",
 		"slj_slo_objective_latency_seconds", "slj_slo_target_ratio",
 		"slj_slo_error_budget_burn", "slj_health_component_ok",

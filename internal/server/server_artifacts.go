@@ -196,6 +196,8 @@ func (s *Server) handleClipFrames(w http.ResponseWriter, r *http.Request, sess *
 			writeErrorCode(w, http.StatusConflict, "chunk_out_of_order", err.Error())
 		case errors.Is(err, artifacts.ErrSessionSealed):
 			writeErrorCode(w, http.StatusConflict, "session_sealed", err.Error())
+		case errors.Is(err, artifacts.ErrClipTooLarge):
+			writeErrorCode(w, http.StatusRequestEntityTooLarge, "clip_too_large", err.Error())
 		default:
 			writeError(w, http.StatusBadRequest, err.Error())
 		}

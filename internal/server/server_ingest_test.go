@@ -198,6 +198,31 @@ func TestClipIngestProtocolErrors(t *testing.T) {
 		t.Fatalf("seal of empty session: %d %s", code, raw)
 	}
 
+	// A chunk that would make the sealed artifacts outgrow the store: 413
+	// clip_too_large, and the session still seals what it accepted. Each
+	// 16x8 frame adds 420 bytes to what seal stores (411 bytes fixed), so
+	// a 4 KiB store takes 8 frames.
+	smallOpts := DefaultOptions()
+	smallOpts.ArtifactBytes = 4 << 10
+	small := httptest.NewServer(fastServerWithOptions(t, smallOpts).Handler())
+	defer small.Close()
+	capped := openClipHTTP(t, small.URL)
+	for chunk := 0; chunk < 4; chunk++ {
+		if code, raw := appendChunkHTTP(t, small.URL, capped, chunk, frames); code != http.StatusOK {
+			t.Fatalf("chunk %d within capacity: %d %s", chunk, code, raw)
+		}
+	}
+	code, raw = appendChunkHTTP(t, small.URL, capped, 4, frames)
+	env = errorEnvelope{}
+	if code != http.StatusRequestEntityTooLarge || json.Unmarshal(raw, &env) != nil || env.Code != "clip_too_large" {
+		t.Fatalf("chunk past the store's capacity: %d %s", code, raw)
+	}
+	code, raw = sealClipHTTP(t, small.URL, capped)
+	var cappedSeal artifacts.SealDoc
+	if err := json.Unmarshal(raw, &cappedSeal); code != http.StatusOK || err != nil || cappedSeal.Frames != 8 {
+		t.Fatalf("seal after a rejected chunk: %d %s", code, raw)
+	}
+
 	// The stored frames artifact is fetchable by hash; unknown hashes carry
 	// the artifact_not_found code.
 	resp, err := http.Get(srv.URL + "/v1/artifacts/" + seal.FramesHash)
@@ -290,7 +315,7 @@ func TestByHashAnalysisMatchesInline(t *testing.T) {
 		t.Fatalf("by-hash result differs from inline:\n%s\nvs\n%s", got, want)
 	}
 
-	// The ingest layer's metrics prove segmentation overlapped the upload.
+	// The ingest layer's metrics count the session and both artifacts.
 	mresp, err := http.Get(srv.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
