@@ -189,7 +189,6 @@ func (p *Replicator) pushArtifact(t replicaTask) error {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	req.Header.Set(replicaHeader, "1")
 	return p.do(req, http.StatusCreated)
 }
 
@@ -206,7 +205,3 @@ func (p *Replicator) do(req *http.Request, want int) error {
 	}
 	return nil
 }
-
-// replicaHeader marks an HTTP request as a successor-replication push, so
-// receiving servers can count replica traffic apart from client traffic.
-const replicaHeader = "X-SLJ-Replica"

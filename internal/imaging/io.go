@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 )
 
@@ -45,18 +46,28 @@ func DecodePPM(r io.Reader) (*Image, error) {
 	if maxV != 255 {
 		return nil, fmt.Errorf("ppm: unsupported maxval %d", maxV)
 	}
-	img := NewImage(w, h)
+	pix := make([]Color, 0, min(w*h, initialRasterPixels))
 	row := make([]byte, w*3)
 	for y := 0; y < h; y++ {
 		if _, err := io.ReadFull(br, row); err != nil {
 			return nil, fmt.Errorf("ppm row %d: %w", y, err)
 		}
-		for x := 0; x < w; x++ {
-			img.Pix[y*w+x] = Color{row[x*3], row[x*3+1], row[x*3+2]}
+		n := len(pix)
+		pix = slices.Grow(pix, w)[:n+w]
+		dst := pix[n:]
+		for x := range dst {
+			dst[x] = Color{row[x*3], row[x*3+1], row[x*3+2]}
 		}
 	}
-	return img, nil
+	return &Image{W: w, H: h, Pix: pix}, nil
 }
+
+// initialRasterPixels is the pixel capacity a PNM decoder commits before
+// reading any pixel data; the raster then grows as rows arrive. It holds
+// one whole 192×144 frame (27,648 pixels), so a normal upload still makes
+// one raster allocation, while a header that declares a huge raster over
+// a short body costs no more than this.
+const initialRasterPixels = 1 << 15
 
 // EncodePGM writes g as a binary PGM (P5) stream.
 func EncodePGM(w io.Writer, g *Gray) error {
@@ -87,11 +98,15 @@ func DecodePGM(r io.Reader) (*Gray, error) {
 	if maxV != 255 {
 		return nil, fmt.Errorf("pgm: unsupported maxval %d", maxV)
 	}
-	g := NewGray(w, h)
-	if _, err := io.ReadFull(br, g.Pix); err != nil {
-		return nil, fmt.Errorf("pgm pixels: %w", err)
+	pix := make([]uint8, 0, min(w*h, initialRasterPixels))
+	for y := 0; y < h; y++ {
+		n := len(pix)
+		pix = slices.Grow(pix, w)[:n+w]
+		if _, err := io.ReadFull(br, pix[n:]); err != nil {
+			return nil, fmt.Errorf("pgm pixels: %w", err)
+		}
 	}
-	return g, nil
+	return &Gray{W: w, H: h, Pix: pix}, nil
 }
 
 // EncodePBM writes m as a plain PBM (P1) stream. Plain format keeps the mask

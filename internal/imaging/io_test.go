@@ -2,8 +2,11 @@ package imaging
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -52,6 +55,70 @@ func TestPGMRoundTrip(t *testing.T) {
 		if got.Pix[i] != g.Pix[i] {
 			t.Fatalf("pixel %d mismatch", i)
 		}
+	}
+}
+
+// TestDecodePNMGrowsPastInitialCapacity round-trips rasters larger than
+// the capacity the decoders start from, so the rows land correctly after
+// the raster grows.
+func TestDecodePNMGrowsPastInitialCapacity(t *testing.T) {
+	const w, h = 256, 160 // 40,960 pixels > initialRasterPixels
+	img := NewImage(w, h)
+	g := NewGray(w, h)
+	for i := range img.Pix {
+		img.Pix[i] = Color{uint8(i), uint8(i >> 8), uint8(i * 7)}
+		g.Pix[i] = uint8(i * 13)
+	}
+	var buf bytes.Buffer
+	if err := EncodePPM(&buf, img); err != nil {
+		t.Fatal(err)
+	}
+	gotImg, err := DecodePPM(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotImg.W != w || gotImg.H != h || !slices.Equal(gotImg.Pix, img.Pix) {
+		t.Fatal("PPM past the initial capacity did not round-trip")
+	}
+	buf.Reset()
+	if err := EncodePGM(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	gotGray, err := DecodePGM(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotGray.W != w || gotGray.H != h || !slices.Equal(gotGray.Pix, g.Pix) {
+		t.Fatal("PGM past the initial capacity did not round-trip")
+	}
+}
+
+// TestDecodePNMHeaderOnlyAllocatesLittle pins that the decoders do not
+// trust the header's raster size: a header declaring 8192×8192 pixels
+// (192 MiB as RGB) with no pixel data must fail having allocated under
+// 1 MiB.
+func TestDecodePNMHeaderOnlyAllocatesLittle(t *testing.T) {
+	decoders := []struct {
+		name   string
+		header string
+		decode func(io.Reader) error
+	}{
+		{"PPM", "P6 8192 8192 255\n", func(r io.Reader) error { _, err := DecodePPM(r); return err }},
+		{"PGM", "P5 8192 8192 255\n", func(r io.Reader) error { _, err := DecodePGM(r); return err }},
+	}
+	for _, d := range decoders {
+		t.Run(d.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := d.decode(strings.NewReader(d.header))
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("header-only input decoded")
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+				t.Fatalf("header-only input allocated %d bytes, want < 1 MiB", got)
+			}
+		})
 	}
 }
 
