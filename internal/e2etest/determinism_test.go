@@ -92,7 +92,8 @@ func TestPoseDeterminismTable(t *testing.T) {
 // serviceDigests pins, per GOARCH, the SHA-256 of the full-pipeline
 // response document (stage_ms deleted) for each determinism clip under the
 // harness config. TestServiceDeterminismTable checks that the synchronous
-// route, the async job route, a dispatch front end over one worker node and
+// route, an identical resubmission to it (answered from the result store),
+// the async job route, a dispatch front end over one worker node and
 // a by-hash analysis of the clip streamed through a chunked ingest session
 // all serve this document. Only amd64 is populated, for the same reason as
 // poseDigests.
@@ -119,20 +120,18 @@ func TestServiceDeterminismTable(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Each path gets its own server, so no path is answered from
-			// another's result cache.
-			body, ctype := ClipUpload(t, v, "", false)
-			resp, err := http.Post(serviceStack(t, server.DefaultOptions()).URL+"/v1/analyze", ctype, body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			syncRaw, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("analyze status %d: %s", resp.StatusCode, syncRaw)
+			// another's result cache — except analyze-hit, the identical
+			// resubmission to the analyze stack, which must be.
+			syncURL := serviceStack(t, server.DefaultOptions()).URL
+			syncRaw := analyzeSync(t, syncURL, v)
+			hitRaw := analyzeSync(t, syncURL, v)
+			if !bytes.Equal(hitRaw, syncRaw) {
+				t.Errorf("analyze-hit is not byte-identical to the first answer (stage_ms included)")
 			}
 			paths := map[string][]byte{
-				"analyze": syncRaw,
-				"jobs":    submitFull(t, serviceStack(t, server.DefaultOptions()).URL, v),
+				"analyze":     syncRaw,
+				"analyze-hit": hitRaw,
+				"jobs":        submitFull(t, serviceStack(t, server.DefaultOptions()).URL, v),
 			}
 			workerOpts := server.DefaultOptions()
 			workerOpts.Worker = true
@@ -176,6 +175,23 @@ func serviceStack(t *testing.T, opts server.Options) *httptest.Server {
 		_ = s.Close(ctx)
 	})
 	return hs
+}
+
+// analyzeSync runs the clip's full pipeline through base's synchronous
+// route.
+func analyzeSync(t *testing.T, base string, v *synth.Video) []byte {
+	t.Helper()
+	body, ctype := ClipUpload(t, v, "", false)
+	resp, err := http.Post(base+"/v1/analyze", ctype, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("analyze status %d: %s", resp.StatusCode, raw)
+	}
+	return raw
 }
 
 // analyzeByHash streams the clip into an ingest session on base in 4-frame
