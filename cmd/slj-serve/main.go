@@ -6,7 +6,6 @@
 //
 //	slj-serve [-addr :8080] [-workers N] [-queue N] [-result-ttl 15m]
 //	          [-parallelism N]
-//	          [-cache-size N] [-cache-ttl 15m]
 //	          [-journal path] [-worker] [-dispatch-nodes url1,url2,...]
 //	          [-fleet] [-replicate]
 //	          [-join url -advertise url] [-join-weight N] [-drain-on-shutdown]
@@ -21,7 +20,7 @@
 //	                  'silhouettes=1' to shape the response and 'stages'
 //	                  to run a pipeline prefix (e.g. stages=segmentation).
 //	POST /v1/jobs     asynchronous: same form; replies 202 with a job id,
-//	                  200 with the cached response for a resubmitted
+//	                  200 with the stored response for a resubmitted
 //	                  identical clip, or 503 + Retry-After when the queue
 //	                  is full.
 //	GET  /v1/jobs     job history, newest-first (state=..., limit=N,
@@ -68,7 +67,10 @@
 // analyses the stored clip without re-uploading a byte. Artifact blobs are
 // stored/served at /v1/artifacts (-artifact-blobs/-artifact-bytes/
 // -artifact-ttl bound the store, -artifact-spill adds a disk tier,
-// -clip-ttl expires idle sessions). A dispatching front end sets
+// -clip-ttl expires idle sessions). The same store is the result cache:
+// every finished response is kept as a result/v1 blob under its request
+// key, so an identical resubmission is answered without re-running the
+// pipeline, within the same -artifact-* bounds. A dispatching front end sets
 // -artifact-origin to its own public base URL so worker nodes can pull
 // referenced artifacts by hash (-max-payload-bytes caps the worker intake
 // body; by-reference payloads skip the base64 headroom).
@@ -77,8 +79,7 @@
 // (backpressure beyond it). -result-ttl bounds how long finished results
 // stay pollable. -parallelism fans the per-frame hot paths of one analysis
 // out over that many goroutines (0 keeps each analysis sequential).
-// -cache-size bounds the content-addressed result cache (0 disables it)
-// and -cache-ttl its entry lifetime. -event-subscribers caps concurrently
+// -event-subscribers caps concurrently
 // connected event-stream clients (excess answers 503 + Retry-After) and
 // -event-buffer sizes each subscriber's pending-event ring (a slower
 // client is resynced — snapshot + delta — never allowed to stall the
@@ -110,8 +111,9 @@
 // hardware), and -drain-on-shutdown makes SIGTERM leave the ring gracefully
 // — no new keys, in-flight jobs finish, then removal — before the listener
 // stops. -replicate on the front end stamps every payload with its ring
-// successor; workers mirror cache fills and artifacts there, so a node
-// death fails over to a warm cache instead of recomputing.
+// successor; workers push finished results and artifacts to its
+// POST /v1/artifacts, so a node death fails over to a warm cache instead
+// of recomputing.
 //
 // Example round trip against a synthetic clip:
 //
@@ -169,8 +171,6 @@ func run() error {
 		queue       = flag.Int("queue", defaults.QueueSize, "job submission queue size (backpressure beyond it)")
 		resultTTL   = flag.Duration("result-ttl", defaults.ResultTTL, "how long finished job results stay pollable")
 		parallelism = flag.Int("parallelism", 0, "per-analysis frame/fitness fan-out (0 = sequential)")
-		cacheSize   = flag.Int("cache-size", defaults.CacheEntries, "result cache entry bound (0 disables caching)")
-		cacheTTL    = flag.Duration("cache-ttl", defaults.CacheTTL, "result cache entry lifetime")
 		drain       = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown drain budget")
 		journalPath = flag.String("journal", "", "durable job journal path; restarts replay it (re-running interrupted jobs, restoring finished results)")
 		worker      = flag.Bool("worker", false, "run as a worker node: accept serialized job payloads at POST /v1/worker/jobs")
@@ -190,7 +190,7 @@ func run() error {
 		artOrigin     = flag.String("artifact-origin", "", "this front end's public base URL, stamped into by-reference payloads so workers know where to pull artifacts (front ends with -dispatch-nodes)")
 
 		fleet           = flag.Bool("fleet", false, "run the elastic dispatch front end even with an empty -dispatch-nodes; workers join at runtime via POST /v1/fleet/nodes")
-		replicate       = flag.Bool("replicate", false, "front end: stamp each payload's ring successor so workers mirror cache fills and artifacts there (node death becomes a cache hit)")
+		replicate       = flag.Bool("replicate", false, "front end: stamp each payload's ring successor so workers mirror finished results and artifacts there (node death becomes a cache hit)")
 		joinURL         = flag.String("join", "", "worker: front-end base URL to register with at startup (POST /v1/fleet/nodes, retried until admitted)")
 		advertise       = flag.String("advertise", "", "worker: this node's base URL as the fleet should reach it (required with -join)")
 		joinWeight      = flag.Int("join-weight", 1, "worker: consistent-hash weight to register with (vnode multiplier for heterogeneous hardware)")
@@ -212,8 +212,6 @@ func run() error {
 		Workers:          *workers,
 		QueueSize:        *queue,
 		ResultTTL:        *resultTTL,
-		CacheEntries:     *cacheSize,
-		CacheTTL:         *cacheTTL,
 		Worker:           *worker,
 		EventSubscribers: *eventSubs,
 		EventBuffer:      *eventBuffer,
@@ -301,8 +299,7 @@ func run() error {
 	errCh := make(chan error, 1)
 	go func() {
 		logger.Info("listening", "addr", *addr, "workers", *workers, "queue", *queue,
-			"result_ttl", *resultTTL, "parallelism", *parallelism,
-			"cache_entries", *cacheSize, "cache_ttl", *cacheTTL, "pprof", *pprofOn)
+			"result_ttl", *resultTTL, "parallelism", *parallelism, "pprof", *pprofOn)
 		errCh <- httpServer.ListenAndServe()
 	}()
 	if *joinURL != "" {

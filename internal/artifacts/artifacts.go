@@ -4,18 +4,21 @@
 // later consumer — a re-score, a worker node, a by-hash analysis request —
 // names them by that hash instead of re-shipping the bytes.
 //
-// Three typed artifact kinds exist, each with a deterministic, versioned
+// Four typed artifact kinds exist, each with a deterministic, versioned
 // binary encoding (a four-byte magic plus a kind byte, then little-endian
 // fields): a clip's frames, the segmentation output (background plus
-// per-frame silhouettes, bundled so one hash covers the whole stage), and
-// a pose sequence with its calibrated dimensions. The encodings round-trip
-// exactly, so a request resolved from hashes is bit-identical to the same
-// request built inline — and therefore hashes to the same cache key.
+// per-frame silhouettes, bundled so one hash covers the whole stage), a
+// pose sequence with its calibrated dimensions, and a finished analysis
+// (the response document under the request key it answers). The encodings
+// round-trip exactly, so a request resolved from hashes is bit-identical
+// to the same request built inline — and therefore hashes to the same
+// request key.
 //
 // The Store is a bounded two-tier cache: an in-memory LRU limited by blob
-// count and total bytes, with TTL expiry (janitor plus lazy checks, the
-// same pattern as internal/cache), and an optional content-addressed disk
-// spill directory. Puts write through to the spill; an LRU eviction drops
+// count and total bytes, with TTL expiry (janitor plus lazy checks), and
+// an optional content-addressed disk spill directory. It is also the
+// service's result cache: result blobs are indexed by request key
+// (Store.Result). Puts write through to the spill; an LRU eviction drops
 // only the memory copy (the spill is the overflow tier and survives
 // restarts), while a TTL expiry removes both. The Resolver seam — local
 // store first, then an HTTP pull from the originating front end — is how
@@ -27,6 +30,7 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -53,6 +57,7 @@ const (
 	KindFrames      Kind = "frames/v1"
 	KindSilhouettes Kind = "silhouettes/v1"
 	KindPoses       Kind = "poses/v1"
+	KindResult      Kind = "result/v1"
 )
 
 // magic prefixes every artifact blob; the byte after it is the kind tag.
@@ -62,6 +67,7 @@ const (
 	tagFrames      byte = 1
 	tagSilhouettes byte = 2
 	tagPoses       byte = 3
+	tagResult      byte = 4
 )
 
 // Encoding sanity bounds: dimensions and counts beyond these are corrupt
@@ -93,6 +99,8 @@ func KindOf(blob []byte) (Kind, bool) {
 		return KindSilhouettes, true
 	case tagPoses:
 		return KindPoses, true
+	case tagResult:
+		return KindResult, true
 	}
 	return "", false
 }
@@ -384,6 +392,45 @@ func DecodePoses(blob []byte) ([]stickmodel.Pose, stickmodel.Dimensions, error) 
 	return poses, dims, nil
 }
 
+// ResultDocOffset is where a result/v1 blob's response document starts:
+// after the header and the 32-byte request key.
+const ResultDocOffset = headerLen + sha256.Size
+
+// EncodeResult encodes one finished analysis as a result/v1 blob: the
+// request key it answers (jobs.RequestKey), then the response document
+// exactly as served, so a cache hit writes the stored bytes with no
+// decode and no re-marshal. doc must be one JSON document; the encoder
+// does not re-check what the server just marshaled, DecodeResult does.
+func EncodeResult(key cache.Key, doc []byte) []byte {
+	e := newEnc(tagResult, len(key)+len(doc))
+	e.raw(key[:])
+	e.raw(doc)
+	return e.buf
+}
+
+// DecodeResult reverses EncodeResult, rejecting a blob too short to hold
+// its key or whose document is not valid JSON. doc aliases blob.
+func DecodeResult(blob []byte) (cache.Key, []byte, error) {
+	d, err := open(blob, KindResult)
+	if err != nil {
+		return cache.Key{}, nil, err
+	}
+	var key cache.Key
+	copy(key[:], d.take(len(key)))
+	if d.err != nil {
+		return cache.Key{}, nil, d.err
+	}
+	doc := d.take(len(blob) - d.off)
+	if !json.Valid(doc) {
+		return cache.Key{}, nil, errors.New("artifacts: result document is not valid JSON")
+	}
+	return key, doc, nil
+}
+
+// ResultDoc returns the response document of a result/v1 blob that the
+// Store accepted (Store.Result); it aliases blob.
+func ResultDoc(blob []byte) []byte { return blob[ResultDocOffset:] }
+
 // Config parameterises a Store.
 type Config struct {
 	// MaxBlobs bounds the in-memory blob count; must be >= 1.
@@ -400,8 +447,8 @@ type Config struct {
 	// Clock overrides time.Now, a test seam for TTL expiry.
 	Clock func() time.Time
 	// OnStore, when set, observes every successful Put with the stored
-	// blob — the write-through seam successor replication hangs off.
-	// Called outside the store's lock.
+	// blob, result blobs included — the write-through seam successor
+	// replication hangs off. Called outside the store's lock.
 	OnStore func(hash string, blob []byte)
 }
 
@@ -444,6 +491,17 @@ type Metrics struct {
 	PullFailures uint64 `json:"pull_failures"`
 }
 
+// ResultMetrics counts the result/v1 lookups by request key: the service's
+// result-cache counters (the /v1/metrics "cache" section).
+type ResultMetrics struct {
+	// Entries is the number of request keys with a readable result blob.
+	Entries int    `json:"entries"`
+	Hits    uint64 `json:"hits"`
+	Misses  uint64 `json:"misses"`
+	// Stored counts result blobs put, computed here or pushed by a peer.
+	Stored uint64 `json:"stored"`
+}
+
 // blobEntry is one stored blob; expires is zero when TTL is disabled.
 type blobEntry struct {
 	key     cache.Key
@@ -463,6 +521,10 @@ type Store struct {
 	lru     *list.List // front = most recently used; values are *blobEntry
 	bytes   int64
 	closed  bool
+	// results maps a request key to the hash of the newest result blob
+	// answering it. An entry goes when that blob can no longer be read:
+	// TTL expiry, an LRU eviction without a spill tier, or a failed read.
+	results map[cache.Key]cache.Key
 
 	hits         uint64
 	misses       uint64
@@ -473,6 +535,9 @@ type Store struct {
 	spillReads   uint64
 	pulls        uint64
 	pullFailures uint64
+	resultHits   uint64
+	resultMisses uint64
+	resultStored uint64
 
 	janitorStop chan struct{}
 	janitor     sync.WaitGroup
@@ -498,6 +563,7 @@ func NewStore(cfg Config) (*Store, error) {
 		clock:       clock,
 		entries:     make(map[cache.Key]*blobEntry),
 		lru:         list.New(),
+		results:     make(map[cache.Key]cache.Key),
 		janitorStop: make(chan struct{}),
 	}
 	if cfg.TTL > 0 {
@@ -513,11 +579,15 @@ func (s *Store) Config() Config { return s.cfg }
 // Put stores a blob under its content address, returning the hash. The blob
 // must carry a valid artifact header. Storing an already-present hash
 // refreshes its TTL and recency. Blobs larger than the byte capacity are
-// rejected (they could never be admitted).
+// rejected (they could never be admitted). A result blob also becomes the
+// answer Result returns for its request key.
 func (s *Store) Put(blob []byte) (string, error) {
 	kind, ok := KindOf(blob)
 	if !ok {
 		return "", errors.New("artifacts: blob has no valid artifact header")
+	}
+	if kind == KindResult && len(blob) < ResultDocOffset {
+		return "", errors.New("artifacts: result blob is shorter than its request key")
 	}
 	if int64(len(blob)) > s.cfg.MaxBytes {
 		return "", fmt.Errorf("artifacts: blob of %d bytes exceeds the store's %d-byte capacity", len(blob), s.cfg.MaxBytes)
@@ -533,6 +603,10 @@ func (s *Store) Put(blob []byte) (string, error) {
 	var expires time.Time
 	if s.cfg.TTL > 0 {
 		expires = now.Add(s.cfg.TTL)
+	}
+	if kind == KindResult {
+		s.results[resultKey(blob)] = key
+		s.resultStored++
 	}
 	if e, ok := s.entries[key]; ok {
 		e.expires = expires
@@ -571,6 +645,38 @@ func (s *Store) Put(blob []byte) (string, error) {
 		s.cfg.OnStore(key.String(), blob)
 	}
 	return key.String(), nil
+}
+
+// Result returns the newest result/v1 blob stored for a request key, and
+// its hash, counting a hit or a miss in ResultMetrics. An index entry
+// whose blob can no longer be read is dropped.
+func (s *Store) Result(key cache.Key) (string, []byte, bool) {
+	s.mu.Lock()
+	bk, indexed := s.results[key]
+	s.mu.Unlock()
+	var blob []byte
+	found := false
+	if indexed {
+		blob, _, found = s.Get(bk.String())
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if found {
+		s.resultHits++
+		return bk.String(), blob, true
+	}
+	if indexed && s.results[key] == bk {
+		delete(s.results, key)
+	}
+	s.resultMisses++
+	return "", nil, false
+}
+
+// resultKey reads the request key of a result blob Put admitted.
+func resultKey(blob []byte) cache.Key {
+	var k cache.Key
+	copy(k[:], blob[headerLen:ResultDocOffset])
+	return k
 }
 
 // Get returns the blob stored under the given hex hash, consulting the
@@ -705,6 +811,19 @@ func (s *Store) RecordPull(ok bool) {
 	s.mu.Unlock()
 }
 
+// ResultMetrics returns a snapshot of the result lookups.
+func (s *Store) ResultMetrics() ResultMetrics {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.sweepLocked(s.clock())
+	return ResultMetrics{
+		Entries: len(s.results),
+		Hits:    s.resultHits,
+		Misses:  s.resultMisses,
+		Stored:  s.resultStored,
+	}
+}
+
 // Metrics returns a consistent snapshot of occupancy and counters.
 func (s *Store) Metrics() Metrics {
 	s.mu.Lock()
@@ -737,6 +856,7 @@ func (s *Store) Close() {
 	}
 	s.closed = true
 	s.entries = make(map[cache.Key]*blobEntry)
+	s.results = make(map[cache.Key]cache.Key)
 	s.lru.Init()
 	s.bytes = 0
 	s.mu.Unlock()
@@ -819,7 +939,7 @@ func (s *Store) readSpill(key cache.Key, hash string) ([]byte, Kind, bool) {
 	return blob, kind, true
 }
 
-// runJanitor periodically expires blobs, mirroring the result cache.
+// runJanitor periodically expires blobs.
 func (s *Store) runJanitor() {
 	defer s.janitor.Done()
 	interval := s.cfg.TTL / 4
@@ -855,13 +975,19 @@ func (s *Store) sweepLocked(now time.Time) {
 
 // removeLocked unlinks one blob; dropSpill also removes its spill file
 // (TTL expiry — the artifact is genuinely gone), while LRU evictions keep
-// it as the overflow tier. Caller holds mu.
+// it as the overflow tier. A result blob that no tier holds any more
+// leaves the result index. Caller holds mu.
 func (s *Store) removeLocked(e *blobEntry, dropSpill bool) {
 	s.lru.Remove(e.elem)
 	delete(s.entries, e.key)
 	s.bytes -= int64(len(e.blob))
 	if dropSpill && s.cfg.SpillDir != "" {
 		_ = os.Remove(filepath.Join(s.cfg.SpillDir, e.key.String()))
+	}
+	if e.kind == KindResult && (dropSpill || s.cfg.SpillDir == "") {
+		if rk := resultKey(e.blob); s.results[rk] == e.key {
+			delete(s.results, rk)
+		}
 	}
 }
 

@@ -197,6 +197,13 @@ var reencoders = map[Kind]func([]byte) ([]byte, error){
 		}
 		return EncodePoses(poses, dims)
 	},
+	KindResult: func(blob []byte) ([]byte, error) {
+		key, doc, err := DecodeResult(blob)
+		if err != nil {
+			return nil, err
+		}
+		return EncodeResult(key, doc), nil
+	},
 }
 
 func TestDecodeRejectsCorruptBlobs(t *testing.T) {

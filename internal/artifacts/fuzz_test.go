@@ -6,7 +6,8 @@ import (
 )
 
 // FuzzArtifactDecode feeds arbitrary bytes to DecodeFrames,
-// DecodeSilhouettes and DecodePoses. None may panic, and whatever one
+// DecodeSilhouettes, DecodePoses and DecodeResult (worker nodes decode
+// result/v1 blobs pushed by fleet peers). None may panic, and whatever one
 // accepts must re-encode to the identical bytes: one content, one encoding,
 // one artifact hash. The seed corpus lives in
 // testdata/fuzz/FuzzArtifactDecode.

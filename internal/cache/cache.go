@@ -1,28 +1,19 @@
-// Package cache is the content-addressed analysis-result store behind the
-// web service's cache-on-submit path: identical clips resubmitted under an
-// identical configuration are answered from the store instead of re-running
-// the pipeline (seconds of GA work per clip).
-//
-// A cache key is the SHA-256 of everything the analysis result depends on —
-// the raw frame bytes, the manual first-frame pose, the analyzer
-// configuration fingerprint, the stage selection and the response-shaping
-// options; the Keyer helper accumulates those components incrementally so
-// callers never hold a concatenated buffer. The store itself is a bounded
-// LRU with TTL expiry: entries expire TTL after insertion (lazily on access
-// and by a background janitor, the same pattern as the jobs manager), and
-// when the entry bound is hit the least recently used entry is evicted.
+// Package cache is the content address of an analysis request: a Key is
+// the SHA-256 of everything the analysis result depends on — the raw frame
+// bytes, the manual first-frame pose, the analyzer configuration
+// fingerprint, the stage selection and the response-shaping options. The
+// Keyer helper accumulates those components incrementally so callers never
+// hold a concatenated buffer. The artifact store indexes finished results
+// by this key (artifacts.Store.Result) and the dispatch ring places
+// payloads by it.
 package cache
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"hash"
 	"math"
-	"sync"
-	"time"
 )
 
 // Key is a content address: the SHA-256 of a request's identity.
@@ -101,235 +92,4 @@ func (k *Keyer) writeLen(n int) {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], uint64(n))
 	k.h.Write(buf[:])
-}
-
-// Config parameterises a Store.
-type Config struct {
-	// MaxEntries bounds the store; inserting beyond it evicts the least
-	// recently used entry. Must be >= 1.
-	MaxEntries int
-	// TTL expires entries this long after insertion; 0 disables expiry.
-	TTL time.Duration
-	// Clock overrides time.Now, a test seam for TTL expiry.
-	Clock func() time.Time
-	// OnStore, when set, observes every Put after the entry is stored —
-	// the write-through seam successor replication hangs off. Called
-	// outside the store's lock; implementations must not call back into
-	// the store synchronously with blocking work.
-	OnStore func(k Key, v any)
-}
-
-// DefaultConfig returns a small service-oriented configuration.
-func DefaultConfig() Config {
-	return Config{MaxEntries: 64, TTL: 15 * time.Minute}
-}
-
-// Validate rejects unusable configurations.
-func (c Config) Validate() error {
-	if c.MaxEntries < 1 {
-		return fmt.Errorf("cache: MaxEntries must be >= 1, got %d", c.MaxEntries)
-	}
-	if c.TTL < 0 {
-		return fmt.Errorf("cache: TTL must be >= 0, got %v", c.TTL)
-	}
-	return nil
-}
-
-// Metrics is a point-in-time snapshot of the store.
-type Metrics struct {
-	Entries    int    `json:"entries"`
-	Capacity   int    `json:"capacity"`
-	Hits       uint64 `json:"hits"`
-	Misses     uint64 `json:"misses"`
-	Stored     uint64 `json:"stored"`
-	EvictedTTL uint64 `json:"evicted_ttl"`
-	EvictedLRU uint64 `json:"evicted_lru"`
-}
-
-// entry is one cached value; expires is zero when TTL is disabled.
-type entry struct {
-	key     Key
-	val     any
-	expires time.Time
-	elem    *list.Element
-}
-
-// Store is the bounded content-addressed cache.
-type Store struct {
-	cfg   Config
-	clock func() time.Time
-
-	mu      sync.Mutex
-	entries map[Key]*entry
-	lru     *list.List // front = most recently used; values are *entry
-	closed  bool
-
-	hits       uint64
-	misses     uint64
-	stored     uint64
-	evictedTTL uint64
-	evictedLRU uint64
-
-	janitorStop chan struct{}
-	janitor     sync.WaitGroup
-}
-
-// New starts a store plus, when a TTL is set, a janitor goroutine expiring
-// entries so memory stays bounded even when nobody reads.
-func New(cfg Config) (*Store, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = time.Now
-	}
-	s := &Store{
-		cfg:         cfg,
-		clock:       clock,
-		entries:     make(map[Key]*entry),
-		lru:         list.New(),
-		janitorStop: make(chan struct{}),
-	}
-	if cfg.TTL > 0 {
-		s.janitor.Add(1)
-		go s.runJanitor()
-	}
-	return s, nil
-}
-
-// Config returns the store configuration.
-func (s *Store) Config() Config { return s.cfg }
-
-// Get returns the value stored under k and refreshes its recency. Expired
-// or absent keys count as misses. Only the accessed entry's expiry is
-// checked here — bulk expiry is the janitor's job — so the hot path stays
-// O(1) under the lock.
-func (s *Store) Get(k Key) (any, bool) {
-	now := s.clock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[k]
-	if ok && s.cfg.TTL > 0 && !e.expires.After(now) {
-		s.removeLocked(e)
-		s.evictedTTL++
-		ok = false
-	}
-	if !ok {
-		s.misses++
-		return nil, false
-	}
-	s.lru.MoveToFront(e.elem)
-	s.hits++
-	return e.val, true
-}
-
-// Put stores v under k, replacing any previous value and restarting its
-// TTL. When the store is full the least recently used entry is evicted.
-func (s *Store) Put(k Key, v any) {
-	now := s.clock()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	var expires time.Time
-	if s.cfg.TTL > 0 {
-		expires = now.Add(s.cfg.TTL)
-	}
-	if e, ok := s.entries[k]; ok {
-		e.val = v
-		e.expires = expires
-		s.lru.MoveToFront(e.elem)
-		s.stored++
-	} else {
-		for len(s.entries) >= s.cfg.MaxEntries {
-			oldest := s.lru.Back()
-			if oldest == nil {
-				break
-			}
-			s.removeLocked(oldest.Value.(*entry))
-			s.evictedLRU++
-		}
-		e := &entry{key: k, val: v, expires: expires}
-		e.elem = s.lru.PushFront(e)
-		s.entries[k] = e
-		s.stored++
-	}
-	s.mu.Unlock()
-	if s.cfg.OnStore != nil {
-		s.cfg.OnStore(k, v)
-	}
-}
-
-// Metrics returns a consistent snapshot of occupancy and hit/miss counters.
-func (s *Store) Metrics() Metrics {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sweepLocked(s.clock())
-	return Metrics{
-		Entries:    len(s.entries),
-		Capacity:   s.cfg.MaxEntries,
-		Hits:       s.hits,
-		Misses:     s.misses,
-		Stored:     s.stored,
-		EvictedTTL: s.evictedTTL,
-		EvictedLRU: s.evictedLRU,
-	}
-}
-
-// Close stops the janitor and drops all entries. It is idempotent; a closed
-// store serves misses and ignores Put.
-func (s *Store) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	s.entries = make(map[Key]*entry)
-	s.lru.Init()
-	s.mu.Unlock()
-	close(s.janitorStop)
-	s.janitor.Wait()
-}
-
-// runJanitor periodically expires entries, mirroring the jobs janitor.
-func (s *Store) runJanitor() {
-	defer s.janitor.Done()
-	interval := s.cfg.TTL / 4
-	if interval < 100*time.Millisecond {
-		interval = 100 * time.Millisecond
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.janitorStop:
-			return
-		case <-t.C:
-			s.mu.Lock()
-			s.sweepLocked(s.clock())
-			s.mu.Unlock()
-		}
-	}
-}
-
-// sweepLocked drops expired entries. Caller holds mu.
-func (s *Store) sweepLocked(now time.Time) {
-	if s.cfg.TTL <= 0 {
-		return
-	}
-	for _, e := range s.entries {
-		if !e.expires.After(now) {
-			s.removeLocked(e)
-			s.evictedTTL++
-		}
-	}
-}
-
-// removeLocked unlinks one entry. Caller holds mu.
-func (s *Store) removeLocked(e *entry) {
-	s.lru.Remove(e.elem)
-	delete(s.entries, e.key)
 }

@@ -1,22 +1,6 @@
 package cache
 
-import (
-	"sync"
-	"testing"
-	"time"
-)
-
-func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
-	}
-	if err := (Config{MaxEntries: 0}).Validate(); err == nil {
-		t.Error("MaxEntries 0 must be invalid")
-	}
-	if err := (Config{MaxEntries: 1, TTL: -time.Second}).Validate(); err == nil {
-		t.Error("negative TTL must be invalid")
-	}
-}
+import "testing"
 
 func TestKeyerComponentsAreUnambiguous(t *testing.T) {
 	sum := func(build func(*Keyer)) Key {
@@ -46,156 +30,17 @@ func TestKeyerComponentsAreUnambiguous(t *testing.T) {
 	}
 }
 
-// key returns a distinct Key for test indexing.
-func key(i int) Key {
+func TestParseKeyRoundTrip(t *testing.T) {
 	k := NewKeyer()
-	k.WriteInt(i)
-	return k.Sum()
-}
-
-func TestHitMissCounters(t *testing.T) {
-	s, err := New(Config{MaxEntries: 4})
-	if err != nil {
-		t.Fatal(err)
+	k.WriteString("clip")
+	key := k.Sum()
+	back, ok := ParseKey(key.String())
+	if !ok || back != key {
+		t.Fatalf("ParseKey(%s) = %s, %v", key, back, ok)
 	}
-	defer s.Close()
-
-	if _, ok := s.Get(key(1)); ok {
-		t.Fatal("empty store must miss")
+	for _, bad := range []string{"", "zz", key.String()[:62], key.String() + "00"} {
+		if _, ok := ParseKey(bad); ok {
+			t.Errorf("ParseKey(%q) accepted a malformed key", bad)
+		}
 	}
-	s.Put(key(1), "v1")
-	v, ok := s.Get(key(1))
-	if !ok || v != "v1" {
-		t.Fatalf("Get = %v, %v", v, ok)
-	}
-	if _, ok := s.Get(key(2)); ok {
-		t.Fatal("unknown key must miss")
-	}
-	m := s.Metrics()
-	if m.Hits != 1 || m.Misses != 2 || m.Stored != 1 || m.Entries != 1 {
-		t.Errorf("metrics = %+v", m)
-	}
-}
-
-func TestLRUEviction(t *testing.T) {
-	s, err := New(Config{MaxEntries: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	s.Put(key(1), 1)
-	s.Put(key(2), 2)
-	// Touch 1 so 2 becomes the LRU victim.
-	if _, ok := s.Get(key(1)); !ok {
-		t.Fatal("expected hit")
-	}
-	s.Put(key(3), 3)
-	if _, ok := s.Get(key(2)); ok {
-		t.Error("key 2 should have been LRU-evicted")
-	}
-	if _, ok := s.Get(key(1)); !ok {
-		t.Error("key 1 should have survived")
-	}
-	if _, ok := s.Get(key(3)); !ok {
-		t.Error("key 3 should be present")
-	}
-	if m := s.Metrics(); m.EvictedLRU != 1 || m.Entries != 2 {
-		t.Errorf("metrics = %+v", m)
-	}
-}
-
-func TestTTLEviction(t *testing.T) {
-	now := time.Unix(1000, 0)
-	var mu sync.Mutex
-	clock := func() time.Time {
-		mu.Lock()
-		defer mu.Unlock()
-		return now
-	}
-	advance := func(d time.Duration) {
-		mu.Lock()
-		now = now.Add(d)
-		mu.Unlock()
-	}
-
-	s, err := New(Config{MaxEntries: 4, TTL: time.Minute, Clock: clock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	s.Put(key(1), 1)
-	advance(30 * time.Second)
-	if _, ok := s.Get(key(1)); !ok {
-		t.Fatal("entry must survive half its TTL")
-	}
-	advance(31 * time.Second)
-	if _, ok := s.Get(key(1)); ok {
-		t.Error("entry must expire after its TTL")
-	}
-	if m := s.Metrics(); m.EvictedTTL != 1 || m.Entries != 0 {
-		t.Errorf("metrics = %+v", m)
-	}
-
-	// Re-putting an expired key restarts its TTL.
-	s.Put(key(1), 2)
-	advance(59 * time.Second)
-	if v, ok := s.Get(key(1)); !ok || v != 2 {
-		t.Errorf("refreshed entry: %v, %v", v, ok)
-	}
-}
-
-func TestPutReplacesAndRefreshes(t *testing.T) {
-	s, err := New(Config{MaxEntries: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	s.Put(key(1), "old")
-	s.Put(key(1), "new")
-	if v, _ := s.Get(key(1)); v != "new" {
-		t.Errorf("Get = %v", v)
-	}
-	if m := s.Metrics(); m.Entries != 1 || m.Stored != 2 {
-		t.Errorf("metrics = %+v", m)
-	}
-}
-
-func TestCloseIdempotentAndInert(t *testing.T) {
-	s, err := New(Config{MaxEntries: 2, TTL: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Put(key(1), 1)
-	s.Close()
-	s.Close() // must not panic
-	if _, ok := s.Get(key(1)); ok {
-		t.Error("closed store must serve misses")
-	}
-	s.Put(key(2), 2)
-	if m := s.Metrics(); m.Entries != 0 {
-		t.Errorf("closed store accepted a Put: %+v", m)
-	}
-}
-
-func TestConcurrentAccess(t *testing.T) {
-	s, err := New(Config{MaxEntries: 8, TTL: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				s.Put(key(i%16), i)
-				s.Get(key((i + g) % 16))
-				s.Metrics()
-			}
-		}(g)
-	}
-	wg.Wait()
 }

@@ -40,10 +40,7 @@ func newArtifactFrontend(t *testing.T, nodes []string) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := server.NewWithOptions(testConfig(), nil, server.Options{
-		CacheEntries: 0, // dispatch every job; worker caches answer repeats
-		Dispatcher:   d,
-	})
+	s, err := server.NewWithOptions(testConfig(), nil, server.Options{Dispatcher: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,8 +234,8 @@ func TestByHashDispatchWorkerPull(t *testing.T) {
 
 	// Exactly one node ran the clip, and that node pulled the frames
 	// artifact from the front end exactly once.
-	c1, _, _ := metricsOf(t, n1.URL)
-	c2, _, _ := metricsOf(t, n2.URL)
+	c1, _ := metricsOf(t, n1.URL)
+	c2, _ := metricsOf(t, n2.URL)
 	if c1+c2 != 1 {
 		t.Fatalf("clips analyzed across nodes = %d+%d, want 1", c1, c2)
 	}
@@ -260,8 +257,8 @@ func TestByHashDispatchWorkerPull(t *testing.T) {
 	if !bytes.Equal(e2etest.StripVolatile(t, again), e2etest.StripVolatile(t, want)) {
 		t.Fatalf("resubmitted by-hash result differs:\n%s\nvs\n%s", again, want)
 	}
-	c1b, _, _ := metricsOf(t, n1.URL)
-	c2b, _, _ := metricsOf(t, n2.URL)
+	c1b, _ := metricsOf(t, n1.URL)
+	c2b, _ := metricsOf(t, n2.URL)
 	if c1b+c2b != 1 {
 		t.Errorf("resubmission re-ran the pipeline: clips = %d+%d, want 1", c1b, c2b)
 	}

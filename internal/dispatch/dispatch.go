@@ -88,8 +88,8 @@ type Config struct {
 	// already cached.
 	ArtifactOrigin string
 	// Replicate turns on successor replication and failover recovery: each
-	// payload is stamped with its key's ring successor (the worker mirrors
-	// its cache fill and pulled artifacts there), the dispatcher retains the
+	// payload is stamped with its key's ring successor (the worker pushes
+	// its finished result and pulled artifacts there), the dispatcher retains the
 	// payload until the job is terminal, and a job stranded on a lost node
 	// is resubmitted to the next ring candidate — where the replicated
 	// cache answers without recomputing. Costs payload retention memory for
@@ -948,7 +948,7 @@ func (r *Remote) recover(id string, e *entry) bool {
 		if n == dead || !healthy {
 			continue
 		}
-		// Re-stamp the successor for the job's NEW home, so its cache fill
+		// Re-stamp the successor for the job's NEW home, so its result
 		// replicates onward instead of pointing back at the dead node.
 		p.ReplicaTarget = r.successorURL(order, i)
 		body, err := json.Marshal(p)

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/sljmotion/sljmotion/internal/cache"
 	"github.com/sljmotion/sljmotion/internal/core"
 	"github.com/sljmotion/sljmotion/internal/dispatch"
 	"github.com/sljmotion/sljmotion/internal/e2etest"
@@ -44,9 +43,9 @@ func newNode(t *testing.T) (*httptest.Server, *server.Server) {
 	return hs, s
 }
 
-// newFrontend starts the fan-out front end over the given worker URLs. Its
-// own result cache is disabled so resubmissions exercise the dispatcher
-// (and the worker-side caches) instead of being absorbed locally.
+// newFrontend starts the fan-out front end over the given worker URLs. A
+// dispatching front end stores no results of async jobs (its workers do),
+// so resubmissions exercise the dispatcher and the worker-side stores.
 func newFrontend(t *testing.T, nodes []string) *httptest.Server {
 	t.Helper()
 	d, err := dispatch.New(dispatch.Config{
@@ -56,10 +55,7 @@ func newFrontend(t *testing.T, nodes []string) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := server.NewWithOptions(testConfig(), nil, server.Options{
-		CacheEntries: 0, // dispatch every job; worker caches answer repeats
-		Dispatcher:   d,
-	})
+	s, err := server.NewWithOptions(testConfig(), nil, server.Options{Dispatcher: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +82,7 @@ func submitAndFetch(t *testing.T, base string, v *synth.Video) []byte {
 }
 
 // metricsOf fetches a server's /v1/metrics document.
-func metricsOf(t *testing.T, base string) (clips int, jm jobs.Metrics, cm cache.Metrics) {
+func metricsOf(t *testing.T, base string) (clips int, jm jobs.Metrics) {
 	return e2etest.MetricsOf(t, base)
 }
 
@@ -124,8 +120,8 @@ func TestTwoWorkerEndToEnd(t *testing.T) {
 	}
 
 	// Exactly one node ran the pipeline.
-	c1, _, _ := metricsOf(t, n1.URL)
-	c2, _, _ := metricsOf(t, n2.URL)
+	c1, _ := metricsOf(t, n1.URL)
+	c2, _ := metricsOf(t, n2.URL)
 	if c1+c2 != 1 {
 		t.Fatalf("clips analyzed across nodes = %d+%d, want 1", c1, c2)
 	}
@@ -135,15 +131,15 @@ func TestTwoWorkerEndToEnd(t *testing.T) {
 	if !bytes.Equal(e2etest.StripVolatile(t, again), e2etest.StripVolatile(t, want)) {
 		t.Fatalf("cached remote result differs:\n%s\nvs\n%s", again, want)
 	}
-	c1b, _, _ := metricsOf(t, n1.URL)
-	c2b, _, _ := metricsOf(t, n2.URL)
+	c1b, _ := metricsOf(t, n1.URL)
+	c2b, _ := metricsOf(t, n2.URL)
 	if c1b+c2b != 1 {
 		t.Errorf("resubmission re-ran the pipeline: clips = %d+%d, want 1", c1b, c2b)
 	}
 
 	// The front end's merged metrics show the hit on exactly the node that
 	// ran the job the first time.
-	_, fm, _ := metricsOf(t, front.URL)
+	_, fm := metricsOf(t, front.URL)
 	if len(fm.Nodes) != 2 {
 		t.Fatalf("front metrics carry %d nodes, want 2", len(fm.Nodes))
 	}
@@ -178,7 +174,7 @@ func TestNodeKillFailover(t *testing.T) {
 	first := submitAndFetch(t, front.URL, v)
 
 	// Find and kill the node that ran (and cached) the clip.
-	c1, _, _ := metricsOf(t, n1.URL)
+	c1, _ := metricsOf(t, n1.URL)
 	owner, survivorURL := n1, n2.URL
 	if c1 == 0 {
 		owner, survivorURL = n2, n1.URL
@@ -191,13 +187,13 @@ func TestNodeKillFailover(t *testing.T) {
 	if !bytes.Equal(e2etest.StripVolatile(t, second), e2etest.StripVolatile(t, first)) {
 		t.Fatalf("failover result differs:\n%s\nvs\n%s", second, first)
 	}
-	cs, _, _ := metricsOf(t, survivorURL)
+	cs, _ := metricsOf(t, survivorURL)
 	if cs != 1 {
 		t.Errorf("survivor analysed %d clips, want 1", cs)
 	}
 
 	// The front end's metrics mark the dead node unhealthy.
-	_, fm, _ := metricsOf(t, front.URL)
+	_, fm := metricsOf(t, front.URL)
 	healthy := 0
 	for _, n := range fm.Nodes {
 		if n.Healthy {

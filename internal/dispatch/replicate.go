@@ -2,7 +2,6 @@ package dispatch
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,13 +11,13 @@ import (
 	"github.com/sljmotion/sljmotion/internal/jobs"
 )
 
-// Replicator pushes cache fills and artifact blobs to ring successors. It
-// is the worker-side half of successor replication: the server's cache and
-// artifact stores invoke it (through the jobs.ReplicaSink seam) whenever
-// they store something for a job whose payload named a replica target, and
-// it mirrors the bytes there over HTTP from a bounded background queue —
-// the job's own latency never waits on replication, and a slow or dead
-// successor only costs dropped replicas, never wedged workers.
+// Replicator pushes artifact blobs — finished results among them — to ring
+// successors. It is the worker-side half of successor replication: the
+// server invokes it (through the jobs.ReplicaSink seam) whenever it stores
+// something for a job whose payload named a replica target, and it mirrors
+// the bytes to the target's POST /v1/artifacts from a bounded background
+// queue — the job's own latency never waits on replication, and a slow or
+// dead successor only costs dropped replicas, never wedged workers.
 type Replicator struct {
 	client *http.Client
 	ch     chan replicaTask
@@ -26,24 +25,23 @@ type Replicator struct {
 	wg     sync.WaitGroup
 
 	mu       sync.Mutex
-	seen     map[string]struct{} // target|hash pairs already pushed (artifact dedup)
+	seen     map[string]struct{} // target|hash pairs already delivered
 	seenList []string            // FIFO of seen keys, bounds the dedup set
 	metrics  jobs.ReplicaMetrics
 }
 
 // replicaTask is one queued push.
 type replicaTask struct {
-	artifact bool
-	target   string
-	key      string // cache key (results) or content hash (artifacts)
-	body     []byte
+	target string
+	hash   string
+	blob   []byte
 }
 
 // replicaQueue bounds the push backlog; beyond it, replicas are dropped
 // (and counted) rather than blocking the pipeline.
 const replicaQueue = 256
 
-// replicaSeenCap bounds the artifact dedup memory.
+// replicaSeenCap bounds the dedup memory.
 const replicaSeenCap = 4096
 
 // Replicator is a ReplicaSink.
@@ -66,30 +64,22 @@ func NewReplicator(client *http.Client) *Replicator {
 	return p
 }
 
-// ReplicateResult mirrors a marshaled response document under its cache key
-// (jobs.ReplicaSink). Never blocks: a full queue drops the push.
-func (p *Replicator) ReplicateResult(target, key string, doc []byte) {
-	p.enqueue(replicaTask{target: target, key: key, body: doc})
-}
-
-// ReplicateArtifact mirrors an artifact blob (jobs.ReplicaSink). Pushes of
-// a hash already sent to the same target are deduplicated — artifacts are
-// content-addressed, so one successful push is permanent.
+// ReplicateArtifact mirrors an artifact blob (jobs.ReplicaSink). Never
+// blocks: a full queue drops the push. A hash already delivered to the
+// same target is not pushed again — artifacts are content-addressed, so
+// one delivery is permanent — but a dropped or failed push is retried by
+// the next call.
 func (p *Replicator) ReplicateArtifact(target, hash string, blob []byte) {
-	k := target + "|" + hash
-	p.mu.Lock()
-	if _, dup := p.seen[k]; dup {
-		p.mu.Unlock()
+	if target == "" || len(blob) == 0 || p.delivered(target, hash) {
 		return
 	}
-	p.seen[k] = struct{}{}
-	p.seenList = append(p.seenList, k)
-	if len(p.seenList) > replicaSeenCap {
-		delete(p.seen, p.seenList[0])
-		p.seenList = p.seenList[1:]
+	select {
+	case p.ch <- replicaTask{target: target, hash: hash, blob: blob}:
+	default:
+		p.mu.Lock()
+		p.metrics.Dropped++
+		p.mu.Unlock()
 	}
-	p.mu.Unlock()
-	p.enqueue(replicaTask{artifact: true, target: target, key: hash, body: blob})
 }
 
 // ReplicaMetrics reports push counters (jobs.ReplicaSink).
@@ -112,17 +102,11 @@ func (p *Replicator) Close() {
 	p.wg.Wait()
 }
 
-func (p *Replicator) enqueue(t replicaTask) {
-	if t.target == "" || len(t.body) == 0 {
-		return
-	}
-	select {
-	case p.ch <- t:
-	default:
-		p.mu.Lock()
-		p.metrics.Dropped++
-		p.mu.Unlock()
-	}
+func (p *Replicator) delivered(target, hash string) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	_, ok := p.seen[target+"|"+hash]
+	return ok
 }
 
 func (p *Replicator) run() {
@@ -146,53 +130,37 @@ func (p *Replicator) run() {
 	}
 }
 
-// push performs one replication POST. Results go to the successor's replica
-// intake; artifacts to its regular content-addressed PUT route (the hash is
-// verified there, so a corrupt push cannot poison the successor).
+// push POSTs one blob to the target's content-addressed artifact route
+// (the hash is verified there, so a corrupt push cannot poison the
+// successor) and records it as delivered only once the target accepted
+// it. A second queued copy of a delivered blob is skipped.
 func (p *Replicator) push(t replicaTask) {
-	var err error
-	if t.artifact {
-		err = p.pushArtifact(t)
-	} else {
-		err = p.pushResult(t)
+	if p.delivered(t.target, t.hash) {
+		return
 	}
+	err := p.post(t)
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if err != nil {
 		p.metrics.Failures++
-	} else if t.artifact {
-		p.metrics.Artifacts++
-	} else {
-		p.metrics.Results++
+		return
 	}
-	p.mu.Unlock()
+	p.metrics.Artifacts++
+	k := t.target + "|" + t.hash
+	p.seen[k] = struct{}{}
+	p.seenList = append(p.seenList, k)
+	if len(p.seenList) > replicaSeenCap {
+		delete(p.seen, p.seenList[0])
+		p.seenList = p.seenList[1:]
+	}
 }
 
-func (p *Replicator) pushResult(t replicaTask) error {
-	doc, err := json.Marshal(struct {
-		Key      string          `json:"key"`
-		Response json.RawMessage `json:"response"`
-	}{Key: t.key, Response: t.body})
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequest(http.MethodPost, t.target+"/v1/worker/replica", bytes.NewReader(doc))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	return p.do(req, http.StatusNoContent)
-}
-
-func (p *Replicator) pushArtifact(t replicaTask) error {
-	req, err := http.NewRequest(http.MethodPost, t.target+"/v1/artifacts", bytes.NewReader(t.body))
+func (p *Replicator) post(t replicaTask) error {
+	req, err := http.NewRequest(http.MethodPost, t.target+"/v1/artifacts", bytes.NewReader(t.blob))
 	if err != nil {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	return p.do(req, http.StatusCreated)
-}
-
-func (p *Replicator) do(req *http.Request, want int) error {
 	resp, err := p.client.Do(req)
 	if err != nil {
 		return err
@@ -200,7 +168,7 @@ func (p *Replicator) do(req *http.Request, want int) error {
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 	resp.Body.Close()
 	// 200 vs 201 on artifact re-PUT (already stored) are both success.
-	if resp.StatusCode != want && resp.StatusCode != http.StatusOK {
+	if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("replica push: %s answered %d", req.URL.Host, resp.StatusCode)
 	}
 	return nil

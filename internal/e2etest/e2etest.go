@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/sljmotion/sljmotion/internal/cache"
 	"github.com/sljmotion/sljmotion/internal/clipio"
 	"github.com/sljmotion/sljmotion/internal/core"
 	"github.com/sljmotion/sljmotion/internal/imaging"
@@ -164,7 +163,7 @@ func StripVolatile(t *testing.T, raw []byte) []byte {
 }
 
 // MetricsOf fetches a server's /v1/metrics document.
-func MetricsOf(t *testing.T, base string) (clips int, jm jobs.Metrics, cm cache.Metrics) {
+func MetricsOf(t *testing.T, base string) (clips int, jm jobs.Metrics) {
 	t.Helper()
 	resp, err := http.Get(base + "/v1/metrics")
 	if err != nil {
@@ -172,12 +171,11 @@ func MetricsOf(t *testing.T, base string) (clips int, jm jobs.Metrics, cm cache.
 	}
 	defer resp.Body.Close()
 	var doc struct {
-		ClipsAnalyzed int           `json:"clips_analyzed"`
-		Jobs          jobs.Metrics  `json:"jobs"`
-		Cache         cache.Metrics `json:"cache"`
+		ClipsAnalyzed int          `json:"clips_analyzed"`
+		Jobs          jobs.Metrics `json:"jobs"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
-	return doc.ClipsAnalyzed, doc.Jobs, doc.Cache
+	return doc.ClipsAnalyzed, doc.Jobs
 }

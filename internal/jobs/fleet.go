@@ -78,22 +78,19 @@ type Fleet interface {
 	SetSLO(s *obs.SLO)
 }
 
-// ReplicaMetrics counts successor-replication pushes from one node.
+// ReplicaMetrics counts successor-replication pushes from one node. Every
+// push is one content-addressed blob: an artifact or a finished result.
 type ReplicaMetrics struct {
-	Results   uint64 `json:"results"`
 	Artifacts uint64 `json:"artifacts"`
 	Failures  uint64 `json:"failures"`
 	Dropped   uint64 `json:"dropped"`
 }
 
-// ReplicaSink accepts asynchronous successor-replication pushes: cache fills
-// and artifact stores are mirrored to the ring successor so that node death
-// turns into a cache hit on failover instead of a recompute. Implementations
-// must not block the caller.
+// ReplicaSink accepts asynchronous successor-replication pushes: artifact
+// blobs, finished results among them, are mirrored to the ring successor
+// so that node death turns into a cache hit on failover instead of a
+// recompute. Implementations must not block the caller.
 type ReplicaSink interface {
-	// ReplicateResult mirrors a marshaled analysis response under its cache
-	// key to the target node.
-	ReplicateResult(target, key string, doc []byte)
 	// ReplicateArtifact mirrors a content-addressed artifact blob to the
 	// target node.
 	ReplicateArtifact(target, hash string, blob []byte)

@@ -77,8 +77,8 @@ type Payload struct {
 
 	// ReplicaTarget is the base URL of the ring successor for this payload's
 	// key, stamped by a replicating dispatcher. A worker that completes the
-	// job mirrors its cache fill (and any artifacts it pulled for it) to the
-	// target, so failover — which re-hashes to the successor — finds a cache
+	// job pushes its result/v1 artifact (and any artifacts it pulled for it)
+	// to the target, so failover — which re-hashes to the successor — finds a cache
 	// hit instead of recomputing. Empty when replication is off or the fleet
 	// has no second routable node.
 	ReplicaTarget string `json:"replica_target,omitempty"`

@@ -107,7 +107,7 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 
 	// Reference: the same stack, no journal — the identity baseline.
 	ref, err := server.NewWithOptions(cfg, nil, server.Options{
-		Workers: 1, QueueSize: 8, ResultTTL: time.Hour, CacheEntries: 0,
+		Workers: 1, QueueSize: 8, ResultTTL: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	}
 	sev := &severableJournal{inner: jrn1}
 	s1, err := server.NewWithOptions(cfg, nil, server.Options{
-		Workers: 1, QueueSize: 8, ResultTTL: time.Hour, CacheEntries: 0,
+		Workers: 1, QueueSize: 8, ResultTTL: time.Hour,
 		Journal: sev,
 	})
 	if err != nil {
@@ -192,7 +192,7 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	}
 	defer jrn2.Close()
 	s2, err := server.NewWithOptions(cfg, nil, server.Options{
-		Workers: 1, QueueSize: 8, ResultTTL: time.Hour, CacheEntries: 0,
+		Workers: 1, QueueSize: 8, ResultTTL: time.Hour,
 		Journal: jrn2,
 	})
 	if err != nil {
@@ -233,9 +233,10 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	}
 
 	// Exactly the three interrupted jobs ran after restart: the restored
-	// result never touched the pipeline (no cache is configured, so the
-	// journal is the only thing that could have served it).
-	clips, _, _ := e2etest.MetricsOf(t, hs2.URL)
+	// result never touched the pipeline (the restarted server's result
+	// store starts empty, so the journal is the only thing that could have
+	// served it).
+	clips, _ := e2etest.MetricsOf(t, hs2.URL)
 	if clips != 3 {
 		t.Errorf("clips analyzed after restart = %d, want 3 (the interrupted jobs only)", clips)
 	}

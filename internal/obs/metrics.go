@@ -2,7 +2,7 @@
 // histograms fed from hot paths via atomics, and a text-exposition writer
 // (format version 0.0.4) that also renders counter/gauge families derived
 // from existing snapshot structs. Flat counters stay where they already
-// live (jobs.Metrics, cache.Metrics, …); the registry only owns the
+// live (jobs.Metrics, artifacts.Metrics, …); the registry only owns the
 // latency distributions those snapshots cannot express.
 package obs
 

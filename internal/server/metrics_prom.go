@@ -3,8 +3,8 @@
 // The exposition composes three sources into one scrape:
 //
 //   - counter/gauge families derived from the same snapshot structs the
-//     JSON document serves (jobs.Metrics, cache.Metrics, the event hub's
-//     drop counter) — the numbers agree between the two formats by
+//     JSON document serves (jobs.Metrics, artifacts.Metrics and
+//     ResultMetrics, the event hub's drop counter) — the numbers agree between the two formats by
 //     construction;
 //   - the process-wide histogram registry (obs.Default): queue wait, run
 //     time, per-stage wall clock, journal append/fsync, dispatch round
@@ -13,7 +13,7 @@
 //
 // Label cardinality is bounded by design (DESIGN.md §13): the only label
 // values are the five pipeline stage names, worker-node URLs (deployment
-// sized, not request sized) and two cache-eviction reasons. Nothing
+// sized, not request sized) and two artifact-eviction reasons. Nothing
 // per-job or per-clip ever becomes a label.
 package server
 
@@ -87,18 +87,11 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 			float64(n.CacheHits), "node", n.URL)
 	}
 
-	if s.cache != nil {
-		cm := s.cache.Metrics()
-		p.Gauge("slj_cache_entries", "Entries currently in the result cache.", float64(cm.Entries))
-		p.Gauge("slj_cache_capacity", "Result cache capacity.", float64(cm.Capacity))
-		p.Counter("slj_cache_hits_total", "Result cache hits.", float64(cm.Hits))
-		p.Counter("slj_cache_misses_total", "Result cache misses.", float64(cm.Misses))
-		p.Counter("slj_cache_stored_total", "Responses stored in the result cache.", float64(cm.Stored))
-		p.Counter("slj_cache_evicted_total", "Result cache evictions by reason.",
-			float64(cm.EvictedTTL), "reason", "ttl")
-		p.Counter("slj_cache_evicted_total", "Result cache evictions by reason.",
-			float64(cm.EvictedLRU), "reason", "lru")
-	}
+	rm := s.artifacts.ResultMetrics()
+	p.Gauge("slj_cache_entries", "Request keys with a stored result.", float64(rm.Entries))
+	p.Counter("slj_cache_hits_total", "Result lookups answered from the artifact store.", float64(rm.Hits))
+	p.Counter("slj_cache_misses_total", "Result lookups that found nothing.", float64(rm.Misses))
+	p.Counter("slj_cache_stored_total", "Results stored in the artifact store.", float64(rm.Stored))
 
 	am := s.artifacts.Metrics()
 	p.Gauge("slj_artifacts_blobs", "Blobs currently in the artifact store.", float64(am.Blobs))
@@ -131,19 +124,14 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 		"GA fitness scores actually evaluated (memo misses).",
 		float64(gm.FitnessMemoMisses))
 
-	if rm, ok := s.replicationSnapshot(); ok {
-		p.Counter("slj_replica_results_pushed_total",
-			"Result documents pushed to ring successors.", float64(rm.Push.Results))
+	if s.replica != nil {
+		pm := s.replica.ReplicaMetrics()
 		p.Counter("slj_replica_artifacts_pushed_total",
-			"Artifact blobs pushed to ring successors.", float64(rm.Push.Artifacts))
+			"Artifact blobs, results included, pushed to ring successors.", float64(pm.Artifacts))
 		p.Counter("slj_replica_push_failures_total",
-			"Replication pushes that failed after delivery was attempted.", float64(rm.Push.Failures))
+			"Replication pushes that failed after delivery was attempted.", float64(pm.Failures))
 		p.Counter("slj_replica_dropped_total",
-			"Replication tasks dropped by the sink's bounded queue.", float64(rm.Push.Dropped))
-		p.Counter("slj_replica_results_received_total",
-			"Replicated result documents accepted from fleet peers.", float64(rm.ResultsReceived))
-		p.Counter("slj_replica_results_stored_total",
-			"Replicated result documents stored in the result cache.", float64(rm.ResultsStored))
+			"Replication tasks dropped by the sink's bounded queue.", float64(pm.Dropped))
 	}
 
 	p.Counter("slj_events_dropped_total",

@@ -20,7 +20,7 @@ import (
 )
 
 // metricsJSONGolden pins the exact bytes of GET /v1/metrics for a fresh
-// server with Workers:2 QueueSize:4 CacheEntries:8 (TTLs 15m). The JSON
+// server with Workers:2 QueueSize:4 (result TTL 15m). The JSON
 // document is the scrape format of record since PR 2; the Prometheus
 // exposition rides on ?format=prometheus only, and this golden is the
 // regression tripwire for any accidental change to the default bytes —
@@ -43,12 +43,9 @@ const metricsJSONGolden = `{
   },
   "cache": {
     "entries": 0,
-    "capacity": 8,
     "hits": 0,
     "misses": 0,
-    "stored": 0,
-    "evicted_ttl": 0,
-    "evicted_lru": 0
+    "stored": 0
   },
   "clip_sessions": {
     "open": 0,
@@ -96,7 +93,6 @@ func TestMetricsJSONByteCompat(t *testing.T) {
 	pose.ResetGAMetrics()
 	s := fastServerWithOptions(t, Options{
 		Workers: 2, QueueSize: 4, ResultTTL: 15 * time.Minute,
-		CacheEntries: 8, CacheTTL: 15 * time.Minute,
 	})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
@@ -303,7 +299,7 @@ func TestPrometheusConformance(t *testing.T) {
 
 	res := obs.LintExposition(raw, []string{
 		"slj_clips_analyzed_total", "slj_jobs_submitted_total", "slj_jobs_queue_depth",
-		"slj_cache_hits_total", "slj_cache_evicted_total", "slj_events_dropped_total",
+		"slj_cache_hits_total", "slj_cache_misses_total", "slj_events_dropped_total",
 		"slj_job_queue_wait_seconds", "slj_job_run_seconds", "slj_stage_seconds",
 		"slj_runtime_goroutines", "slj_runtime_gc_cycles_total",
 		"slj_artifacts_blobs", "slj_artifacts_bytes", "slj_artifact_hits_total",

@@ -24,16 +24,18 @@
 // returns silhouettes without running the GA). Every resource has exactly
 // one route, under /v1; only the upload form at / sits outside it.
 //
-// Results are cached content-addressed (internal/cache): the SHA-256 of
-// the frame bytes, manual pose, analyzer-config fingerprint, stage
-// selection and response options keys the finished AnalysisResponse, and a
-// resubmission of an identical clip — on either the sync or the async
-// route — is answered from the store without re-running the pipeline or
-// enqueueing a job. Every route answers wrong methods with 405, an Allow
-// header and the shared JSON error envelope.
+// Results are cached content-addressed in the artifact store: the SHA-256
+// of the frame bytes, manual pose, analyzer-config fingerprint, stage
+// selection and response options (jobs.RequestKey) keys the finished
+// response document, stored as a result/v1 blob, and a resubmission of an
+// identical clip — on either the sync or the async route — is answered
+// from the store without re-running the pipeline or enqueueing a job.
+// Every route answers wrong methods with 405, an Allow header and the
+// shared JSON error envelope.
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/json"
@@ -136,7 +138,8 @@ type errorResponse struct {
 	Code  string `json:"code,omitempty"`
 }
 
-// Options configure the asynchronous job path and the result cache.
+// Options configure the asynchronous job path and the artifact store, which
+// also holds finished results.
 type Options struct {
 	// Workers is the analysis worker pool size.
 	Workers int
@@ -145,11 +148,6 @@ type Options struct {
 	QueueSize int
 	// ResultTTL evicts finished job results this long after completion.
 	ResultTTL time.Duration
-	// CacheEntries bounds the content-addressed result cache; 0 disables
-	// caching entirely.
-	CacheEntries int
-	// CacheTTL expires cached responses this long after they are stored.
-	CacheTTL time.Duration
 	// Journal makes the in-process job table durable: submissions, state
 	// transitions and evictions are appended to it, and construction
 	// replays the log — interrupted jobs re-run, finished results stay
@@ -192,7 +190,8 @@ type Options struct {
 	// by-reference payloads get exactly this.
 	MaxPayloadBytes int64
 	// ArtifactBlobs / ArtifactBytes / ArtifactTTL bound the content-
-	// addressed artifact store; zero fields take artifacts.DefaultConfig.
+	// addressed artifact store, finished results included; zero fields
+	// take artifacts.DefaultConfig.
 	ArtifactBlobs int
 	ArtifactBytes int64
 	ArtifactTTL   time.Duration
@@ -202,8 +201,8 @@ type Options struct {
 	// ClipTTL expires idle clip-ingest sessions; 0 selects
 	// artifacts.DefaultSessionTTL.
 	ClipTTL time.Duration
-	// Replicator, when set, mirrors this node's cache fills and artifact
-	// stores to the ring successor named by each job's payload
+	// Replicator, when set, mirrors this node's finished results and
+	// artifact stores to the ring successor named by each job's payload
 	// (Payload.ReplicaTarget), turning a later node death into a successor
 	// cache hit instead of a recompute. Worker nodes in a replicating fleet
 	// set this (slj-serve wires a dispatch.Replicator); the caller keeps
@@ -230,14 +229,12 @@ const (
 )
 
 // DefaultOptions returns a small-deployment default (jobs.DefaultConfig
-// workers/queue, cache.DefaultConfig result cache).
+// workers/queue, artifacts.DefaultConfig store).
 func DefaultOptions() Options {
 	d := jobs.DefaultConfig()
-	c := cache.DefaultConfig()
 	e := events.DefaultConfig()
 	return Options{
 		Workers: d.Workers, QueueSize: d.QueueSize, ResultTTL: d.ResultTTL,
-		CacheEntries: c.MaxEntries, CacheTTL: c.TTL,
 		EventSubscribers: e.MaxSubscribers, EventBuffer: e.SubscriberBuffer,
 		EventHeartbeat:  15 * time.Second,
 		MaxPayloadBytes: MaxUploadBytes,
@@ -250,14 +247,14 @@ type Server struct {
 	cfgFP  string // config fingerprint folded into cache keys
 	log    *slog.Logger
 	jobs   jobs.Dispatcher
-	fleet  jobs.Fleet   // the backend's fleet surface; nil answers the fleet routes 501
-	cache  *cache.Store // nil when caching is disabled
-	worker bool         // mounts the payload intake route
-	pprof  bool         // mounts /debug/pprof/
+	fleet  jobs.Fleet // the backend's fleet surface; nil answers the fleet routes 501
+	worker bool       // mounts the payload intake route
+	pprof  bool       // mounts /debug/pprof/
 
-	// artifacts is the content-addressed blob store behind /v1/artifacts
-	// and the by-reference request path; clips is the chunked-ingest
-	// session layer over it; maxPayload is the worker-intake body cap.
+	// artifacts is the content-addressed blob store behind /v1/artifacts,
+	// the by-reference request path and the result cache; clips is the
+	// chunked-ingest session layer over it; maxPayload is the
+	// worker-intake body cap.
 	artifacts  *artifacts.Store
 	clips      *artifacts.Sessions
 	maxPayload int64
@@ -278,17 +275,11 @@ type Server struct {
 	slo *obs.SLO
 
 	// Successor replication (worker side): replica is the push sink;
-	// replTargets maps the cache key of each in-flight job to its payload's
-	// replica target (consulted by the cache OnStore hook); replActive
-	// refcounts targets of in-flight jobs (consulted by the artifact OnStore
-	// hook, which has no job context); replicaReceived / replicaStored count
-	// the intake side (POST /v1/worker/replica).
-	replica         jobs.ReplicaSink
-	replMu          sync.Mutex
-	replTargets     map[cache.Key]string
-	replActive      map[string]int
-	replicaReceived uint64
-	replicaStored   uint64
+	// replActive refcounts targets of in-flight jobs (consulted by the
+	// artifact OnStore hook, which has no job context).
+	replica    jobs.ReplicaSink
+	replMu     sync.Mutex
+	replActive map[string]int
 
 	// testExec, when set, replaces the analysis executor behind POST /v1/jobs
 	// (and makes the route skip upload parsing) — a white-box seam for
@@ -303,7 +294,7 @@ func New(cfg core.Config, logger *log.Logger) (*Server, error) {
 }
 
 // NewWithOptions builds a server with an explicitly configured job
-// dispatcher and result cache.
+// dispatcher and artifact store.
 func NewWithOptions(cfg core.Config, logger *log.Logger, opts Options) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -316,26 +307,11 @@ func NewWithOptions(cfg core.Config, logger *log.Logger, opts Options) (*Server,
 			lg = obs.Discard()
 		}
 	}
-	// srv late-binds the server pointer into the store hooks below: the
-	// stores are constructed before the Server struct (error-path
-	// ownership), but their OnStore hooks only ever fire while requests
+	// srv late-binds the server pointer into the store hook below: the
+	// store is constructed before the Server struct (error-path
+	// ownership), but its OnStore hook only ever fires while requests
 	// flow — long after srv is assigned.
 	var srv *Server
-	// The cache is built before the dispatcher so a config error here never
-	// leaves a started worker pool (or a caller-supplied dispatcher the
-	// server would own) leaking on the error path.
-	var store *cache.Store
-	if opts.CacheEntries > 0 {
-		ccfg := cache.Config{MaxEntries: opts.CacheEntries, TTL: opts.CacheTTL}
-		if opts.Replicator != nil {
-			ccfg.OnStore = func(k cache.Key, v any) { srv.onCacheStore(k, v) }
-		}
-		var err error
-		store, err = cache.New(ccfg)
-		if err != nil {
-			return nil, err
-		}
-	}
 	def := DefaultOptions()
 	if opts.EventSubscribers <= 0 {
 		opts.EventSubscribers = def.EventSubscribers
@@ -349,8 +325,10 @@ func NewWithOptions(cfg core.Config, logger *log.Logger, opts Options) (*Server,
 	if opts.MaxPayloadBytes <= 0 {
 		opts.MaxPayloadBytes = def.MaxPayloadBytes
 	}
-	// The artifact store and ingest sessions are built next, still before
-	// the dispatcher, for the same error-path ownership reason as the cache.
+	// The artifact store and ingest sessions are built before the
+	// dispatcher so a config error here never leaves a started worker pool
+	// (or a caller-supplied dispatcher the server would own) leaking on the
+	// error path.
 	acfg := artifacts.DefaultConfig()
 	if opts.ArtifactBlobs > 0 {
 		acfg.MaxBlobs = opts.ArtifactBlobs
@@ -367,9 +345,6 @@ func NewWithOptions(cfg core.Config, logger *log.Logger, opts Options) (*Server,
 	}
 	blobs, err := artifacts.NewStore(acfg)
 	if err != nil {
-		if store != nil {
-			store.Close()
-		}
 		return nil, err
 	}
 	clips, err := artifacts.NewSessions(artifacts.SessionConfig{
@@ -379,16 +354,12 @@ func NewWithOptions(cfg core.Config, logger *log.Logger, opts Options) (*Server,
 	})
 	if err != nil {
 		blobs.Close()
-		if store != nil {
-			store.Close()
-		}
 		return nil, err
 	}
 	s := &Server{
 		cfg:         cfg,
 		cfgFP:       configFingerprint(cfg),
 		log:         lg,
-		cache:       store,
 		worker:      opts.Worker,
 		pprof:       opts.PProf,
 		streamLimit: opts.EventSubscribers,
@@ -397,7 +368,6 @@ func NewWithOptions(cfg core.Config, logger *log.Logger, opts Options) (*Server,
 		clips:       clips,
 		maxPayload:  opts.MaxPayloadBytes,
 		replica:     opts.Replicator,
-		replTargets: make(map[cache.Key]string),
 		replActive:  make(map[string]int),
 	}
 	sloLatency := opts.SLOLatency
@@ -416,7 +386,7 @@ func NewWithOptions(cfg core.Config, logger *log.Logger, opts Options) (*Server,
 	dispatcher := opts.Dispatcher
 	if dispatcher == nil {
 		// The manager executes payloads through the server's analysis
-		// executor (decode → run → cache → response document); the test
+		// executor (decode → run → store → response document); the test
 		// seam can shadow it per instance.
 		exec := jobs.ExecutorFunc(func(ctx context.Context, p jobs.Payload, progress func(string)) (any, error) {
 			if s.testExec != nil {
@@ -440,9 +410,6 @@ func NewWithOptions(cfg core.Config, logger *log.Logger, opts Options) (*Server,
 		if err != nil {
 			clips.Close()
 			blobs.Close()
-			if store != nil {
-				store.Close()
-			}
 			return nil, err
 		}
 		dispatcher = mgr
@@ -458,14 +425,11 @@ func NewWithOptions(cfg core.Config, logger *log.Logger, opts Options) (*Server,
 }
 
 // Close shuts the job dispatcher down (see jobs.Manager.Close for the
-// drain and hard-cancel semantics) and releases the result cache.
+// drain and hard-cancel semantics) and releases the artifact store.
 func (s *Server) Close(ctx context.Context) error {
 	err := s.jobs.Close(ctx)
 	s.clips.Close()
 	s.artifacts.Close()
-	if s.cache != nil {
-		s.cache.Close()
-	}
 	return err
 }
 
@@ -499,8 +463,6 @@ func (s *Server) Handler() http.Handler {
 		// The worker intake: serialized payloads instead of multipart
 		// uploads.
 		mux.HandleFunc("/v1/worker/jobs", method(http.MethodPost, s.handleWorkerJobs))
-		// Successor-replication intake: replicated results from fleet peers.
-		mux.HandleFunc("/v1/worker/replica", method(http.MethodPost, s.handleWorkerReplica))
 	}
 	if s.pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -544,7 +506,7 @@ model: <code>0 x0 y0 rho0..rho7</code>.</p>
 <p>Long clips can be analysed asynchronously: POST the same form to
 <code>/v1/jobs</code>, then poll <code>/v1/jobs/&lt;id&gt;</code> and fetch
 <code>/v1/jobs/&lt;id&gt;/result</code>. A resubmitted identical clip is
-answered from the result cache immediately. The optional
+answered from the result store immediately. The optional
 <code>stages</code> field runs a pipeline prefix (e.g.
 <code>stages=segmentation</code> with <code>silhouettes=1</code>).</p>
 <p>See <a href="/v1/rules">/v1/rules</a> for the scoring rules (Tables 1-2
@@ -567,34 +529,33 @@ func (s *Server) serveIndex(w http.ResponseWriter, r *http.Request) {
 	_, _ = io.WriteString(w, indexHTML)
 }
 
-// lookup computes the request's cache key and consults the store. The key
-// is valid even on a miss (the zero key when caching is disabled).
-func (s *Server) lookup(req core.Request) (cache.Key, *AnalysisResponse) {
-	if s.cache == nil {
-		return cache.Key{}, nil
-	}
-	key := requestKey(s.cfgFP, req)
-	return key, s.cachedResponse(key)
+// lookup computes the request's key and consults the artifact store for a
+// finished result: blob is its result/v1 blob, nil on a miss.
+func (s *Server) lookup(req core.Request) (key cache.Key, hash string, blob []byte) {
+	key = requestKey(s.cfgFP, req)
+	hash, blob, _ = s.artifacts.Result(key)
+	return key, hash, blob
 }
 
-// cachedResponse consults the store under an already-computed key.
-func (s *Server) cachedResponse(key cache.Key) *AnalysisResponse {
-	if s.cache == nil {
+// store keeps a finished response as a result/v1 artifact holding the
+// exact bytes writeJSON serves for it, and returns those bytes. A job with
+// a replica target pushes the blob there: the only way a result leaves
+// this node, since the artifact hook skips result blobs (onArtifactStore).
+func (s *Server) store(key cache.Key, resp *AnalysisResponse, target string) []byte {
+	doc := marshalJSON(resp)
+	if doc == nil {
 		return nil
 	}
-	if v, ok := s.cache.Get(key); ok {
-		if resp, ok := v.(*AnalysisResponse); ok {
-			return resp
-		}
+	blob := artifacts.EncodeResult(key, doc)
+	hash, err := s.artifacts.Put(blob)
+	if err != nil {
+		s.log.Warn("result not stored", "key", key.String(), "err", err)
+		return doc
 	}
-	return nil
-}
-
-// store caches a finished response under its request key.
-func (s *Server) store(key cache.Key, resp *AnalysisResponse) {
-	if s.cache != nil {
-		s.cache.Put(key, resp)
+	if s.replica != nil && target != "" {
+		s.replica.ReplicateArtifact(target, hash, blob)
 	}
+	return doc
 }
 
 // materialize resolves a by-reference request against the server's own
@@ -671,9 +632,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeResolveError(w, err)
 		return
 	}
-	key, cached := s.lookup(req)
+	key, _, cached := s.lookup(req)
 	if cached != nil {
-		writeJSON(w, http.StatusOK, cached)
+		writeDoc(w, http.StatusOK, artifacts.ResultDoc(cached))
 		s.log.Debug("analyze cache hit", "key", key.String())
 		return
 	}
@@ -694,8 +655,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 
 	resp := buildResponse(result, len(req.Frames), req)
-	s.store(key, resp)
-	writeJSON(w, http.StatusOK, resp)
+	writeDoc(w, http.StatusOK, s.store(key, resp, ""))
 	s.log.Info("clip analyzed", "frames", len(req.Frames), "score", resp.Score)
 }
 
@@ -844,8 +804,8 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if key, ok := p.Key(); ok {
-			if cached := s.cachedResponse(key); cached != nil {
-				writeJSON(w, http.StatusOK, cached)
+			if _, cached, hit := s.artifacts.Result(key); hit {
+				writeDoc(w, http.StatusOK, artifacts.ResultDoc(cached))
 				s.log.Debug("jobs cache hit", "key", key.String())
 				return
 			}
@@ -886,8 +846,8 @@ func (s *Server) submitPayload(w http.ResponseWriter, r *http.Request, p jobs.Pa
 
 // executeAnalysis is the server's jobs.Executor: it decodes one payload
 // back into a staged request, runs the pipeline reporting stages as
-// progress, stores the finished response in the result cache, and returns
-// the same AnalysisResponse the synchronous path builds.
+// progress, stores the finished response in the artifact store, and
+// returns the same AnalysisResponse the synchronous path builds.
 func (s *Server) executeAnalysis(ctx context.Context, p jobs.Payload, progress func(string)) (any, error) {
 	req, err := p.AnalysisRequest()
 	if err != nil {
@@ -938,18 +898,6 @@ func (s *Server) executeAnalysis(ctx context.Context, p jobs.Payload, progress f
 	// for storage would let a mislabelled payload poison the result cache
 	// (one SHA-256 pass is trivial next to the pipeline).
 	key := requestKey(s.cfgFP, req)
-	if s.replica != nil && p.ReplicaTarget != "" {
-		// The cache OnStore hook replicates by key: register before Run so
-		// the synchronous fill in s.store below finds its target.
-		s.replMu.Lock()
-		s.replTargets[key] = p.ReplicaTarget
-		s.replMu.Unlock()
-		defer func() {
-			s.replMu.Lock()
-			delete(s.replTargets, key)
-			s.replMu.Unlock()
-		}()
-	}
 	analyzer, err := core.New(s.cfg)
 	if err != nil {
 		return nil, err
@@ -964,7 +912,7 @@ func (s *Server) executeAnalysis(ctx context.Context, p jobs.Payload, progress f
 	s.analyzed++
 	s.mu.Unlock()
 	resp := buildResponse(result, len(req.Frames), req)
-	s.store(key, resp)
+	s.store(key, resp, p.ReplicaTarget)
 	return resp, nil
 }
 
@@ -1072,12 +1020,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"artifacts":      s.artifacts.Metrics(),
 		"clip_sessions":  s.clips.Metrics(),
 		"ga":             pose.GAMetrics(),
+		"cache":          s.artifacts.ResultMetrics(),
 	}
-	if s.cache != nil {
-		doc["cache"] = s.cache.Metrics()
-	}
-	if rm, ok := s.replicationSnapshot(); ok {
-		doc["replication"] = rm
+	if s.replica != nil {
+		doc["replication"] = map[string]jobs.ReplicaMetrics{"push": s.replica.ReplicaMetrics()}
 	}
 	writeJSON(w, http.StatusOK, doc)
 }
@@ -1344,11 +1290,26 @@ func maskToB64(m *imaging.Mask) string {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	writeDoc(w, status, marshalJSON(v))
+}
+
+// marshalJSON renders v as every route serves it: two-space indent and a
+// trailing newline. It returns nil if v cannot be encoded.
+func marshalJSON(v any) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		return nil
+	}
+	return buf.Bytes()
+}
+
+// writeDoc writes an already-encoded JSON document.
+func writeDoc(w http.ResponseWriter, status int, doc []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(doc)
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {

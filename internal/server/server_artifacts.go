@@ -3,6 +3,7 @@
 // The artifact surface is content-addressed and versioned-only:
 //
 //	POST /v1/artifacts            store one typed blob → {hash, kind, bytes}
+//	                              (result/v1 on worker nodes only)
 //	GET  /v1/artifacts/{hash}     fetch a blob (worker pull protocol)
 //
 // The ingest surface streams a clip in ordered chunks:
@@ -54,7 +55,11 @@ type artifactPutResponse struct {
 	Bytes int    `json:"bytes"`
 }
 
-// handleArtifactPut stores one typed artifact blob (POST /v1/artifacts).
+// handleArtifactPut stores one typed artifact blob (POST /v1/artifacts). A
+// result/v1 blob is a finished answer for its request key, so it is
+// accepted only where successor replication delivers it: on the worker
+// surface, which trusts its fleet peers. Anywhere else it would let any
+// client plant the answer to someone else's request.
 func (s *Server) handleArtifactPut(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, MaxUploadBytes)
 	blob, err := io.ReadAll(r.Body)
@@ -66,6 +71,16 @@ func (s *Server) handleArtifactPut(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		writeError(w, http.StatusBadRequest, "not an artifact blob (bad magic or kind)")
 		return
+	}
+	if kind == artifacts.KindResult {
+		if !s.worker {
+			writeError(w, http.StatusBadRequest, "result/v1 blobs are accepted only by worker nodes")
+			return
+		}
+		if _, _, err := artifacts.DecodeResult(blob); err != nil {
+			writeError(w, http.StatusBadRequest, err.Error())
+			return
+		}
 	}
 	hash, err := s.artifacts.Put(blob)
 	if err != nil {

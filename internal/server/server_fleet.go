@@ -1,4 +1,4 @@
-// Fleet administration and successor-replica intake: the HTTP half of the
+// Fleet administration and successor replication: the HTTP half of the
 // elastic dispatch membership (internal/dispatch).
 //
 // A front end whose job backend implements jobs.Fleet (the remote
@@ -11,13 +11,10 @@
 //	                        is removed once its running jobs finish
 //	POST /v1/fleet/remove   {"url": ...} — drop immediately (force path)
 //
-// Worker nodes additionally accept successor-replication pushes:
-//
-//	POST /v1/worker/replica {"key": <hex cache key>, "response": {...}}
-//
-// storing the pushed response document in the node's result cache so a
-// failover re-hash of the same key is answered without recomputing. The
-// intake trusts its fleet peers — it sits on the worker surface, the same
+// Successor replication pushes blobs to the ring successor's POST
+// /v1/artifacts, finished results as result/v1 blobs, so a failover re-hash
+// of the same key is answered without recomputing. Only worker nodes
+// accept result blobs: the worker surface trusts its fleet peers, the same
 // trust domain as POST /v1/worker/jobs (DESIGN.md §16).
 package server
 
@@ -27,7 +24,7 @@ import (
 	"fmt"
 	"net/http"
 
-	"github.com/sljmotion/sljmotion/internal/cache"
+	"github.com/sljmotion/sljmotion/internal/artifacts"
 	"github.com/sljmotion/sljmotion/internal/jobs"
 	"github.com/sljmotion/sljmotion/internal/obs"
 )
@@ -166,80 +163,16 @@ func writeFleetError(w http.ResponseWriter, err error) {
 	}
 }
 
-// replicaDoc is the body of POST /v1/worker/replica.
-type replicaDoc struct {
-	Key      string          `json:"key"`
-	Response json.RawMessage `json:"response"`
-}
-
-// handleWorkerReplica accepts one replicated result: the pushed response
-// document is decoded and stored in this node's result cache under the
-// pushed key, exactly as if this node had computed it. Storing the decoded
-// struct (not the raw bytes) keeps the cache homogeneous — every later
-// reader re-serialises through writeJSON, so a replicated answer is
-// byte-identical to a locally computed one. A node without a result cache
-// accepts and drops the push (204 either way: replication is best-effort).
-func (s *Server) handleWorkerReplica(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, 64<<20)
-	var doc replicaDoc
-	if err := json.NewDecoder(r.Body).Decode(&doc); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decode replica: %v", err))
-		return
-	}
-	key, ok := cache.ParseKey(doc.Key)
-	if !ok {
-		writeError(w, http.StatusBadRequest, "malformed cache key")
-		return
-	}
-	if len(doc.Response) == 0 {
-		writeError(w, http.StatusBadRequest, "missing response document")
-		return
-	}
-	var resp AnalysisResponse
-	if err := json.Unmarshal(doc.Response, &resp); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decode replica response: %v", err))
-		return
-	}
-	s.replMu.Lock()
-	s.replicaReceived++
-	s.replMu.Unlock()
-	if s.cache != nil {
-		s.cache.Put(key, &resp)
-		s.replMu.Lock()
-		s.replicaStored++
-		s.replMu.Unlock()
-		s.log.Debug("replica stored", "key", doc.Key)
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// onCacheStore is the result cache's write-through hook: a fill whose key
-// belongs to an in-flight job with a replica target is mirrored there. The
-// replica intake's own Puts find no registered target and stay local — no
-// replication cascade.
-func (s *Server) onCacheStore(k cache.Key, v any) {
-	s.replMu.Lock()
-	target, ok := s.replTargets[k]
-	s.replMu.Unlock()
-	if !ok || target == "" {
-		return
-	}
-	resp, isResp := v.(*AnalysisResponse)
-	if !isResp {
-		return
-	}
-	doc, err := json.Marshal(resp)
-	if err != nil {
-		return
-	}
-	s.replica.ReplicateResult(target, k.String(), doc)
-}
-
 // onArtifactStore is the artifact store's write-through hook: a blob stored
 // while replicating jobs are in flight (a worker pull mid-resolution, an
 // ingest append) is mirrored to every active target. The sink deduplicates
-// per target and hash, so overlapping jobs cost one push.
+// per target and hash, so overlapping jobs cost one push. Result blobs are
+// skipped: the job that computed one pushes it to its own target (store),
+// and one received from a peer stays here — no replication cascade.
 func (s *Server) onArtifactStore(hash string, blob []byte) {
+	if kind, _ := artifacts.KindOf(blob); kind == artifacts.KindResult {
+		return
+	}
 	s.replMu.Lock()
 	targets := make([]string, 0, len(s.replActive))
 	for t := range s.replActive {
@@ -249,28 +182,4 @@ func (s *Server) onArtifactStore(hash string, blob []byte) {
 	for _, t := range targets {
 		s.replica.ReplicateArtifact(t, hash, blob)
 	}
-}
-
-// replicationMetrics is the /v1/metrics "replication" section, present only
-// on nodes wired with a replica sink.
-type replicationMetrics struct {
-	Push            jobs.ReplicaMetrics `json:"push"`
-	ResultsReceived uint64              `json:"results_received"`
-	ResultsStored   uint64              `json:"results_stored"`
-}
-
-// replicationSnapshot builds the metrics section; ok is false without a
-// sink (the JSON document stays byte-compatible with earlier releases).
-func (s *Server) replicationSnapshot() (replicationMetrics, bool) {
-	if s.replica == nil {
-		return replicationMetrics{}, false
-	}
-	s.replMu.Lock()
-	rec, stored := s.replicaReceived, s.replicaStored
-	s.replMu.Unlock()
-	return replicationMetrics{
-		Push:            s.replica.ReplicaMetrics(),
-		ResultsReceived: rec,
-		ResultsStored:   stored,
-	}, true
 }

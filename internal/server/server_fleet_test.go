@@ -1,6 +1,6 @@
 // Fleet-elasticity end-to-end tests: runtime join/drain over HTTP against a
-// live dispatcher, the successor-replica intake, and the chaos scenario the
-// design promises — kill a replicated worker and the job's result survives
+// live dispatcher, the worker-only result/v1 intake, and the chaos scenario
+// the design promises — kill a replicated worker and the job's result survives
 // on its ring successor, byte-identical, with zero recomputation
 // (DESIGN.md §16).
 package server
@@ -8,20 +8,24 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/sljmotion/sljmotion/internal/artifacts"
 	"github.com/sljmotion/sljmotion/internal/cache"
 	"github.com/sljmotion/sljmotion/internal/dispatch"
 	"github.com/sljmotion/sljmotion/internal/e2etest"
+	"github.com/sljmotion/sljmotion/internal/imaging"
 	"github.com/sljmotion/sljmotion/internal/synth"
 )
 
-// fleetWorker starts one worker node with a result cache and the
-// successor-replication sink wired, returning both the in-process server
+// fleetWorker starts one worker node with the successor-replication sink
+// wired, returning both the in-process server
 // (for white-box assertions) and its HTTP face.
 func fleetWorker(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
@@ -36,8 +40,8 @@ func fleetWorker(t *testing.T) (*Server, *httptest.Server) {
 	return s, hs
 }
 
-// fleetFront starts a dispatching front end over the given worker URLs. Its
-// own result cache is disabled so every submission actually dispatches.
+// fleetFront starts a dispatching front end over the given worker URLs. It
+// stores no results of async jobs, so every submission actually dispatches.
 func fleetFront(t *testing.T, replicate bool, health time.Duration, workers ...string) (*dispatch.Remote, *httptest.Server) {
 	t.Helper()
 	dcfg := dispatch.DefaultConfig()
@@ -49,7 +53,6 @@ func fleetFront(t *testing.T, replicate bool, health time.Duration, workers ...s
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
-	opts.CacheEntries = 0
 	opts.Dispatcher = d
 	s := fastServerWithOptions(t, opts)
 	hs := httptest.NewServer(s.Handler())
@@ -173,54 +176,142 @@ func readAllAndClose(r *http.Response) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// TestReplicaIntakeStoresResult: a pushed replica lands in the node's
-// result cache under the pushed key and is counted in the replication
-// metrics section.
-func TestReplicaIntakeStoresResult(t *testing.T) {
-	w, whs := fleetWorker(t)
-
-	key := strings.Repeat("ab", 32) // any well-formed 32-byte hex key
-	doc := map[string]any{
-		"key":      key,
-		"response": json.RawMessage(`{"advice":["replicated"]}`),
-	}
-	resp, body := postJSON(t, whs.URL+"/v1/worker/replica", doc)
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("replica push: %d %s", resp.StatusCode, body)
-	}
-
-	k, ok := cache.ParseKey(key)
-	if !ok {
-		t.Fatal("test key malformed")
-	}
-	if _, hit := w.cache.Get(k); !hit {
-		t.Error("replicated result not in the cache")
-	}
-
-	r, err := http.Get(whs.URL + "/v1/metrics")
+// postBlob POSTs one artifact blob and returns the status.
+func postBlob(t *testing.T, base string, blob []byte) int {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/artifacts", "application/octet-stream", bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ = readAllAndClose(r)
-	var m struct {
-		Replication *struct {
-			ResultsReceived uint64 `json:"results_received"`
-			ResultsStored   uint64 `json:"results_stored"`
-		} `json:"replication"`
+	readAllAndClose(resp)
+	return resp.StatusCode
+}
+
+// testResultBlob is a result/v1 blob answering an arbitrary request key.
+func testResultBlob(t *testing.T) (cache.Key, []byte, []byte) {
+	t.Helper()
+	key, ok := cache.ParseKey(strings.Repeat("ab", 32))
+	if !ok {
+		t.Fatal("test key malformed")
 	}
-	if err := json.Unmarshal(body, &m); err != nil || m.Replication == nil {
-		t.Fatalf("metrics replication section missing: %v %s", err, body)
+	doc := []byte("{\n  \"advice\": [\n    \"replicated\"\n  ]\n}\n")
+	return key, doc, artifacts.EncodeResult(key, doc)
+}
+
+// TestReplicaIntakeStoresResultBlob: a result/v1 blob pushed to a worker's
+// POST /v1/artifacts becomes the answer for its request key, served as the
+// exact pushed bytes.
+func TestReplicaIntakeStoresResultBlob(t *testing.T) {
+	w, whs := fleetWorker(t)
+	key, doc, blob := testResultBlob(t)
+	if code := postBlob(t, whs.URL, blob); code != http.StatusCreated {
+		t.Fatalf("result push: %d, want 201", code)
 	}
-	if m.Replication.ResultsReceived != 1 || m.Replication.ResultsStored != 1 {
-		t.Errorf("replication counters %+v, want received=1 stored=1", m.Replication)
+	hash, got, ok := w.artifacts.Result(key)
+	if !ok || hash != artifacts.HashOf(blob) || !bytes.Equal(artifacts.ResultDoc(got), doc) {
+		t.Fatalf("pushed result not served for its key: ok=%v hash=%s", ok, hash)
+	}
+	m := getMetrics(t, whs.URL)
+	if m.Cache.Stored != 1 || m.Cache.Entries != 1 || m.Cache.Hits != 1 {
+		t.Errorf("cache counters %+v, want stored=1 entries=1 hits=1", m.Cache)
+	}
+	// Results arrive only through /v1/artifacts; there is no replica route.
+	resp, _ := postJSON(t, whs.URL+"/v1/worker/replica", map[string]any{"key": key.String()})
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /v1/worker/replica: %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestReplicaIntakeRejectsMalformedResult: a result blob too short to hold
+// its key, or whose document is not JSON, answers 400 and stores nothing.
+func TestReplicaIntakeRejectsMalformedResult(t *testing.T) {
+	w, whs := fleetWorker(t)
+	key, _, blob := testResultBlob(t)
+	for name, bad := range map[string][]byte{
+		"short key":    blob[:artifacts.ResultDocOffset-1],
+		"no document":  blob[:artifacts.ResultDocOffset],
+		"invalid JSON": artifacts.EncodeResult(key, []byte(`{"advice":`)),
+	} {
+		if code := postBlob(t, whs.URL, bad); code != http.StatusBadRequest {
+			t.Errorf("%s: %d, want 400", name, code)
+		}
+	}
+	if am := w.artifacts.Metrics(); am.Stored != 0 {
+		t.Errorf("malformed results stored %d blobs, want 0", am.Stored)
+	}
+}
+
+// TestReplicaIntakeRefusesResultOffWorker: only the worker surface takes
+// result blobs. Anywhere else a client could plant the answer to another
+// client's request, so the node answers 400 and stores nothing.
+func TestReplicaIntakeRefusesResultOffWorker(t *testing.T) {
+	s := fastServer(t)
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	key, _, blob := testResultBlob(t)
+	if code := postBlob(t, hs.URL, blob); code != http.StatusBadRequest {
+		t.Fatalf("result push to a non-worker: %d, want 400", code)
+	}
+	if _, _, ok := s.artifacts.Result(key); ok {
+		t.Error("a non-worker stored a pushed result")
+	}
+	if am := s.artifacts.Metrics(); am.Stored != 0 {
+		t.Errorf("non-worker stored %d blobs, want 0", am.Stored)
+	}
+}
+
+// TestReplicaIntakeDoesNotCascade: a result received from a peer is never
+// pushed onward, even while this node runs replicating jobs whose target
+// every other stored artifact goes to (DESIGN.md §16).
+func TestReplicaIntakeDoesNotCascade(t *testing.T) {
+	var mu sync.Mutex
+	var pushed []artifacts.Kind
+	sink := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		raw, _ := io.ReadAll(r.Body)
+		kind, _ := artifacts.KindOf(raw)
+		mu.Lock()
+		pushed = append(pushed, kind)
+		mu.Unlock()
+		rw.WriteHeader(http.StatusCreated)
+	}))
+	defer sink.Close()
+
+	w, whs := fleetWorker(t)
+	// A replicating job in flight: every artifact stored now is mirrored
+	// to its target.
+	w.replMu.Lock()
+	w.replActive[sink.URL]++
+	w.replMu.Unlock()
+
+	_, _, result := testResultBlob(t)
+	if code := postBlob(t, whs.URL, result); code != http.StatusCreated {
+		t.Fatalf("result push: %d", code)
+	}
+	frames, err := artifacts.EncodeFrames([]*imaging.Image{imaging.NewImage(4, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := postBlob(t, whs.URL, frames); code != http.StatusCreated {
+		t.Fatalf("frames push: %d", code)
 	}
 
-	// Malformed key: rejected, nothing stored.
-	resp, _ = postJSON(t, whs.URL+"/v1/worker/replica", map[string]any{
-		"key": "zz", "response": json.RawMessage(`{}`),
-	})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed replica key: %d, want 400", resp.StatusCode)
+	// The push queue is FIFO: once the frames blob arrived, a cascaded
+	// result would have arrived before it.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		mu.Lock()
+		got := append([]artifacts.Kind(nil), pushed...)
+		mu.Unlock()
+		if len(got) > 0 {
+			if len(got) != 1 || got[0] != artifacts.KindFrames {
+				t.Fatalf("pushed onward %v, want only the frames blob", got)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the frames blob never reached the active target")
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -251,7 +342,7 @@ func TestChaosKillReplicatedWorker(t *testing.T) {
 
 	// Replication is asynchronous; wait for the push to land.
 	deadline := time.Now().Add(10 * time.Second)
-	for survivor.cache.Metrics().Stored == 0 {
+	for survivor.artifacts.ResultMetrics().Stored == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("replica never reached the successor")
 		}

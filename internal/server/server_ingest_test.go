@@ -252,15 +252,15 @@ func TestClipIngestProtocolErrors(t *testing.T) {
 // TestByHashAnalysisMatchesInline is the single-node identity acceptance:
 // a clip streamed through an ingest session and analysed by content hash
 // (full pipeline) returns a document byte-identical — modulo stage_ms — to
-// the same clip uploaded inline. The result cache is disabled so both
-// requests genuinely run, proving the memo-injected segmentation replay
-// changes nothing.
+// the same clip uploaded inline. The inline run goes to a second server,
+// so neither request is answered from the other's stored result: both
+// genuinely run, proving the memo-injected segmentation replay changes
+// nothing.
 func TestByHashAnalysisMatchesInline(t *testing.T) {
-	opts := DefaultOptions()
-	opts.CacheEntries = 0
-	s := fastServerWithOptions(t, opts)
-	srv := httptest.NewServer(s.Handler())
+	srv := httptest.NewServer(fastServer(t).Handler())
 	defer srv.Close()
+	ref := httptest.NewServer(fastServer(t).Handler())
+	defer ref.Close()
 
 	v, err := synth.Generate(synth.DefaultJumpParams())
 	if err != nil {
@@ -270,7 +270,7 @@ func TestByHashAnalysisMatchesInline(t *testing.T) {
 
 	// Inline reference run.
 	body, ctype := clipUpload(t, v, true)
-	resp, err := http.Post(srv.URL+"/v1/analyze", ctype, body)
+	resp, err := http.Post(ref.URL+"/v1/analyze", ctype, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestByHashAnalysisStacksWithResultCache(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("cache-answered by-hash result differs byte-for-byte:\n%s\nvs\n%s", got, want)
 	}
-	if cm := s.cache.Metrics(); cm.Hits != 1 {
+	if cm := s.artifacts.ResultMetrics(); cm.Hits != 1 {
 		t.Fatalf("cache hits = %d, want the by-hash request answered from the inline run's entry", cm.Hits)
 	}
 }

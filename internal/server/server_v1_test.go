@@ -15,7 +15,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/sljmotion/sljmotion/internal/cache"
+	"github.com/sljmotion/sljmotion/internal/artifacts"
 	"github.com/sljmotion/sljmotion/internal/clipio"
 	"github.com/sljmotion/sljmotion/internal/core"
 	"github.com/sljmotion/sljmotion/internal/imaging"
@@ -25,9 +25,9 @@ import (
 
 // metricsDoc mirrors the /v1/metrics document for tests.
 type metricsDoc struct {
-	ClipsAnalyzed int           `json:"clips_analyzed"`
-	Jobs          jobs.Metrics  `json:"jobs"`
-	Cache         cache.Metrics `json:"cache"`
+	ClipsAnalyzed int                     `json:"clips_analyzed"`
+	Jobs          jobs.Metrics            `json:"jobs"`
+	Cache         artifacts.ResultMetrics `json:"cache"`
 }
 
 func getMetrics(t *testing.T, base string) metricsDoc {
@@ -431,8 +431,8 @@ func TestRequestKeyFingerprints(t *testing.T) {
 	}
 }
 
-// TestCacheTTLExpiryServerLevel wires a tiny-TTL cache into the server and
-// checks that an expired entry falls back to a miss.
+// TestCacheTTLExpiryServerLevel wires a tiny artifact TTL into the server
+// and checks that an expired result falls back to a miss.
 func TestCacheTTLExpiryServerLevel(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Pose.Population = 40
@@ -440,7 +440,7 @@ func TestCacheTTLExpiryServerLevel(t *testing.T) {
 	cfg.Pose.Patience = 10
 	cfg.Pose.RefineRounds = 1
 	opts := DefaultOptions()
-	opts.CacheTTL = 50 * time.Millisecond
+	opts.ArtifactTTL = 50 * time.Millisecond
 	s, err := NewWithOptions(cfg, nil, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,7 @@
 // have used in-process:
 //
 //	POST /v1/worker/jobs   body: jobs.Payload JSON
-//	  → 200 + AnalysisResponse   when the node's result cache already
+//	  → 200 + AnalysisResponse   when the node's artifact store already
 //	                             holds the answer (X-SLJ-Cache: hit);
 //	  → 202 + submit document    otherwise; poll GET /v1/jobs/{id} and
 //	                             fetch GET /v1/jobs/{id}/result as usual;
@@ -22,7 +22,7 @@
 // X-SLJ-Artifact-Payload header). The intake resolves the references —
 // from the node's own artifact store, pulling misses from the originating
 // front end (payload.ArtifactOrigin) and caching them locally — before the
-// cache lookup, so a by-hash resubmission still short-circuits here.
+// result lookup, so a by-hash resubmission still short-circuits here.
 package server
 
 import (
@@ -34,7 +34,7 @@ import (
 	"github.com/sljmotion/sljmotion/internal/jobs"
 )
 
-// CacheHeader marks worker responses served from the node's result cache.
+// CacheHeader marks worker responses served from the node's stored results.
 const CacheHeader = "X-SLJ-Cache"
 
 // payloadCap bounds one payload upload. An inline clip that fits the front
@@ -76,21 +76,20 @@ func (s *Server) handleWorkerJobs(w http.ResponseWriter, r *http.Request) {
 		// below) never re-resolves what this intake already pulled.
 		p = p.WithResolved(req)
 	}
-	// Consult the node's own result cache under the node's own config
+	// Consult the node's own stored results under the node's own config
 	// fingerprint — a hash-routed resubmission of an identical clip is
 	// answered here without enqueueing anything.
-	key, cached := s.lookup(req)
+	key, hash, cached := s.lookup(req)
 	if cached != nil {
 		w.Header().Set(CacheHeader, "hit")
-		writeJSON(w, http.StatusOK, cached)
+		writeDoc(w, http.StatusOK, artifacts.ResultDoc(cached))
 		s.log.Debug("worker cache hit", "key", key.String())
 		if s.replica != nil && p.ReplicaTarget != "" {
-			// A hit bypasses the executor and its OnStore hook, but the
-			// successor may still lack this entry (e.g. it was filled before
-			// replication was enabled) — mirror it on the way out.
-			if doc, err := json.Marshal(cached); err == nil {
-				s.replica.ReplicateResult(p.ReplicaTarget, key.String(), doc)
-			}
+			// A hit bypasses the executor's push, but the successor may
+			// still lack this result (e.g. it was stored before replication
+			// was enabled, or the push was dropped) — mirror it on the way
+			// out; the sink skips what it already delivered.
+			s.replica.ReplicateArtifact(p.ReplicaTarget, hash, cached)
 		}
 		return
 	}

@@ -428,8 +428,8 @@ func NewJobQueueWithDispatcher(cfg Config, d JobDispatcher) (*JobQueue, error) {
 
 // NewRemoteJobQueue builds an asynchronous analysis queue whose jobs fan
 // out over remote slj-serve worker nodes (started with -worker) instead of
-// an in-process pool: payloads are hash-routed by their cache key, so
-// identical clips land on the node that already cached their result. cfg
+// an in-process pool: payloads are hash-routed by their request key, so
+// identical clips land on the node that already stored their result. cfg
 // must match the worker nodes' configuration for the keys to line up.
 // Results arrive as the service's JSON documents — poll them with
 // JobResultJSON (DESIGN.md §10).
@@ -444,8 +444,9 @@ type RemoteJobQueueOptions struct {
 	// an elastic fleet starts with zero members and grows via JoinNode.
 	Nodes []string
 	// Replicate stamps every payload with its ring successor so worker
-	// nodes mirror cache fills and pulled artifacts there — a node death
-	// then fails over to a warm cache instead of recomputing (DESIGN.md §16).
+	// nodes push finished results (result/v1 artifacts) and pulled
+	// artifacts to its artifact store — a node death then fails over to a
+	// stored answer instead of recomputing (DESIGN.md §16).
 	Replicate bool
 	// ArtifactOrigin is this process's public base URL, stamped into
 	// by-reference payloads so workers know where to pull artifacts.
