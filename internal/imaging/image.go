@@ -10,12 +10,17 @@ package imaging
 import (
 	"errors"
 	"fmt"
+	"unsafe"
 )
 
 // Color is a 24-bit RGB colour. It is the pixel type for Image.
 type Color struct {
 	R, G, B uint8
 }
+
+// Color must stay exactly three bytes with no padding: Image.Bytes views
+// a []Color as interleaved RGB bytes. This fails to compile otherwise.
+var _ = [1]struct{}{}[unsafe.Sizeof(Color{})-3]
 
 // Common colours used by the synthetic renderer and figure output.
 var (
@@ -88,6 +93,19 @@ func NewImage(w, h int) *Image {
 		panic(fmt.Sprintf("imaging: invalid image size %dx%d", w, h))
 	}
 	return &Image{W: w, H: h, Pix: make([]Color, w*h)}
+}
+
+// Bytes returns the pixels as interleaved RGB bytes, row-major — the PPM
+// and wire layout. It is a view of Pix, not a copy: writes through either
+// slice show in the other.
+func (m *Image) Bytes() []byte { return colorBytes(m.Pix) }
+
+// colorBytes views a pixel slice as its 3·len(pix) RGB bytes.
+func colorBytes(pix []Color) []byte {
+	if len(pix) == 0 {
+		return nil
+	}
+	return unsafe.Slice(&pix[0].R, 3*len(pix))
 }
 
 // NewImageFilled returns a w×h image filled with c.

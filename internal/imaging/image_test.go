@@ -172,3 +172,22 @@ func TestGraySetOutOfBoundsIgnored(t *testing.T) {
 		}
 	}
 }
+
+// TestImageBytesView pins the byte view's layout (interleaved RGB,
+// row-major, as PPM stores it) and that it aliases Pix rather than copying.
+func TestImageBytesView(t *testing.T) {
+	img := NewImage(2, 1)
+	img.Pix[0] = Color{1, 2, 3}
+	img.Pix[1] = Color{4, 5, 6}
+	b := img.Bytes()
+	if want := []byte{1, 2, 3, 4, 5, 6}; string(b) != string(want) {
+		t.Fatalf("Bytes() = %v, want %v", b, want)
+	}
+	b[4] = 50
+	if img.Pix[1].G != 50 {
+		t.Fatal("Bytes() is a copy, want a view of Pix")
+	}
+	if (&Image{}).Bytes() != nil {
+		t.Fatal("empty image must view as nil")
+	}
+}

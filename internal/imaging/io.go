@@ -15,16 +15,8 @@ func EncodePPM(w io.Writer, img *Image) error {
 	if _, err := fmt.Fprintf(bw, "P6\n%d %d\n255\n", img.W, img.H); err != nil {
 		return fmt.Errorf("ppm header: %w", err)
 	}
-	buf := make([]byte, 0, img.W*3)
-	for y := 0; y < img.H; y++ {
-		buf = buf[:0]
-		for x := 0; x < img.W; x++ {
-			p := img.Pix[y*img.W+x]
-			buf = append(buf, p.R, p.G, p.B)
-		}
-		if _, err := bw.Write(buf); err != nil {
-			return fmt.Errorf("ppm row %d: %w", y, err)
-		}
+	if _, err := bw.Write(img.Bytes()); err != nil {
+		return fmt.Errorf("ppm pixels: %w", err)
 	}
 	return bw.Flush()
 }
@@ -47,16 +39,11 @@ func DecodePPM(r io.Reader) (*Image, error) {
 		return nil, fmt.Errorf("ppm: unsupported maxval %d", maxV)
 	}
 	pix := make([]Color, 0, min(w*h, initialRasterPixels))
-	row := make([]byte, w*3)
 	for y := 0; y < h; y++ {
-		if _, err := io.ReadFull(br, row); err != nil {
-			return nil, fmt.Errorf("ppm row %d: %w", y, err)
-		}
 		n := len(pix)
 		pix = slices.Grow(pix, w)[:n+w]
-		dst := pix[n:]
-		for x := range dst {
-			dst[x] = Color{row[x*3], row[x*3+1], row[x*3+2]}
+		if _, err := io.ReadFull(br, colorBytes(pix[n:])); err != nil {
+			return nil, fmt.Errorf("ppm row %d: %w", y, err)
 		}
 	}
 	return &Image{W: w, H: h, Pix: pix}, nil

@@ -58,3 +58,41 @@ func FuzzPayloadDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzJournalPayload feeds arbitrary bytes through the decoder of a
+// journal submit record's payload blob, which replay runs on whatever the
+// journal hands back. Invariants: no panic; every frame accepted from the
+// raw-frame form holds exactly 3·W·H bytes; and encoding an accepted
+// payload decodes back to the same payload. The seed corpus lives in
+// testdata/fuzz/FuzzJournalPayload: a raw-frame blob, a legacy JSON blob,
+// a truncated blob and an oversized header.
+func FuzzJournalPayload(f *testing.F) {
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		p, err := decodeJournalPayload(blob)
+		if err != nil {
+			return
+		}
+		if bytes.HasPrefix(blob, []byte(journalPayloadTag)) {
+			for i, fr := range p.Frames {
+				if len(fr.RGB) != 3*fr.W*fr.H {
+					t.Fatalf("frame %d: %d bytes for %dx%d", i, len(fr.RGB), fr.W, fr.H)
+				}
+			}
+		}
+		want, err := json.Marshal(p)
+		if err != nil {
+			t.Fatalf("accepted payload does not marshal: %v", err)
+		}
+		again, err := encodeJournalPayload(p)
+		if err != nil {
+			t.Fatalf("accepted payload does not re-encode: %v", err)
+		}
+		back, err := decodeJournalPayload(again)
+		if err != nil {
+			t.Fatalf("re-encoded payload does not decode: %v", err)
+		}
+		if got, _ := json.Marshal(back); !bytes.Equal(got, want) {
+			t.Fatalf("decode of the encode differs:\n%s\nvs\n%s", got, want)
+		}
+	})
+}

@@ -425,8 +425,8 @@ func replayJournal(jrn Journal) (map[string]*job, []*job, error) {
 			if _, ok := table[e.ID]; ok {
 				return nil // duplicate segment overlap (interrupted compaction)
 			}
-			var p Payload
-			if err := json.Unmarshal(e.Payload, &p); err != nil {
+			p, err := decodeJournalPayload(e.Payload)
+			if err != nil {
 				return fmt.Errorf("jobs: journal submit record %s: %w", e.ID, err)
 			}
 			// enqueued mirrors the original submission so a restored
@@ -490,9 +490,9 @@ func (m *Manager) SubmitTraced(p Payload, parent obs.SpanContext) (string, error
 	}
 	// Encode the submit record's payload before taking the lock: a clip
 	// payload is megabytes and every poller shares the mutex.
-	var praw json.RawMessage
+	var praw []byte
 	if m.cfg.Journal != nil {
-		if praw, err = json.Marshal(&p); err != nil {
+		if praw, err = encodeJournalPayload(p); err != nil {
 			return "", fmt.Errorf("jobs: encode payload for journal: %w", err)
 		}
 	}

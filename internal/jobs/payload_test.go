@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -279,5 +280,121 @@ func TestDecodeRejectsOversizedDimensions(t *testing.T) {
 	}
 	if _, err := UnpackMask(1, wide, make([]byte, (wide+7)/8)); err == nil {
 		t.Errorf("a mask %d px tall must be rejected", wide)
+	}
+}
+
+// TestLocalKeyTrust: only a payload this process built carries a local
+// key, and only under the fingerprint it was built with. A payload decoded
+// from JSON (worker intake, journal replay) or passed through WithResolved
+// has none, so the executor re-keys it instead of trusting a stamp.
+func TestLocalKeyTrust(t *testing.T) {
+	req := analysisRequest(t)
+	cfgFP := ConfigFingerprint(core.DefaultConfig())
+	p, err := NewAnalysisPayload(cfgFP, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key, ok := p.LocalKey(cfgFP); !ok || key != RequestKey(cfgFP, req) {
+		t.Fatal("a built payload must carry the key it was built with")
+	}
+	if _, ok := p.LocalKey("another-config"); ok {
+		t.Fatal("a local key must not answer for another config fingerprint")
+	}
+
+	raw, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire Payload
+	if err := json.Unmarshal(raw, &wire); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := encodeJournalPayload(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := decodeJournalPayload(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, q := range map[string]Payload{
+		"JSON-decoded": wire,
+		"replayed":     replayed,
+		"WithResolved": p.WithResolved(req),
+		"by-reference": mustArtifactPayload(t, cfgFP, req).WithResolved(req),
+		"empty":        {},
+	} {
+		if _, ok := q.LocalKey(cfgFP); ok {
+			t.Errorf("%s payload carries a local key", name)
+		}
+	}
+	if key, ok := mustArtifactPayload(t, cfgFP, req).LocalKey(cfgFP); !ok || key != RequestKey(cfgFP, req) {
+		t.Error("a built by-reference payload must carry its resolved request's key")
+	}
+}
+
+func mustArtifactPayload(t *testing.T, cfgFP string, resolved core.Request) Payload {
+	t.Helper()
+	ref := core.Request{FramesRef: "ab", ManualFirst: resolved.ManualFirst, IncludePoses: resolved.IncludePoses}
+	p, err := NewArtifactPayload(cfgFP, ref, resolved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestJournalPayloadEncoding pins the submit blob's form: the tag, then a
+// frame-less JSON header, then the frames' raw RGB — no base64 — and a
+// decode that gives back the payload and, through it, the same request
+// key. A blob without the tag is read as the JSON older releases wrote.
+func TestJournalPayloadEncoding(t *testing.T) {
+	req := analysisRequest(t)
+	cfgFP := ConfigFingerprint(core.DefaultConfig())
+	p, err := NewAnalysisPayload(cfgFP, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := encodeJournalPayload(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pixels := 0
+	for _, f := range req.Frames {
+		pixels += 3 * f.W * f.H
+	}
+	if !bytes.HasPrefix(blob, []byte(journalPayloadTag)) {
+		t.Fatalf("blob opens with %q, want the raw-frame tag", blob[:16])
+	}
+	legacy, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(blob) >= len(legacy) || len(blob) < pixels {
+		t.Fatalf("blob is %d bytes for %d pixel bytes (JSON form %d)", len(blob), pixels, len(legacy))
+	}
+	if bytes.Contains(blob[:len(blob)-pixels], []byte(`"rgb":"`)) {
+		t.Fatal("the header carries base64 pixels")
+	}
+	for name, b := range map[string][]byte{"raw": blob, "legacy JSON": legacy} {
+		back, err := decodeJournalPayload(b)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got, _ := json.Marshal(back); !bytes.Equal(got, legacy) {
+			t.Fatalf("%s: decoded payload differs from the encoded one", name)
+		}
+		got, err := back.AnalysisRequest()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if RequestKey(cfgFP, got) != RequestKey(cfgFP, req) {
+			t.Fatalf("%s: decoded request keys differently", name)
+		}
+	}
+	// A payload whose frames cannot decode keeps the JSON form.
+	bad := p
+	bad.Frames = []FrameWire{{W: 2, H: 2, RGB: []byte{1, 2, 3}}}
+	if b, err := encodeJournalPayload(bad); err != nil || !json.Valid(b) {
+		t.Fatalf("inconsistent frame: err %v, JSON %v", err, json.Valid(b))
 	}
 }

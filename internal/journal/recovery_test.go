@@ -5,14 +5,17 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/sljmotion/sljmotion/internal/core"
 	"github.com/sljmotion/sljmotion/internal/e2etest"
 	"github.com/sljmotion/sljmotion/internal/jobs"
 	"github.com/sljmotion/sljmotion/internal/journal"
@@ -353,4 +356,105 @@ func TestManagerNeverServesDamagedBlobs(t *testing.T) {
 	if n := jrn2.Stats().DroppedJobs; n != 1 {
 		t.Errorf("DroppedJobs = %d, want 1", n)
 	}
+}
+
+// TestLegacyJSONSubmitReplays: a journal written by a release that stored
+// submit payloads as JSON still replays. Its pending job re-runs under its
+// id to the document an un-journaled server computes for the same upload,
+// and the result lands under the upload's own request key, so a later
+// upload of the clip is answered from it.
+func TestLegacyJSONSubmitReplays(t *testing.T) {
+	cfg := e2etest.Config()
+	v := clip(t, 5)
+
+	ref, err := server.NewWithOptions(cfg, nil, server.Options{Workers: 1, QueueSize: 4, ResultTTL: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refSrv := httptest.NewServer(ref.Handler())
+	defer func() {
+		refSrv.Close()
+		_ = ref.Close(context.Background())
+	}()
+	refDoc, _, code := e2etest.Submit(t, refSrv.URL, v, "segmentation", true)
+	if code != http.StatusAccepted {
+		t.Fatalf("reference submit: %d", code)
+	}
+	want := e2etest.PollResult(t, refSrv.URL, refDoc.ResultURL, 30*time.Second)
+
+	// The request the upload decodes to: the truth file carries the manual
+	// pose at two decimals.
+	manual := v.ManualAnnotation(synth.DefaultAnnotationError(), 1)
+	quant := func(f *float64) {
+		q, err := strconv.ParseFloat(fmt.Sprintf("%.2f", *f), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		*f = q
+	}
+	quant(&manual.X)
+	quant(&manual.Y)
+	for i := range manual.Rho {
+		quant(&manual.Rho[i])
+	}
+	p, err := jobs.NewAnalysisPayload(jobs.ConfigFingerprint(cfg), core.Request{
+		Frames: v.Frames, ManualFirst: manual, IncludeSilhouettes: true,
+		Stages: core.OnlyStage(core.StageSegmentation),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "jobs.journal")
+	jrn, err := journal.Open(path, journal.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "00000000legacy01"
+	if err := jrn.Append(jobs.JournalEntry{Op: jobs.OpSubmit, ID: id, At: time.Now(), Payload: legacy}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jrn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := os.ReadFile(filepath.Join(path+".blobs", blobName(legacy)))
+	if err != nil || !json.Valid(stored) {
+		t.Fatalf("the submit blob on disk is not the legacy JSON payload (err %v)", err)
+	}
+
+	jrn, err = journal.Open(path, journal.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jrn.Close()
+	s, err := server.NewWithOptions(cfg, nil, server.Options{Workers: 1, QueueSize: 4, ResultTTL: time.Hour, Journal: jrn})
+	if err != nil {
+		t.Fatalf("replay of a legacy JSON submit: %v", err)
+	}
+	hs := httptest.NewServer(s.Handler())
+	defer func() {
+		hs.Close()
+		_ = s.Close(context.Background())
+	}()
+	got := e2etest.PollResult(t, hs.URL, "/v1/jobs/"+id+"/result", 30*time.Second)
+	if string(e2etest.StripVolatile(t, got)) != string(e2etest.StripVolatile(t, want)) {
+		t.Fatalf("legacy job re-ran to a different document:\n%.300s\nvs\n%.300s", got, want)
+	}
+	_, raw, code := e2etest.Submit(t, hs.URL, v, "segmentation", true)
+	if code != http.StatusOK || string(raw) != string(got) {
+		t.Fatalf("upload of the same clip after replay: %d, answered from the replayed result = %v", code, string(raw) == string(got))
+	}
+	if clips, _ := e2etest.MetricsOf(t, hs.URL); clips != 1 {
+		t.Errorf("clips analyzed = %d, want 1 (the replayed job only)", clips)
+	}
+}
+
+// blobName is the journal's blob file name for data: its SHA-256.
+func blobName(data []byte) string {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
 }
