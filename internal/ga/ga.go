@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -524,6 +524,18 @@ func (e *Engine) isValid(g Genome) bool {
 	return e.spec.Valid == nil || e.spec.Valid(g)
 }
 
+// sortByFitness stably sorts pop by ascending fitness. The comparator is
+// negative exactly when a.Fitness < b.Fitness, the only question the
+// stable sort asks of it, so the order matches sort.SliceStable with that
+// less function, NaN fitness included, without its reflection-based swaps.
 func sortByFitness(pop []Individual) {
-	sort.SliceStable(pop, func(i, j int) bool { return pop[i].Fitness < pop[j].Fitness })
+	slices.SortStableFunc(pop, func(a, b Individual) int {
+		switch {
+		case a.Fitness < b.Fitness:
+			return -1
+		case b.Fitness < a.Fitness:
+			return 1
+		}
+		return 0
+	})
 }

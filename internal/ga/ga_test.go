@@ -3,6 +3,7 @@ package ga
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -396,5 +397,31 @@ func TestClonedOffspringSkipValid(t *testing.T) {
 	}
 	if res.Evaluations != pinnedEvals || res.MemoHits != pinnedMemoHits {
 		t.Errorf("evaluations %d, memo hits %d; want %d, %d", res.Evaluations, res.MemoHits, pinnedEvals, pinnedMemoHits)
+	}
+}
+
+// TestSortByFitnessMatchesSliceStable pins sortByFitness to the
+// sort.SliceStable call it replaced: the same order on populations with
+// tied, infinite and NaN fitness values.
+func TestSortByFitnessMatchesSliceStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	values := []float64{0, 1, 1, 2.5, math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1)}
+	for trial := 0; trial < 500; trial++ {
+		pop := make([]Individual, 1+rng.Intn(120))
+		for i := range pop {
+			f := rng.Float64()
+			if rng.Intn(3) == 0 {
+				f = values[rng.Intn(len(values))]
+			}
+			pop[i] = Individual{Genome: Genome{float64(i)}, Fitness: f}
+		}
+		want := append([]Individual(nil), pop...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Fitness < want[j].Fitness })
+		sortByFitness(pop)
+		for i := range pop {
+			if pop[i].Genome[0] != want[i].Genome[0] {
+				t.Fatalf("trial %d: position %d holds individual %v, want %v", trial, i, pop[i].Genome[0], want[i].Genome[0])
+			}
+		}
 	}
 }

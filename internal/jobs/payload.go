@@ -88,11 +88,12 @@ type Payload struct {
 	// submitter built, skipping a full decode copy of the clip. Unexported,
 	// so it never crosses the wire — remote workers always decode.
 	decoded *core.Request
-	// key is the RequestKey this process computed when it built the
-	// payload, under config fingerprint keyFP ("" = none). Unexported like
-	// decoded: a payload decoded from JSON (worker intake, journal replay)
-	// never carries one, and WithResolved drops it, so only a key this
-	// process derived from the exact request is ever reused (LocalKey).
+	// key is the RequestKey this process computed over decoded, when it
+	// built the payload or resolved it (WithResolved), under config
+	// fingerprint keyFP ("" = none). Unexported like decoded: a payload
+	// decoded from JSON (worker intake, journal replay) never carries one,
+	// so only a key this process derived from the exact request is ever
+	// reused (LocalKey).
 	key   cache.Key
 	keyFP string
 }
@@ -366,22 +367,24 @@ func (p Payload) ByReference() bool {
 }
 
 // WithResolved returns the payload with req installed as its decoded
-// request: executors that resolved the payload's artifact references stash
-// the materialised request here so AnalysisRequest stops re-decoding. The
-// result carries no local key: req did not come from this payload's
-// builder, so the executor re-keys it.
-func (p Payload) WithResolved(req core.Request) Payload {
+// request and key as its local key under config fingerprint cfgFP: an
+// intake that already decoded (and resolved) the payload and keyed the
+// result stashes both here, so the executor neither decodes nor hashes the
+// clip again. key must be RequestKey(cfgFP, req), computed in this process
+// over this exact req — the same rule NewAnalysisPayload keeps — so
+// LocalKey still only answers with a key derived here.
+func (p Payload) WithResolved(req core.Request, key cache.Key, cfgFP string) Payload {
 	p.decoded = &req
-	p.key, p.keyFP = cache.Key{}, ""
+	p.key, p.keyFP = key, cfgFP
 	return p
 }
 
-// LocalKey returns the RequestKey this process computed when it built the
-// payload, if it was computed under config fingerprint cfgFP. It saves the
-// executor a second SHA-256 pass over the clip. Payloads that crossed a
-// process boundary or went through WithResolved have none (ok is false),
-// so a stamped CacheKey — a routing hint from a peer — is never trusted
-// to address stored results.
+// LocalKey returns the RequestKey this process computed when it built or
+// resolved the payload, if it was computed under config fingerprint cfgFP.
+// It saves the executor a second SHA-256 pass over the clip. Payloads
+// decoded from a process boundary have none until an intake resolves them
+// here (ok is false), so a stamped CacheKey — a routing hint from a peer —
+// is never trusted to address stored results.
 func (p Payload) LocalKey(cfgFP string) (cache.Key, bool) {
 	if p.keyFP == "" || p.keyFP != cfgFP {
 		return cache.Key{}, false

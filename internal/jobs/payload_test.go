@@ -283,10 +283,12 @@ func TestDecodeRejectsOversizedDimensions(t *testing.T) {
 	}
 }
 
-// TestLocalKeyTrust: only a payload this process built carries a local
-// key, and only under the fingerprint it was built with. A payload decoded
-// from JSON (worker intake, journal replay) or passed through WithResolved
-// has none, so the executor re-keys it instead of trusting a stamp.
+// TestLocalKeyTrust: only a payload this process built or resolved
+// carries a local key, and only under the fingerprint it was computed
+// with. A payload decoded from JSON (worker intake, journal replay) has
+// none, so the executor re-keys it instead of trusting a stamp, until an
+// intake installs the request it decoded and the key it computed over it
+// (WithResolved).
 func TestLocalKeyTrust(t *testing.T) {
 	req := analysisRequest(t)
 	cfgFP := ConfigFingerprint(core.DefaultConfig())
@@ -320,12 +322,22 @@ func TestLocalKeyTrust(t *testing.T) {
 	for name, q := range map[string]Payload{
 		"JSON-decoded": wire,
 		"replayed":     replayed,
-		"WithResolved": p.WithResolved(req),
-		"by-reference": mustArtifactPayload(t, cfgFP, req).WithResolved(req),
 		"empty":        {},
 	} {
 		if _, ok := q.LocalKey(cfgFP); ok {
 			t.Errorf("%s payload carries a local key", name)
+		}
+	}
+	key := RequestKey(cfgFP, req)
+	for name, q := range map[string]Payload{
+		"JSON-decoded": wire.WithResolved(req, key, cfgFP),
+		"by-reference": mustArtifactPayload(t, cfgFP, req).WithResolved(req, key, cfgFP),
+	} {
+		if got, ok := q.LocalKey(cfgFP); !ok || got != key {
+			t.Errorf("%s payload resolved here must carry the key computed here", name)
+		}
+		if _, ok := q.LocalKey("another-config"); ok {
+			t.Errorf("%s payload: a resolved key must not answer for another config fingerprint", name)
 		}
 	}
 	if key, ok := mustArtifactPayload(t, cfgFP, req).LocalKey(cfgFP); !ok || key != RequestKey(cfgFP, req) {

@@ -95,9 +95,27 @@ func newFitKernel(pts []imaging.Vec2, dims stickmodel.Dimensions) *fitKernel {
 	return k
 }
 
-// Eval scores one pose. Zero heap allocations.
+// Eval scores one pose: Eq. (3) with no prior and no bound. Zero heap
+// allocations.
 func (k *fitKernel) Eval(p stickmodel.Pose) float64 {
-	g := newStickGeom(p, k.dims)
+	return k.EvalBounded(p, 0, 0, math.Inf(1))
+}
+
+// EvalBounded scores one pose under the prior terms a, b >= 0: the value
+// fl(fl(Eq3 + a) + b), which is what adding the priors to Eval returns.
+// After every cell it prices the partial sum the same way and returns that
+// price once it reaches bound. All Eq. (3) terms are >= 0 and IEEE
+// addition and division round monotonically, so a partial price never
+// exceeds the final one: the exact value comes back whenever it is below
+// bound, and otherwise a value in [bound, exact]. A NaN bound never stops
+// the sum. Zero heap allocations.
+func (k *fitKernel) EvalBounded(p stickmodel.Pose, a, b, bound float64) float64 {
+	dirs := p.Dirs()
+	g := newStickGeom(p, k.dims, &dirs)
+	n := float64(len(k.xs))
+	// Under an infinite (or NaN) bound no partial price can stop the sum,
+	// so the unbounded evaluation skips the per-cell check.
+	stoppable := bound < math.Inf(1)
 	var sum float64
 	// Per-point scratch; only active-stick slots are written and read each
 	// iteration, so hoisting avoids re-zeroing inside the hot loop.
@@ -162,8 +180,21 @@ func (k *fitKernel) Eval(p stickmodel.Pose) float64 {
 			}
 			sum += best
 		}
+		if stoppable {
+			if v := price(sum, n, a, b); v >= bound {
+				return v
+			}
+		}
 	}
-	return sum / float64(len(k.xs))
+	return price(sum, n, a, b)
+}
+
+// price is the prior-weighted fitness of an Eq. (3) point sum over n
+// points: fl(fl(sum/n + a) + b), the order the priors are added in.
+// Monotone in sum, so the price of a partial sum bounds the final price
+// from below.
+func price(sum, n, a, b float64) float64 {
+	return sum/n + a + b
 }
 
 // closestOffset returns (px,py) minus the closest point of the segment
@@ -226,28 +257,58 @@ func movedBy(ids ...stickmodel.StickID) stickSet {
 	return s
 }
 
-// scanEval returns an Eq. (3) evaluator for a refinement scan from base
-// whose candidates move only the sticks in moving. Its value is exact —
-// the same float64 as Eval — for every pose that differs from base only in
-// the angles of those sticks. A scan that moves every stick gets Eval
-// itself.
-func (k *fitKernel) scanEval(base stickmodel.Pose, moving stickSet) func(stickmodel.Pose) float64 {
-	if moving == allSticks {
-		return k.Eval
+// boundedEval is the shape of fitKernel.EvalBounded and
+// partialKernel.EvalBounded.
+type boundedEval func(p stickmodel.Pose, a, b, bound float64) float64
+
+// priorTerms returns the prior terms a, b >= 0 a candidate's Eq. (3)
+// value is priced with (EvalBounded). nil means no priors.
+type priorTerms func(p stickmodel.Pose) (a, b float64)
+
+// objective returns the refinement scan objective over k priced by
+// priors: each candidate's prior terms are computed before its Eq. (3)
+// sum, so the sum can stop once the priced partial value reaches the
+// bound.
+func (k *fitKernel) objective(priors priorTerms) scanObjective {
+	return func(base stickmodel.Pose, moving stickSet) boundedFit {
+		eval := k.scanEval(base, moving)
+		if priors == nil {
+			return func(p stickmodel.Pose, bound float64) float64 { return eval(p, 0, 0, bound) }
+		}
+		return func(p stickmodel.Pose, bound float64) float64 {
+			a, b := priors(p)
+			return eval(p, a, b, bound)
+		}
 	}
-	return k.partial(base, moving).Eval
+}
+
+// scanEval returns a bounded Eq. (3) evaluator for a refinement scan from
+// base whose candidates move only the sticks in moving. Its value is
+// exact — the same float64 as EvalBounded — for every pose that differs
+// from base only in the angles of those sticks. A scan that moves every
+// stick gets EvalBounded itself, which is exact for any pose.
+func (k *fitKernel) scanEval(base stickmodel.Pose, moving stickSet) boundedEval {
+	if moving == allSticks {
+		return k.EvalBounded
+	}
+	return k.partial(base, moving).EvalBounded
 }
 
 // partialKernel evaluates Eq. (3) for poses that share base's fixed
 // sticks: the per-point minimum over the fixed sticks is computed once, and
 // each candidate only measures the moving sticks against it. Because a
 // minimum does not depend on the order it is taken in and the points are
-// still summed in row-major order, Eval returns exactly the float64 of
-// fitKernel.Eval and of the reference fitnessOver.
+// still summed in row-major order, EvalBounded returns exactly the float64
+// of fitKernel.EvalBounded, and with no priors and no bound that of the
+// reference fitnessOver.
 type partialKernel struct {
 	k      *fitKernel
 	moving [stickmodel.NumSticks]int
 	nmov   int
+	// base and dirs are the base pose and its stick directions; a
+	// candidate reuses dirs[l] while its ρl has base's bits.
+	base stickmodel.Pose
+	dirs [stickmodel.NumSticks]imaging.Vec2
 	// fixed[i] is min over the fixed sticks of Hypot/t_l at point i
 	// (1e18, the reference's starting value, when no stick is fixed);
 	// cellMax[c] is the largest fixed[i] of cell c.
@@ -260,6 +321,8 @@ type partialKernel struct {
 func (k *fitKernel) partial(base stickmodel.Pose, moving stickSet) *partialKernel {
 	pk := &partialKernel{
 		k:       k,
+		base:    base,
+		dirs:    base.Dirs(),
 		fixed:   make([]float64, len(k.xs)),
 		cellMax: make([]float64, len(k.cells)),
 	}
@@ -274,7 +337,7 @@ func (k *fitKernel) partial(base stickmodel.Pose, moving stickSet) *partialKerne
 			nfix++
 		}
 	}
-	g := newStickGeom(base, k.dims)
+	g := newStickGeom(base, k.dims, &pk.dirs)
 	for ci, c := range k.cells {
 		cmax := 0.0
 		for i := c.start; i < c.end; i++ {
@@ -289,11 +352,23 @@ func (k *fitKernel) partial(base stickmodel.Pose, moving stickSet) *partialKerne
 	return pk
 }
 
-// Eval scores one pose that differs from the base pose only in the moving
-// sticks. Zero heap allocations.
-func (pk *partialKernel) Eval(p stickmodel.Pose) float64 {
+// EvalBounded is fitKernel.EvalBounded for a pose that differs from the
+// base pose only in the moving sticks, with the same contract: the exact
+// prior-weighted value when it is below bound, otherwise a value in
+// [bound, exact]. Zero heap allocations.
+func (pk *partialKernel) EvalBounded(p stickmodel.Pose, a, b, bound float64) float64 {
 	k := pk.k
-	g := newStickGeom(p, k.dims)
+	dirs := pk.dirs
+	for l, rho := range p.Rho {
+		if math.Float64bits(rho) != math.Float64bits(pk.base.Rho[l]) {
+			dirs[l] = stickmodel.Dir(rho)
+		}
+	}
+	g := newStickGeom(p, k.dims, &dirs)
+	n := float64(len(k.xs))
+	// Under an infinite (or NaN) bound no partial price can stop the sum,
+	// so the unbounded evaluation skips the per-cell check.
+	stoppable := bound < math.Inf(1)
 	var sum float64
 	for ci, c := range k.cells {
 		// A moving stick whose distance lower bound over the cell's
@@ -321,8 +396,13 @@ func (pk *partialKernel) Eval(p stickmodel.Pose) float64 {
 			}
 			sum += best
 		}
+		if stoppable {
+			if v := price(sum, n, a, b); v >= bound {
+				return v
+			}
+		}
 	}
-	return sum / float64(len(k.xs))
+	return price(sum, n, a, b)
 }
 
 // stickGeom holds the per-stick locals of Segment.PointDist for one pose.
@@ -330,8 +410,9 @@ type stickGeom struct {
 	ax, ay, dx, dy, l2, thick, invT2 [stickmodel.NumSticks]float64
 }
 
-func newStickGeom(p stickmodel.Pose, dims stickmodel.Dimensions) stickGeom {
-	segs := p.Segments(dims)
+// newStickGeom lays out p's sticks; dirs[l] must be Dir(p.Rho[l]).
+func newStickGeom(p stickmodel.Pose, dims stickmodel.Dimensions, dirs *[stickmodel.NumSticks]imaging.Vec2) stickGeom {
+	segs := p.SegmentsFromDirs(dims, dirs)
 	var g stickGeom
 	for l := 0; l < stickmodel.NumSticks; l++ {
 		g.ax[l] = segs[l].A.X

@@ -1,6 +1,7 @@
 package pose
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -193,7 +194,7 @@ func TestPartialKernelMatchesReferenceBitExact(t *testing.T) {
 					for _, id := range group {
 						p.Rho[id] = stickmodel.NormalizeAngle(base.Rho[id] + rng.Float64()*360)
 					}
-					if got, want := eval(p), ref(p); got != want {
+					if got, want := eval(p, 0, 0, math.Inf(1)), ref(p); got != want {
 						t.Fatalf("trial %d stride %d group %v: partial %.17g != reference %.17g (base %+v, pose %+v)",
 							trial, s, group, got, want, base, p)
 					}
@@ -215,8 +216,8 @@ func TestPartialKernelEvalZeroAllocs(t *testing.T) {
 	pk := k.partial(truth, movedBy(stickmodel.Thigh, stickmodel.Shank))
 	p := truth
 	p.Rho[stickmodel.Thigh] += 24
-	if allocs := testing.AllocsPerRun(50, func() { pk.Eval(p) }); allocs != 0 {
-		t.Errorf("partialKernel.Eval allocates %v/op, want 0", allocs)
+	if allocs := testing.AllocsPerRun(50, func() { pk.EvalBounded(p, 0, 0, math.Inf(1)) }); allocs != 0 {
+		t.Errorf("partialKernel.EvalBounded allocates %v/op, want 0", allocs)
 	}
 }
 
@@ -234,8 +235,124 @@ func BenchmarkPartialKernelEval(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkFitness = pk.Eval(p)
+		sinkFitness = pk.EvalBounded(p, 0, 0, math.Inf(1))
 	}
 }
 
 var sinkFitness float64
+
+// boundsAround returns the bounds the bounded-evaluation contract is
+// checked at for a pose whose exact value is exact: both infinities, 0,
+// NaN, the exact value and its float neighbours, and fractions of it that
+// stop the sum part-way through.
+func boundsAround(exact float64) []float64 {
+	return []float64{
+		math.Inf(-1), 0, math.Inf(1), math.NaN(),
+		exact, math.Nextafter(exact, math.Inf(-1)), math.Nextafter(exact, math.Inf(1)),
+		exact * 0.25, exact * 0.9, exact * 0.999,
+	}
+}
+
+// checkBounded asserts the bounded-evaluation contract of eval at pose p
+// under prior terms a, b: the unbounded value equals want bit for bit;
+// under any bound it comes back exactly when it is below the bound (or the
+// bound is NaN), and otherwise the result lies in [bound, exact].
+func checkBounded(t *testing.T, label string, eval boundedEval, p stickmodel.Pose, a, b, want float64) (stopped int) {
+	t.Helper()
+	exact := eval(p, a, b, math.Inf(1))
+	if math.Float64bits(exact) != math.Float64bits(want) {
+		t.Fatalf("%s: unbounded %.17g != reference %.17g", label, exact, want)
+	}
+	for _, bound := range boundsAround(exact) {
+		got := eval(p, a, b, bound)
+		if exact < bound || math.IsNaN(bound) {
+			if math.Float64bits(got) != math.Float64bits(exact) {
+				t.Fatalf("%s bound %.17g: got %.17g, want the exact %.17g", label, bound, got, exact)
+			}
+			continue
+		}
+		if !(got >= bound && got <= exact) {
+			t.Fatalf("%s bound %.17g: got %.17g, want a value in [bound, %.17g]", label, bound, got, exact)
+		}
+		if got != exact {
+			stopped++
+		}
+	}
+	return stopped
+}
+
+// TestEvalBoundedContract is the contract the refinement scans rely on,
+// for the full and the partial kernels: over random silhouettes at strides
+// 1–3 and the zero-length-stick case, with no priors, random prior terms
+// and the temporal and anatomical priors, the unbounded value is the
+// reference's priced value, and a bounded evaluation returns it exactly
+// when it beats the bound and a value between the bound and it otherwise.
+func TestEvalBoundedContract(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	deltaRho := DefaultConfig().DeltaRho
+	var conf [stickmodel.NumSticks]float64
+	for l := range conf {
+		conf[l] = confFloor + rng.Float64()*(1-confFloor)
+	}
+	anchor := randomPose(rng, 160, 160)
+	priorSets := map[string]priorTerms{
+		"none": func(stickmodel.Pose) (a, b float64) { return 0, 0 },
+		"random": func(stickmodel.Pose) (a, b float64) {
+			return rng.Float64() * 0.2, rng.ExpFloat64() * 0.05
+		},
+		"temporal+anatomy": func(p stickmodel.Pose) (a, b float64) {
+			return 0.03 * softWindowPenalty(p, anchor, deltaRho, conf), 0.02 * anatomyPenalty(p)
+		},
+	}
+	check := func(label string, k *fitKernel, ref func(stickmodel.Pose) float64, base stickmodel.Pose, group []stickmodel.StickID, stopped *int) {
+		full := k.scanEval(base, allSticks)
+		part := k.scanEval(base, movedBy(group...))
+		for name, priors := range priorSets {
+			for c := 0; c < 4; c++ {
+				p := base
+				for _, id := range group {
+					p.Rho[id] = stickmodel.NormalizeAngle(base.Rho[id] + rng.Float64()*360)
+				}
+				a, b := priors(p)
+				want := ref(p)
+				want += a
+				want += b
+				*stopped += checkBounded(t, label+" full "+name, full, p, a, b, want)
+				*stopped += checkBounded(t, label+" partial "+name, part, p, a, b, want)
+			}
+		}
+	}
+
+	dims := stickmodel.ChildDimensions(60)
+	stopped := 0
+	for trial := 0; trial < 12; trial++ {
+		gen := randomPose(rng, 80, 80).Translate(30, 30)
+		pts := maskPoints(gen.Rasterize(dims, 140, 140), 1+trial%3)
+		if len(pts) == 0 {
+			continue
+		}
+		k := newFitKernel(pts, dims)
+		ref := fitnessOver(pts, dims)
+		for _, group := range scanGroups {
+			base := gen.Translate(rng.NormFloat64()*2, rng.NormFloat64()*2)
+			if rng.Intn(2) == 0 {
+				base = randomPose(rng, 160, 160)
+			}
+			check("random silhouette", k, ref, base, group, &stopped)
+		}
+	}
+
+	var flat stickmodel.Dimensions
+	for l := range flat.Thick {
+		flat.Thick[l] = 4 // every stick has zero length
+	}
+	pts := []imaging.Vec2{{X: 3, Y: 4}, {X: 10, Y: 0}, {X: 0, Y: 0}, {X: 7, Y: 9}}
+	k := newFitKernel(pts, flat)
+	for _, group := range scanGroups {
+		check("zero-length sticks", k, fitnessOver(pts, flat), randomPose(rng, 20, 20), group, &stopped)
+	}
+	if stopped == 0 {
+		t.Fatal("no bounded evaluation stopped before the last cell")
+	}
+	t.Logf("%d bounded evaluations stopped early", stopped)
+}

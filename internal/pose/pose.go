@@ -260,19 +260,16 @@ func (e *Estimator) estimateTemporal(sil segmentation.Silhouette, prev stickmode
 		return nil, err
 	}
 	kern := newFitKernel(pts, e.dims)
-	eq3 := kern.Eval
 	anchor := prev
 	if pred != nil {
 		anchor = *pred
 	}
 	lambda := e.cfg.TemporalLambda
 	anatomy := e.cfg.AnatomyLambda
-	// withPriors composes the temporal and anatomical priors over an
-	// Eq. (3) evaluator: the full kernel for the GA, the partial kernels
-	// for the refinement scans.
-	withPriors := func(eq func(stickmodel.Pose) float64) func(stickmodel.Pose) float64 {
-		return eq
-	}
+	// priors returns a candidate's temporal and anatomical prior terms,
+	// which every evaluator adds to Eq. (3) in this order: the full kernel
+	// for the GA, the partial kernels for the refinement scans.
+	var priors priorTerms
 	if lambda > 0 || anatomy > 0 {
 		deltaRho := e.cfg.DeltaRho
 		// Observability weighting: a stick whose angle barely affects
@@ -282,22 +279,21 @@ func (e *Estimator) estimateTemporal(sil segmentation.Silhouette, prev stickmode
 		// sticks from random-walking.
 		var conf [stickmodel.NumSticks]float64
 		if lambda > 0 {
-			conf = e.stickConfidence(eq3, anchor)
+			conf = e.stickConfidence(kern.Eval, anchor)
 		}
-		withPriors = func(eq func(stickmodel.Pose) float64) func(stickmodel.Pose) float64 {
-			return func(p stickmodel.Pose) float64 {
-				f := eq(p)
-				if lambda > 0 {
-					f += lambda * softWindowPenalty(p, anchor, deltaRho, conf)
-				}
-				if anatomy > 0 {
-					f += anatomy * anatomyPenalty(p)
-				}
-				return f
+		priors = func(p stickmodel.Pose) (a, b float64) {
+			if lambda > 0 {
+				a = lambda * softWindowPenalty(p, anchor, deltaRho, conf)
 			}
+			if anatomy > 0 {
+				b = anatomy * anatomyPenalty(p)
+			}
+			return a, b
 		}
 	}
-	fit := withPriors(eq3)
+	objective := kern.objective(priors)
+	full := objective(prev, allSticks)
+	fit := func(p stickmodel.Pose) float64 { return full(p, math.Inf(1)) }
 
 	// Seed centres around the centroid corrected by the model-based offset
 	// between the previous pose centre and its own silhouette centroid, so
@@ -355,11 +351,9 @@ func (e *Estimator) estimateTemporal(sil segmentation.Silhouette, prev stickmode
 		}
 		// Each scan scores only the sticks it moves against the rest of
 		// the pose, precomputed once per scan or, in a joint scan, once
-		// per outer angle (fitKernel.scanEval).
-		scanFit := func(base stickmodel.Pose, moving stickSet) func(stickmodel.Pose) float64 {
-			return withPriors(kern.scanEval(base, moving))
-		}
-		refined := refinePose(est.Pose, fit, scanFit, valid, e.cfg.RefineRounds)
+		// per outer angle (fitKernel.scanEval), and stops scoring a
+		// candidate once it provably loses to the best so far.
+		refined := refinePose(est.Pose, objective, valid, e.cfg.RefineRounds)
 		est.Pose = refined.Normalize()
 		est.Fitness = fit(refined)
 	}

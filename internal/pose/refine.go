@@ -1,12 +1,24 @@
 package pose
 
 import (
+	"math"
+
 	"github.com/sljmotion/sljmotion/internal/stickmodel"
 )
 
+// boundedFit scores a pose against a bound it need not beat: it returns
+// the exact score whenever that is below bound, and otherwise any value in
+// [bound, exact score]. The refinement scans only ask whether a candidate
+// beats the best score so far, so they pass that score as the bound and
+// the evaluator may stop summing once the candidate provably loses. An
+// evaluator that ignores bound and always returns the exact score obeys
+// the contract too.
+type boundedFit func(p stickmodel.Pose, bound float64) float64
+
 // scanObjective returns the evaluator for a refinement scan from base that
-// moves only the sticks in moving.
-type scanObjective func(base stickmodel.Pose, moving stickSet) func(stickmodel.Pose) float64
+// moves only the sticks in moving. With moving == allSticks the evaluator
+// must score any pose.
+type scanObjective func(base stickmodel.Pose, moving stickSet) boundedFit
 
 // refinePose runs group-coordinate refinement: each kinematic group is
 // scanned over a discrete candidate set while the rest of the pose is held
@@ -16,23 +28,19 @@ type scanObjective func(base stickmodel.Pose, moving stickSet) func(stickmodel.P
 // full-circle scans reliably escapes the coordinated local optima that
 // grouped crossover alone cannot assemble (e.g. trunk-lean + arm-flip).
 //
-// fit scores any pose; scanFit(base, moving) must return the same values
-// as fit for every pose that differs from base only in the angles of the
-// sticks in moving. scan1 asks scanFit for its evaluator once, at the
-// scan's start, and scan2 once per outer angle, so an incremental
-// evaluator can precompute the sticks the scan holds fixed
-// (fitKernel.scanEval).
-func refinePose(start stickmodel.Pose, fit func(stickmodel.Pose) float64, scanFit scanObjective,
+// scanFit(base, moving) must return the same values as
+// scanFit(·, allSticks) for every pose that differs from base only in the
+// angles of the sticks in moving. refinePose asks scanFit once for the
+// allSticks evaluator, which scores the start and the trunk-centre grid;
+// scan1 asks once at the scan's start and scan2 once per outer angle, so
+// an incremental evaluator can precompute the sticks the scan holds fixed
+// (fitKernel.scanEval). Every candidate is scored with the best score so
+// far as its bound.
+func refinePose(start stickmodel.Pose, scanFit scanObjective,
 	valid func(stickmodel.Pose) bool, rounds int) stickmodel.Pose {
 
-	best := start
-	bestFit := fit(best)
-
-	apply := func(p stickmodel.Pose) {
-		if f := fit(p); f < bestFit && valid(p) {
-			best, bestFit = p, f
-		}
-	}
+	full := scanFit(start, allSticks)
+	best, bestFit := start, full(start, math.Inf(1))
 
 	for round := 0; round < rounds; round++ {
 		prevFit := bestFit
@@ -43,7 +51,9 @@ func refinePose(start stickmodel.Pose, fit func(stickmodel.Pose) float64, scanFi
 				p := best
 				p.X += dx
 				p.Y += dy
-				apply(p)
+				if f := full(p, bestFit); f < bestFit && valid(p) {
+					best, bestFit = p, f
+				}
 			}
 		}
 
@@ -81,7 +91,7 @@ func scan1(best *stickmodel.Pose, bestFit *float64, scanFit scanObjective,
 		}
 		p := base
 		p.Rho[id] = stickmodel.NormalizeAngle(base.Rho[id] + d)
-		if f := fit(p); f < *bestFit && valid(p) {
+		if f := fit(p, *bestFit); f < *bestFit && valid(p) {
 			*best, *bestFit = p, f
 		}
 	}
@@ -106,7 +116,7 @@ func scan2(best *stickmodel.Pose, bestFit *float64, scanFit scanObjective,
 			}
 			p := pa
 			p.Rho[b] = stickmodel.NormalizeAngle(base.Rho[b] + db)
-			if f := fit(p); f < *bestFit && valid(p) {
+			if f := fit(p, *bestFit); f < *bestFit && valid(p) {
 				*best, *bestFit = p, f
 			}
 		}

@@ -32,7 +32,7 @@ func TestRefineEscapesArmFlip(t *testing.T) {
 	stuck.Rho[stickmodel.UpperArm] = stickmodel.NormalizeAngle(truth.Rho[stickmodel.UpperArm] + 170)
 	stuck.Rho[stickmodel.Forearm] = stickmodel.NormalizeAngle(truth.Rho[stickmodel.Forearm] + 150)
 
-	refined := refinePose(stuck, fit, fullScans(fit), valid, 3)
+	refined := refinePose(stuck, fullScans(fit), valid, 3)
 	armErr := math.Abs(stickmodel.AngleDiff(truth.Rho[stickmodel.UpperArm], refined.Rho[stickmodel.UpperArm]))
 	if armErr > 30 {
 		t.Errorf("refinement left arm error %.1f°", armErr)
@@ -58,7 +58,7 @@ func TestRefineNeverWorsens(t *testing.T) {
 	valid := func(p stickmodel.Pose) bool { return true }
 
 	for _, start := range []stickmodel.Pose{truth, truth.Translate(2, 2)} {
-		refined := refinePose(start, fit, fullScans(fit), valid, 2)
+		refined := refinePose(start, fullScans(fit), valid, 2)
 		if fit(refined) > fit(start) {
 			t.Error("refine increased fitness")
 		}
@@ -78,7 +78,7 @@ func TestRefineZeroRoundsIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	fit := fitnessOver(pts, d)
-	got := refinePose(truth, fit, fullScans(fit), func(stickmodel.Pose) bool { return true }, 0)
+	got := refinePose(truth, fullScans(fit), func(stickmodel.Pose) bool { return true }, 0)
 	if got != truth {
 		t.Error("0 rounds must return the input pose")
 	}
@@ -99,30 +99,60 @@ func TestRefineRespectsValidity(t *testing.T) {
 		t.Fatal(err)
 	}
 	fit := fitnessOver(pts, d)
-	got := refinePose(truth, fit, fullScans(fit), func(stickmodel.Pose) bool { return false }, 2)
+	got := refinePose(truth, fullScans(fit), func(stickmodel.Pose) bool { return false }, 2)
 	if got != truth {
 		t.Error("all-invalid predicate must freeze the pose")
 	}
 }
 
-// fullScans is refinement with full evaluation: every scan scores all
-// eight sticks with fit.
+// fullScans is refinement with full, unbounded evaluation: every scan
+// scores all eight sticks with fit and ignores its bound.
 func fullScans(fit func(stickmodel.Pose) float64) scanObjective {
-	return func(stickmodel.Pose, stickSet) func(stickmodel.Pose) float64 { return fit }
+	return func(stickmodel.Pose, stickSet) boundedFit {
+		return func(p stickmodel.Pose, _ float64) float64 { return fit(p) }
+	}
 }
 
-// TestRefineIncrementalMatchesFull pins refinePose on the incremental scan
-// evaluators (with a prior wrapped around them, as estimateTemporal does)
-// to refinement with the full reference evaluation: same pose, same
-// fitness, at point strides 2 and 4.
+// refinePriors are the prior terms the refinement pins run under: the
+// anatomical prior alone, and the temporal window prior around an anchor
+// with uneven stick confidences on top of it, as estimateTemporal prices
+// candidates.
+func refinePriors(anchor stickmodel.Pose) map[string]priorTerms {
+	deltaRho := DefaultConfig().DeltaRho
+	conf := [stickmodel.NumSticks]float64{1, 0.25, 0.6, 1, 0.25, 0.4, 0.9, 0.3}
+	return map[string]priorTerms{
+		"anatomy": func(p stickmodel.Pose) (a, b float64) {
+			return 0, 0.02 * anatomyPenalty(p)
+		},
+		"temporal+anatomy": func(p stickmodel.Pose) (a, b float64) {
+			return 0.03 * softWindowPenalty(p, anchor, deltaRho, conf), 0.02 * anatomyPenalty(p)
+		},
+	}
+}
+
+// withPriorTerms adds priors to an Eq. (3) evaluator the way
+// estimateTemporal composed them before the terms moved into the kernel:
+// f := eq; f += a; f += b.
+func withPriorTerms(eq func(stickmodel.Pose) float64, priors priorTerms) func(stickmodel.Pose) float64 {
+	return func(p stickmodel.Pose) float64 {
+		a, b := priors(p)
+		f := eq(p)
+		f += a
+		f += b
+		return f
+	}
+}
+
+// TestRefineIncrementalMatchesFull pins refinePose on the bounded
+// incremental scan evaluators (priced with priors, as estimateTemporal
+// does) to refinement with the full, unbounded reference evaluation
+// fitnessOver: same pose, same fitness, at point strides 2 and 4, under
+// the anatomical and the temporal prior.
 func TestRefineIncrementalMatchesFull(t *testing.T) {
 	d := stickmodel.ChildDimensions(60)
 	truth := crouchPose(70, 70)
 	sil := cleanSilhouette(t, truth, d, 140, 140)
 	valid := func(p stickmodel.Pose) bool { return p.ContainmentFraction(d, sil.Mask) >= 0.6 }
-	withPrior := func(eq func(stickmodel.Pose) float64) func(stickmodel.Pose) float64 {
-		return func(p stickmodel.Pose) float64 { return eq(p) + 0.02*anatomyPenalty(p) }
-	}
 	armFlip := truth
 	armFlip.Rho[stickmodel.UpperArm] = stickmodel.NormalizeAngle(truth.Rho[stickmodel.UpperArm] + 170)
 	armFlip.Rho[stickmodel.Forearm] = stickmodel.NormalizeAngle(truth.Rho[stickmodel.Forearm] + 150)
@@ -131,22 +161,21 @@ func TestRefineIncrementalMatchesFull(t *testing.T) {
 	legOff.Rho[stickmodel.Foot] -= 30
 	legOff.Rho[stickmodel.Neck] += 20
 
-	for _, stride := range []int{2, 4} {
-		pts := maskPoints(sil.Mask, stride)
-		k := newFitKernel(pts, d)
-		ref := withPrior(fitnessOver(pts, d))
-		fit := withPrior(k.Eval)
-		scanFit := func(base stickmodel.Pose, moving stickSet) func(stickmodel.Pose) float64 {
-			return withPrior(k.scanEval(base, moving))
-		}
-		for i, start := range []stickmodel.Pose{truth, armFlip, legOff} {
-			want := refinePose(start, ref, fullScans(ref), valid, 2)
-			got := refinePose(start, fit, scanFit, valid, 2)
-			if got != want {
-				t.Errorf("stride %d start %d: incremental refine %+v, full %+v", stride, i, got, want)
-			}
-			if fit(got) != ref(want) {
-				t.Errorf("stride %d start %d: fitness %.17g, full %.17g", stride, i, fit(got), ref(want))
+	for name, priors := range refinePriors(truth.Translate(1, 1)) {
+		for _, stride := range []int{2, 4} {
+			pts := maskPoints(sil.Mask, stride)
+			k := newFitKernel(pts, d)
+			ref := withPriorTerms(fitnessOver(pts, d), priors)
+			fit := withPriorTerms(k.Eval, priors)
+			for i, start := range []stickmodel.Pose{truth, armFlip, legOff} {
+				want := refinePose(start, fullScans(ref), valid, 2)
+				got := refinePose(start, k.objective(priors), valid, 2)
+				if got != want {
+					t.Errorf("%s stride %d start %d: bounded incremental refine %+v, full %+v", name, stride, i, got, want)
+				}
+				if fit(got) != ref(want) {
+					t.Errorf("%s stride %d start %d: fitness %.17g, full %.17g", name, stride, i, fit(got), ref(want))
+				}
 			}
 		}
 	}
@@ -168,7 +197,7 @@ func scan2SinglePartial(best *stickmodel.Pose, bestFit *float64, scanFit scanObj
 			p := base
 			p.Rho[a] = stickmodel.NormalizeAngle(base.Rho[a] + da)
 			p.Rho[b] = stickmodel.NormalizeAngle(base.Rho[b] + db)
-			if f := fit(p); f < *bestFit && valid(p) {
+			if f := fit(p, *bestFit); f < *bestFit && valid(p) {
 				*best, *bestFit = p, f
 			}
 		}
@@ -184,9 +213,7 @@ func TestRefineNestedScan2MatchesSinglePartial(t *testing.T) {
 	truth := crouchPose(70, 70)
 	sil := cleanSilhouette(t, truth, d, 140, 140)
 	valid := func(p stickmodel.Pose) bool { return p.ContainedAtLeast(d, sil.Mask, 0.6) }
-	withPrior := func(eq func(stickmodel.Pose) float64) func(stickmodel.Pose) float64 {
-		return func(p stickmodel.Pose) float64 { return eq(p) + 0.02*anatomyPenalty(p) }
-	}
+	priors := refinePriors(truth)["anatomy"]
 	armFlip := truth
 	armFlip.Rho[stickmodel.UpperArm] = stickmodel.NormalizeAngle(truth.Rho[stickmodel.UpperArm] + 170)
 	armFlip.Rho[stickmodel.Forearm] = stickmodel.NormalizeAngle(truth.Rho[stickmodel.Forearm] + 150)
@@ -205,10 +232,8 @@ func TestRefineNestedScan2MatchesSinglePartial(t *testing.T) {
 
 	for _, stride := range []int{2, 4} {
 		k := newFitKernel(maskPoints(sil.Mask, stride), d)
-		fit := withPrior(k.Eval)
-		scanFit := func(base stickmodel.Pose, moving stickSet) func(stickmodel.Pose) float64 {
-			return withPrior(k.scanEval(base, moving))
-		}
+		fit := withPriorTerms(k.Eval, priors)
+		scanFit := k.objective(priors)
 		for i, start := range []stickmodel.Pose{truth, armFlip, legOff} {
 			for _, sc := range scans {
 				want, wantFit := start, fit(start)
@@ -238,6 +263,6 @@ func BenchmarkRefineScans(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		refinePose(start, k.Eval, k.scanEval, valid, DefaultConfig().RefineRounds)
+		refinePose(start, k.objective(nil), valid, DefaultConfig().RefineRounds)
 	}
 }

@@ -866,8 +866,8 @@ func (s *Server) executeAnalysis(ctx context.Context, p jobs.Payload, progress f
 		}()
 	}
 	if req.FramesRef != "" || req.SilhouettesRef != "" || req.PosesRef != "" {
-		// The payload crossed the wire (worker intake without a stashed
-		// resolution, or a journal replay) still naming artifacts by hash:
+		// The payload crossed the wire (a journal replay; the worker
+		// intake stashes its resolution) still naming artifacts by hash:
 		// materialise them — pulling from the originating front end when the
 		// local store misses — before keying and running.
 		framesRef := req.FramesRef
@@ -891,8 +891,8 @@ func (s *Server) executeAnalysis(ctx context.Context, p jobs.Payload, progress f
 		}
 	}
 	// Address the result under this server's own config fingerprint. A
-	// payload this process built under it carries the key it computed then;
-	// anything else — worker intake, journal replay, a resolved payload —
+	// payload this process built or resolved (worker intake) under it
+	// carries the key it computed then; anything else — a journal replay —
 	// is re-keyed: the stamped CacheKey is a routing hint, and trusting it
 	// for storage would let a mislabelled payload poison the result cache.
 	key, ok := p.LocalKey(s.cfgFP)

@@ -72,9 +72,6 @@ func (s *Server) handleWorkerJobs(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		req = s.injectMemo(framesRef, req)
-		// Stash the materialised request so the executor (and the keying
-		// below) never re-resolves what this intake already pulled.
-		p = p.WithResolved(req)
 	}
 	// Consult the node's own stored results under the node's own config
 	// fingerprint — a hash-routed resubmission of an identical clip is
@@ -97,5 +94,8 @@ func (s *Server) handleWorkerJobs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.submitPayload(w, r, p)
+	// Hand the executor the request this intake decoded (and resolved) and
+	// the key it computed over it under s.cfgFP, so the job neither decodes
+	// nor hashes the clip a second time.
+	s.submitPayload(w, r, p.WithResolved(req, key, s.cfgFP))
 }

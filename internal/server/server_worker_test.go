@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,6 +18,7 @@ import (
 	"github.com/sljmotion/sljmotion/internal/e2etest"
 	"github.com/sljmotion/sljmotion/internal/imaging"
 	"github.com/sljmotion/sljmotion/internal/jobs"
+	"github.com/sljmotion/sljmotion/internal/obs"
 	"github.com/sljmotion/sljmotion/internal/synth"
 )
 
@@ -122,6 +124,80 @@ func TestWorkerIntakeRoundTrip(t *testing.T) {
 	// stage_ms timings.
 	if !bytes.Equal(e2etest.StripVolatile(t, jobRaw), e2etest.StripVolatile(t, refRaw)) {
 		t.Errorf("worker job result differs from /v1/analyze:\n%s\nvs\n%s", jobRaw, refRaw)
+	}
+}
+
+// capturingDispatcher records every payload submitted through it and then
+// hands it to the wrapped dispatcher.
+type capturingDispatcher struct {
+	jobs.Dispatcher
+	mu        sync.Mutex
+	submitted []jobs.Payload
+}
+
+func (c *capturingDispatcher) SubmitTraced(p jobs.Payload, parent obs.SpanContext) (string, error) {
+	c.mu.Lock()
+	c.submitted = append(c.submitted, p)
+	c.mu.Unlock()
+	return c.Dispatcher.SubmitTraced(p, parent)
+}
+
+// TestWorkerIntakeHandsOnDecodedRequest: a cache-missing inline payload
+// reaches submitPayload carrying the request the intake decoded and the
+// key it computed over it, so the executor decodes and hashes the clip
+// once, not twice.
+func TestWorkerIntakeHandsOnDecodedRequest(t *testing.T) {
+	v, err := synth.Generate(synth.DefaultJumpParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := workerServer(t)
+	capture := &capturingDispatcher{Dispatcher: s.jobs}
+	s.jobs = capture
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	raw, _ := json.Marshal(segmentationPayload(t, s, v))
+	resp, err := http.Post(srv.URL+"/v1/worker/jobs", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sub submitResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("intake status %d", resp.StatusCode)
+	}
+	waitState(t, srv.URL, sub.ID, string(jobs.StateDone))
+
+	capture.mu.Lock()
+	submitted := capture.submitted
+	capture.mu.Unlock()
+	if len(submitted) != 1 {
+		t.Fatalf("%d payloads submitted, want 1", len(submitted))
+	}
+	p := submitted[0]
+	first, err := p.AnalysisRequest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := p.AnalysisRequest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A stashed request comes back as is; an undecoded payload decodes
+	// fresh frames on every call.
+	if len(first.Frames) != len(v.Frames) || first.Frames[0] != again.Frames[0] {
+		t.Error("submitted payload does not carry the decoded request")
+	}
+	key, ok := p.LocalKey(s.cfgFP)
+	if !ok {
+		t.Fatal("submitted payload carries no local key")
+	}
+	if want := jobs.RequestKey(s.cfgFP, first); key != want {
+		t.Errorf("local key %s, want %s", key, want)
 	}
 }
 

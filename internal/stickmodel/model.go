@@ -152,8 +152,10 @@ func (d Dimensions) Height() float64 {
 // Dir converts an angle in degrees to its image-space unit direction
 // (clockwise from up; image y grows downward).
 func Dir(deg float64) imaging.Vec2 {
-	r := deg * math.Pi / 180
-	return imaging.Vec2{X: math.Sin(r), Y: -math.Cos(r)}
+	// Sincos runs the argument reduction once for both values and returns
+	// exactly math.Sin and math.Cos (pinned by TestDirMatchesSinCos).
+	sin, cos := math.Sincos(deg * math.Pi / 180)
+	return imaging.Vec2{X: sin, Y: -cos}
 }
 
 // AngleOf is the inverse of Dir: it recovers the angle in [0,360) of an
@@ -164,7 +166,12 @@ func AngleOf(v imaging.Vec2) float64 {
 
 // NormalizeAngle maps any angle in degrees to [0, 360).
 func NormalizeAngle(deg float64) float64 {
-	m := math.Mod(deg, 360)
+	m := deg
+	// math.Mod returns its argument unchanged inside (-360, 360), so only
+	// angles outside it (and ±Inf, NaN) pay for the call.
+	if !(deg > -360 && deg < 360) {
+		m = math.Mod(deg, 360)
+	}
 	if m < 0 {
 		m += 360
 	}
@@ -173,7 +180,10 @@ func NormalizeAngle(deg float64) float64 {
 
 // AngleDiff returns the signed smallest rotation from a to b in (-180, 180].
 func AngleDiff(a, b float64) float64 {
-	d := math.Mod(b-a, 360)
+	d := b - a
+	if !(d > -360 && d < 360) { // as in NormalizeAngle
+		d = math.Mod(d, 360)
+	}
 	if d > 180 {
 		d -= 360
 	} else if d <= -180 {
@@ -216,28 +226,45 @@ func (p Pose) Joints(d Dimensions) map[JointID]imaging.Vec2 {
 	}
 }
 
+// Dirs returns Dir of every stick angle, indexed by StickID.
+func (p Pose) Dirs() [NumSticks]imaging.Vec2 {
+	var dirs [NumSticks]imaging.Vec2
+	for l, rho := range p.Rho {
+		dirs[l] = Dir(rho)
+	}
+	return dirs
+}
+
 // Segments returns the image-space segment of every stick, indexed by
 // StickID. Allocating a fixed array keeps the fitness inner loop free of
 // map lookups.
 func (p Pose) Segments(d Dimensions) [NumSticks]imaging.Segment {
+	dirs := p.Dirs()
+	return p.SegmentsFromDirs(d, &dirs)
+}
+
+// SegmentsFromDirs is Segments with the stick directions supplied:
+// dirs[l] must be Dir(p.Rho[l]). Callers that score many poses sharing
+// most angles reuse the unchanged directions instead of recomputing them.
+func (p Pose) SegmentsFromDirs(d Dimensions, dirs *[NumSticks]imaging.Vec2) [NumSticks]imaging.Segment {
 	c := imaging.Vec2{X: p.X, Y: p.Y}
-	trunkDir := Dir(p.Rho[Trunk])
+	trunkDir := dirs[Trunk]
 	hip := c.Sub(trunkDir.Mul(d.Length[Trunk] / 2))
 	shoulder := c.Add(trunkDir.Mul(d.Length[Trunk] / 2))
-	headBase := shoulder.Add(Dir(p.Rho[Neck]).Mul(d.Length[Neck]))
-	elbow := shoulder.Add(Dir(p.Rho[UpperArm]).Mul(d.Length[UpperArm]))
-	knee := hip.Add(Dir(p.Rho[Thigh]).Mul(d.Length[Thigh]))
-	ankle := knee.Add(Dir(p.Rho[Shank]).Mul(d.Length[Shank]))
+	headBase := shoulder.Add(dirs[Neck].Mul(d.Length[Neck]))
+	elbow := shoulder.Add(dirs[UpperArm].Mul(d.Length[UpperArm]))
+	knee := hip.Add(dirs[Thigh].Mul(d.Length[Thigh]))
+	ankle := knee.Add(dirs[Shank].Mul(d.Length[Shank]))
 
 	var segs [NumSticks]imaging.Segment
 	segs[Trunk] = imaging.Segment{A: hip, B: shoulder}
 	segs[Neck] = imaging.Segment{A: shoulder, B: headBase}
 	segs[UpperArm] = imaging.Segment{A: shoulder, B: elbow}
 	segs[Thigh] = imaging.Segment{A: hip, B: knee}
-	segs[Head] = imaging.Segment{A: headBase, B: headBase.Add(Dir(p.Rho[Head]).Mul(d.Length[Head]))}
-	segs[Forearm] = imaging.Segment{A: elbow, B: elbow.Add(Dir(p.Rho[Forearm]).Mul(d.Length[Forearm]))}
+	segs[Head] = imaging.Segment{A: headBase, B: headBase.Add(dirs[Head].Mul(d.Length[Head]))}
+	segs[Forearm] = imaging.Segment{A: elbow, B: elbow.Add(dirs[Forearm].Mul(d.Length[Forearm]))}
 	segs[Shank] = imaging.Segment{A: knee, B: ankle}
-	segs[Foot] = imaging.Segment{A: ankle, B: ankle.Add(Dir(p.Rho[Foot]).Mul(d.Length[Foot]))}
+	segs[Foot] = imaging.Segment{A: ankle, B: ankle.Add(dirs[Foot].Mul(d.Length[Foot]))}
 	return segs
 }
 

@@ -2,6 +2,7 @@ package stickmodel
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -304,5 +305,78 @@ func TestStickAndJointNames(t *testing.T) {
 	}
 	if JointHip.String() != "hip" {
 		t.Error("joint name wrong")
+	}
+}
+
+// pinAngles is the angle set the fast-path pins run over: a 0.001° grid
+// over [-1080°, 1080°] (in integer steps, so the grid points are exact
+// multiples), the period boundaries ±0, ±360, ±720 with their float
+// neighbours, ±Inf, NaN, and random angles over the range the GA's
+// seeding, mutation and refinement produce before normalising.
+func pinAngles() []float64 {
+	var out []float64
+	for i := -1080000; i <= 1080000; i++ {
+		out = append(out, float64(i)/1000)
+	}
+	for _, edge := range []float64{0, math.Copysign(0, -1), 360, -360, 720, -720} {
+		out = append(out, edge, math.Nextafter(edge, math.Inf(1)), math.Nextafter(edge, math.Inf(-1)))
+	}
+	out = append(out, math.Inf(1), math.Inf(-1), math.NaN())
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 200000; i++ {
+		out = append(out, -540+rng.Float64()*1260)
+	}
+	return out
+}
+
+// sameFloat reports bit equality, counting every NaN as equal.
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// TestDirMatchesSinCos pins Dir's single math.Sincos call to the separate
+// math.Sin and math.Cos calls it replaced, bit for bit, on every angle of
+// pinAngles — run under each Go release CI builds with, since the identity
+// is a property of the standard library's implementation.
+func TestDirMatchesSinCos(t *testing.T) {
+	for _, deg := range pinAngles() {
+		r := deg * math.Pi / 180
+		got := Dir(deg)
+		if !sameFloat(got.X, math.Sin(r)) || !sameFloat(got.Y, -math.Cos(r)) {
+			t.Fatalf("Dir(%v) = (%v, %v), want (%v, %v)", deg, got.X, got.Y, math.Sin(r), -math.Cos(r))
+		}
+	}
+}
+
+// TestAngleHelpersMatchModForm pins NormalizeAngle and AngleDiff, which
+// skip math.Mod inside (-360, 360), to their math.Mod forms, bit for bit.
+func TestAngleHelpersMatchModForm(t *testing.T) {
+	normalize := func(deg float64) float64 {
+		m := math.Mod(deg, 360)
+		if m < 0 {
+			m += 360
+		}
+		return m
+	}
+	diff := func(a, b float64) float64 {
+		d := math.Mod(b-a, 360)
+		if d > 180 {
+			d -= 360
+		} else if d <= -180 {
+			d += 360
+		}
+		return d
+	}
+	rng := rand.New(rand.NewSource(9))
+	for _, deg := range pinAngles() {
+		if got, want := NormalizeAngle(deg), normalize(deg); !sameFloat(got, want) {
+			t.Fatalf("NormalizeAngle(%v) = %v, want %v", deg, got, want)
+		}
+		other := rng.Float64() * 360
+		for _, ab := range [][2]float64{{0, deg}, {deg, 0}, {other, deg}, {deg, other}} {
+			if got, want := AngleDiff(ab[0], ab[1]), diff(ab[0], ab[1]); !sameFloat(got, want) {
+				t.Fatalf("AngleDiff(%v, %v) = %v, want %v", ab[0], ab[1], got, want)
+			}
+		}
 	}
 }
