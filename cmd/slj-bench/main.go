@@ -21,8 +21,8 @@
 //   - end_to_end: Analyzer.Analyze sequential and parallel, repeated to a
 //     minimum sample time, with p10/p50/p90 seconds per clip;
 //   - observability: jobs/sec through the async Manager with the
-//     observability plane (tracing, per-job resource accounting, SLO
-//     observation) on versus off.
+//     observability plane (tracing and per-job resource accounting) on
+//     versus off.
 //
 // -fast trims the GA budget for quick comparisons. The service layers
 // (dispatch, fleet failover, journal, event bus, ingest) are measured end
@@ -49,7 +49,6 @@ import (
 	"github.com/sljmotion/sljmotion/internal/core"
 	"github.com/sljmotion/sljmotion/internal/experiments"
 	"github.com/sljmotion/sljmotion/internal/jobs"
-	"github.com/sljmotion/sljmotion/internal/obs"
 	"github.com/sljmotion/sljmotion/internal/segmentation"
 	"github.com/sljmotion/sljmotion/internal/synth"
 )
@@ -163,8 +162,8 @@ type perfDoc struct {
 
 // perfObservability measures the cost of the observability plane on the
 // async job path: segmentation-only jobs through an in-process Manager
-// with tracing, per-job resource accounting and SLO observation on (the
-// production default) versus everything disabled.
+// with tracing and per-job resource accounting on (the production default)
+// versus both disabled.
 type perfObservability struct {
 	Jobs          int     `json:"jobs"`
 	OnJobsPerSec  float64 `json:"on_jobs_per_sec"`
@@ -175,9 +174,8 @@ type perfObservability struct {
 }
 
 // observabilityOverheadMaxPct is the absolute -compare guard on the
-// observability section, independent of the percentage threshold: spans,
-// resource snapshots and SLO observation together must cost under 5% of
-// job throughput.
+// observability section, independent of the percentage threshold: spans
+// and resource snapshots together must cost under 5% of job throughput.
 const observabilityOverheadMaxPct = 5.0
 
 // perfSample is one segmentation timing at a fixed worker count.
@@ -454,11 +452,7 @@ func runObservabilityPerf(v *synth.Video) (*perfObservability, error) {
 
 	const njobs = 24
 	run := func(disable bool) (float64, error) {
-		mcfg := jobs.Config{Workers: 2, QueueSize: njobs, DisableObservability: disable}
-		if !disable {
-			mcfg.SLO = obs.NewSLO(2*time.Second, 0.99)
-		}
-		m, err := jobs.New(mcfg, exec)
+		m, err := jobs.New(jobs.Config{Workers: 2, QueueSize: njobs, DisableObservability: disable}, exec)
 		if err != nil {
 			return 0, err
 		}

@@ -46,18 +46,14 @@
 //	GET  /v1/rules    the encoded Tables 1-2.
 //	GET  /v1/healthz  deep health: overall status, clips analysed, and one
 //	                  verdict per watchdog component (queue stall, fleet
-//	                  routability, drain progress, replication backlog,
-//	                  SLO burn rate). HTTP 200 even when degraded.
+//	                  routability, drain progress, replication backlog).
+//	                  HTTP 200 even when degraded.
 //	GET  /v1/fleet/metrics  the federated cluster scrape: every fleet
 //	                  member's Prometheus exposition merged under a node
 //	                  label (dispatching front ends only).
 //
-// -slo-latency-ms sets the end-to-end latency objective of the SLO plane
-// (default 2000ms at a 99% target; -slo-target tunes the ratio): every
-// terminal job is scored against it, and /v1/metrics?format=prometheus
-// exposes rolling 5m/1h error-budget burn-rate gauges
-// (slj_slo_error_budget_burn) alongside per-component health gauges
-// (slj_health_component_ok).
+// /v1/metrics?format=prometheus exposes the deep-health verdicts as
+// per-component gauges (slj_health_component_ok).
 //
 // Streaming ingest + content-addressed artifacts (DESIGN.md §14): POST
 // /v1/clips opens a chunked upload session, PUT /v1/clips/{id}/frames
@@ -196,9 +192,7 @@ func run() error {
 		joinWeight      = flag.Int("join-weight", 1, "worker: consistent-hash weight to register with (vnode multiplier for heterogeneous hardware)")
 		drainOnShutdown = flag.Bool("drain-on-shutdown", false, "worker: on SIGINT/SIGTERM, drain out of the fleet (-join front end) before stopping — no new keys, in-flight finishes, then removal")
 
-		sloLatencyMS = flag.Int("slo-latency-ms", 0, "end-to-end job latency objective in milliseconds: slower successes burn error budget (0 = default 2000, negative = success ratio only)")
-		sloTarget    = flag.Float64("slo-target", 0, "SLO success-ratio target in (0,1); 0 = default 0.99")
-		stallAfter   = flag.Duration("stall-after", 0, "queue-stall watchdog threshold: the queue health component degrades when the oldest queued job has waited longer (0 = default 2m)")
+		stallAfter = flag.Duration("stall-after", 0, "queue-stall watchdog threshold: the queue health component degrades when the oldest queued job has waited longer (0 = default 2m)")
 	)
 	flag.Parse()
 
@@ -223,8 +217,6 @@ func run() error {
 		ArtifactTTL:      *artifactTTL,
 		ArtifactSpillDir: *artifactSpill,
 		ClipTTL:          *clipTTL,
-		SLOLatency:       time.Duration(*sloLatencyMS) * time.Millisecond,
-		SLOTarget:        *sloTarget,
 		StallAfter:       *stallAfter,
 	}
 	var jrn *journal.Journal

@@ -75,9 +75,6 @@ type Config struct {
 	// polls — for the global feed; per-job Watch streams are proxied from
 	// the owning worker node, not served from this hub.
 	Events events.Config
-	// WatchPollInterval paces the polling fallback of Watch when the
-	// worker's event stream cannot be (re)established.
-	WatchPollInterval time.Duration
 	// Log receives structured dispatch logs (routing, demotions, terminal
 	// observations), correlated by job_id and trace_id. Nil discards.
 	Log *slog.Logger
@@ -95,19 +92,14 @@ type Config struct {
 	// cache answers without recomputing. Costs payload retention memory for
 	// the lifetime of each in-flight job.
 	Replicate bool
-	// DrainStuckAfter flips the deep-health "drain" component to degraded
-	// when a draining node's pending count has not moved for this long —
-	// the drain-stuck watchdog. Zero takes DefaultDrainStuckAfter.
-	DrainStuckAfter time.Duration
 }
 
 // DefaultConfig returns a small-deployment default.
 func DefaultConfig() Config {
 	return Config{
-		HealthInterval:    2 * time.Second,
-		Replicas:          64,
-		ResultTTL:         15 * time.Minute,
-		WatchPollInterval: 250 * time.Millisecond,
+		HealthInterval: 2 * time.Second,
+		Replicas:       64,
+		ResultTTL:      15 * time.Minute,
 	}
 }
 
@@ -120,8 +112,7 @@ func (c Config) Validate() error {
 			return errors.New("dispatch: empty node URL")
 		}
 	}
-	if c.HealthInterval < 0 || c.Replicas < 0 || c.ResultTTL < 0 || c.WatchPollInterval < 0 ||
-		c.DrainStuckAfter < 0 {
+	if c.HealthInterval < 0 || c.Replicas < 0 || c.ResultTTL < 0 {
 		return errors.New("dispatch: negative durations/counts")
 	}
 	return nil
@@ -223,9 +214,6 @@ type Remote struct {
 	lastSweep time.Time
 	rtt       []time.Duration // submit→terminal round trips, ring buffer
 	rttIdx    int
-	// slo, when set (SetSLO), receives one observation per terminal job:
-	// the dispatcher's submit→terminal round trip is the client-facing SLI.
-	slo *obs.SLO
 
 	// scrapeMu guards the metrics-federation cache, separate from mu so
 	// serving the merged exposition never contends with routing.
@@ -262,12 +250,6 @@ func New(cfg Config) (*Remote, error) {
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
-	}
-	if cfg.WatchPollInterval == 0 {
-		cfg.WatchPollInterval = def.WatchPollInterval
-	}
-	if cfg.DrainStuckAfter == 0 {
-		cfg.DrainStuckAfter = DefaultDrainStuckAfter
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -1049,7 +1031,6 @@ func (r *Remote) finishLocked(id string, e *entry, ok bool) {
 	e.root.End()
 	r.recordRTTLocked(e.finished.Sub(e.created))
 	roundtripSeconds.Observe(e.finished.Sub(e.created).Seconds())
-	r.slo.Observe(e.finished.Sub(e.created), ok)
 	r.log.Debug("dispatch terminal observed", "job_id", id, "node", e.node.url,
 		"state", ev.State, "trace_id", e.trace.TraceID(),
 		"roundtrip_ms", float64(e.finished.Sub(e.created))/float64(time.Millisecond))

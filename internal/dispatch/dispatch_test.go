@@ -132,15 +132,18 @@ func TestSubmitFailsOverBusyNode(t *testing.T) {
 	}
 	defer d.Close(context.Background())
 
-	// Across many keys some are primarily homed on the busy node; every
-	// submission must still land on the idle successor.
-	for i := 0; i < 8; i++ {
-		if _, err := d.Submit(jobs.Payload{Kind: jobs.KindAnalysis, CacheKey: strconv.Itoa(i)}); err != nil {
-			t.Fatalf("submit %d failed despite an idle healthy node: %v", i, err)
+	// Across many keys some are primarily homed on the busy node (the ring
+	// hashes the nodes' random ports, so keep submitting until one is);
+	// every submission must still land on the idle successor.
+	submitted := 0
+	for submitted < 8 || (busyHits == 0 && submitted < 256) {
+		if _, err := d.Submit(jobs.Payload{Kind: jobs.KindAnalysis, CacheKey: strconv.Itoa(submitted)}); err != nil {
+			t.Fatalf("submit %d failed despite an idle healthy node: %v", submitted, err)
 		}
+		submitted++
 	}
-	if accepted != 8 {
-		t.Errorf("idle node accepted %d/8", accepted)
+	if accepted != submitted {
+		t.Errorf("idle node accepted %d/%d", accepted, submitted)
 	}
 	if busyHits == 0 {
 		t.Error("ring never tried the busy primary — test proves nothing")

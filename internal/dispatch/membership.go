@@ -201,41 +201,21 @@ func (r *Remote) DrainNode(url string) (jobs.FleetView, error) {
 	return jobs.FleetView{}, fmt.Errorf("dispatch: %s: %w", url, jobs.ErrNodeUnknown)
 }
 
-// RemoveNode drops a member immediately (jobs.Fleet), pending jobs
-// or not — the force path for a node that died while draining. Jobs still
-// routed to it fail over on their next poll (and recover from the ring
-// successor when replication is on).
-func (r *Remote) RemoveNode(url string) (jobs.FleetView, error) {
-	url = strings.TrimRight(strings.TrimSpace(url), "/")
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return jobs.FleetView{}, jobs.ErrClosed
-	}
-	for i, n := range r.nodes {
-		if n.url != url {
-			continue
-		}
-		r.nodes = append(r.nodes[:i], r.nodes[i+1:]...)
-		r.rebuildLocked()
-		r.log.Info("fleet member removed", "node", url, "epoch", r.epoch)
-		return r.fleetLocked(), nil
-	}
-	return jobs.FleetView{}, fmt.Errorf("dispatch: %s: %w", url, jobs.ErrNodeUnknown)
-}
-
-// finalizeDrains removes draining members whose pending count reached zero.
-// Run by the health loop each cycle, so a drained node disappears from the
-// fleet within one interval of its last job finishing.
+// finalizeDrains removes draining members whose pending count reached zero,
+// and draining members that failed their last health probe, pending jobs
+// or not: a node that died mid-drain will never finish them, and those
+// jobs fail over on their next poll. Run by the health loop each cycle,
+// after probeAll, so a drained node disappears from the fleet within one
+// interval of its last job finishing or of its death.
 func (r *Remote) finalizeDrains() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	kept := r.nodes[:0]
 	removed := 0
 	for _, n := range r.nodes {
-		if n.draining && r.pendingLocked(n) == 0 {
+		if n.draining && (!n.healthy || r.pendingLocked(n) == 0) {
 			removed++
-			r.log.Info("fleet drain complete", "node", n.url)
+			r.log.Info("fleet drain complete", "node", n.url, "healthy", n.healthy)
 			continue
 		}
 		kept = append(kept, n)

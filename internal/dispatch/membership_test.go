@@ -222,6 +222,67 @@ func TestDrainStopsNewKeysThenRemoves(t *testing.T) {
 	}
 }
 
+// TestDrainForgetsDeadNode: a draining node that dies with jobs pending is
+// dropped from the fleet by the first health cycle that finds it
+// unreachable, even without replication, and its stranded jobs report
+// failed on their next poll. While it still answers probes it stays a
+// member until its jobs finish.
+func TestDrainForgetsDeadNode(t *testing.T) {
+	var aAccepts, bAccepts int32
+	a := acceptingWorker(t, &aAccepts)
+	defer a.Close()
+	b := acceptingWorker(t, &bAccepts)
+	defer b.Close()
+
+	d, err := New(Config{Nodes: []string{a.URL, b.URL}, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close(context.Background())
+
+	// Spread keys until b holds a job that never finishes.
+	var stranded string
+	for i := 0; stranded == "" && i < 64; i++ {
+		before := atomic.LoadInt32(&bAccepts)
+		id, err := d.Submit(jobs.Payload{Kind: jobs.KindAnalysis, CacheKey: "dead-" + strconv.Itoa(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if atomic.LoadInt32(&bAccepts) > before {
+			stranded = id
+		}
+	}
+	if stranded == "" {
+		t.Fatal("no key routed to the node under test")
+	}
+	if _, err := d.DrainNode(b.URL); err != nil {
+		t.Fatal(err)
+	}
+
+	// Alive with a job pending: the drain waits.
+	d.probeAll()
+	d.finalizeDrains()
+	if n := len(d.Fleet().Nodes); n != 2 {
+		t.Fatalf("live draining node with pending jobs removed early: %d members", n)
+	}
+
+	b.Close()
+	d.probeAll()
+	d.finalizeDrains()
+	after := d.Fleet()
+	if len(after.Nodes) != 1 || after.Nodes[0].URL != a.URL {
+		t.Fatalf("dead draining node still a member: %+v", after.Nodes)
+	}
+
+	st, err := d.Status(stranded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != jobs.StateFailed {
+		t.Errorf("job on the forgotten node = %q, want failed", st.State)
+	}
+}
+
 // TestFailoverServesReplicatedResult is the dispatch-level chaos scenario:
 // a job lands on its primary, the primary dies, and the result poll
 // recovers the job from the ring successor — which, having received the

@@ -1,5 +1,5 @@
 // Fleet-wide observability: the dispatcher's half of the metrics
-// federation, SLO tracking and deep-health planes. Each health cycle the
+// federation and deep-health planes. Each health cycle the
 // dispatcher scrapes every member's Prometheus exposition alongside the
 // liveness probe; the merged, node-labelled view is served through the
 // jobs.Fleet seam at GET /v1/fleet/metrics. ComponentHealth
@@ -17,10 +17,10 @@ import (
 	"github.com/sljmotion/sljmotion/internal/obs"
 )
 
-// DefaultDrainStuckAfter is the drain-stuck threshold when
-// Config.DrainStuckAfter is zero: a draining node whose pending count has
-// not moved for this long degrades the "drain" health component.
-const DefaultDrainStuckAfter = 5 * time.Minute
+// drainStuckWindow is the drain-stuck threshold: a draining node whose
+// pending count has not moved for this long degrades the "drain" health
+// component.
+const drainStuckWindow = 5 * time.Minute
 
 // scrapeBodyLimit bounds one member's exposition read.
 const scrapeBodyLimit = 4 << 20
@@ -29,15 +29,6 @@ const scrapeBodyLimit = 4 << 20
 type memberScrape struct {
 	raw []byte
 	err error
-}
-
-// SetSLO wires the shared SLI store into the dispatcher: finishLocked
-// observes every terminal job's submit→terminal round trip against it.
-// Safe to call once, before or after traffic starts; nil detaches.
-func (r *Remote) SetSLO(s *obs.SLO) {
-	r.mu.Lock()
-	r.slo = s
-	r.mu.Unlock()
 }
 
 // scrapeAll pulls every current member's Prometheus exposition, rebuilding
@@ -155,7 +146,7 @@ func (r *Remote) FederationStats() jobs.FederationStats {
 //   - "dispatch" degrades when no healthy routable node remains — every
 //     submission would fail with ErrQueueFull;
 //   - "drain" degrades when a draining node's pending count has not moved
-//     for DrainStuckAfter — the signature of a drain wedged behind a job
+//     for drainStuckWindow — the signature of a drain wedged behind a job
 //     that will never finish.
 //
 // Both verdicts keep the HTTP healthz status 200: a degraded front end is
@@ -194,10 +185,10 @@ func (r *Remote) ComponentHealth() map[string]jobs.ComponentHealth {
 			n.drainChanged = now
 			continue
 		}
-		if p > 0 && !n.drainChanged.IsZero() && now.Sub(n.drainChanged) > r.cfg.DrainStuckAfter {
+		if p > 0 && !n.drainChanged.IsZero() && now.Sub(n.drainChanged) > drainStuckWindow {
 			drain = jobs.HealthDegradedComponent(
 				"drain stuck: %s has held %d pending job(s) for %s (threshold %s)",
-				n.url, p, now.Sub(n.drainChanged).Round(time.Millisecond), r.cfg.DrainStuckAfter)
+				n.url, p, now.Sub(n.drainChanged).Round(time.Millisecond), drainStuckWindow)
 		}
 	}
 	return map[string]jobs.ComponentHealth{"dispatch": disp, "drain": drain}

@@ -232,9 +232,8 @@ func TestWatchFallsBackToPolling(t *testing.T) {
 	defer node.Close()
 
 	d, err := dispatch.New(dispatch.Config{
-		Nodes:             []string{node.URL},
-		HealthInterval:    time.Hour, // keep the prober out of the poll count
-		WatchPollInterval: 5 * time.Millisecond,
+		Nodes:          []string{node.URL},
+		HealthInterval: time.Hour, // keep the prober out of the poll count
 	})
 	if err != nil {
 		t.Fatal(err)

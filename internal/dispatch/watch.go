@@ -22,7 +22,7 @@ func (r *Remote) EventHub() *events.Hub { return r.hub }
 // numbers end to end — so a client's Last-Event-ID survives front-end
 // reconnects unchanged. If the stream cannot be established, or is cut
 // mid-flight, Watch degrades to polling-backed synthetic events: the
-// node's status is polled on WatchPollInterval and each observed change
+// node's status is polled every watchPollPeriod and each observed change
 // becomes an event (opening with a snapshot, since the missed deltas are
 // unrecoverable). A job already terminal in the local record is answered
 // with an immediate terminal event — cache-hit submissions are streamable
@@ -171,16 +171,19 @@ func (r *Remote) observeStreamed(id string, e *entry, ev events.Event) {
 	r.finishLocked(id, e, ev.Type != events.TypeFailed)
 }
 
-// watchPoll is the synthetic-event fallback: the job's status is polled on
-// WatchPollInterval and every observed change is emitted as an event. The
-// first emission is a snapshot — the deltas between the stream cut and now
-// are unrecoverable — and sequence numbers continue after lastSeq.
+// watchPollPeriod paces watchPoll's status polls.
+const watchPollPeriod = 250 * time.Millisecond
+
+// watchPoll is the synthetic-event fallback: the job's status is polled
+// every watchPollPeriod and every observed change is emitted as an event.
+// The first emission is a snapshot — the deltas between the stream cut and
+// now are unrecoverable — and sequence numbers continue after lastSeq.
 func (r *Remote) watchPoll(ctx context.Context, id string, lastSeq uint64, ch chan<- events.Event) {
 	seq := lastSeq
 	first := true
 	var lastState jobs.State
 	var lastStage string
-	t := time.NewTicker(r.cfg.WatchPollInterval)
+	t := time.NewTicker(watchPollPeriod)
 	defer t.Stop()
 	for {
 		st, err := r.Status(id)

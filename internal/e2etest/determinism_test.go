@@ -11,6 +11,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"testing"
@@ -20,6 +21,7 @@ import (
 	"github.com/sljmotion/sljmotion/internal/core"
 	"github.com/sljmotion/sljmotion/internal/dispatch"
 	"github.com/sljmotion/sljmotion/internal/jobs"
+	"github.com/sljmotion/sljmotion/internal/journal"
 	"github.com/sljmotion/sljmotion/internal/segmentation"
 	"github.com/sljmotion/sljmotion/internal/server"
 	"github.com/sljmotion/sljmotion/internal/stickmodel"
@@ -93,9 +95,10 @@ func TestPoseDeterminismTable(t *testing.T) {
 // response document (stage_ms deleted) for each determinism clip under the
 // harness config. TestServiceDeterminismTable checks that the synchronous
 // route, an identical resubmission to it (answered from the result store),
-// the async job route, a dispatch front end over one worker node and
+// the async job route, a dispatch front end over one worker node,
 // a by-hash analysis of the clip streamed through a chunked ingest session
-// all serve this document. Only amd64 is populated, for the same reason as
+// and a job re-run from the journal of a stack stopped mid-job all serve
+// this document. Only amd64 is populated, for the same reason as
 // poseDigests.
 var serviceDigests = map[string]map[string]string{
 	"amd64": {
@@ -107,7 +110,7 @@ var serviceDigests = map[string]map[string]string{
 
 func TestServiceDeterminismTable(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full pipeline through three server stacks")
+		t.Skip("full pipeline through several server stacks")
 	}
 	want, ok := serviceDigests[runtime.GOARCH]
 	if !ok {
@@ -144,6 +147,7 @@ func TestServiceDeterminismTable(t *testing.T) {
 			}
 			paths["dispatch"] = submitFull(t, serviceStack(t, server.Options{Dispatcher: d}).URL, v)
 			paths["by-hash"] = analyzeByHash(t, serviceStack(t, server.DefaultOptions()).URL, v)
+			paths["journal-replay"] = journalReplay(t, v)
 
 			ref := StripVolatile(t, syncRaw)
 			for name, raw := range paths {
@@ -175,6 +179,75 @@ func serviceStack(t *testing.T, opts server.Options) *httptest.Server {
 		_ = s.Close(ctx)
 	})
 	return hs
+}
+
+// submitsOnly journals only submissions: the log of a process that died
+// with the job unfinished.
+type submitsOnly struct{ jobs.Journal }
+
+func (s submitsOnly) Append(e jobs.JournalEntry) error {
+	if e.Op != jobs.OpSubmit {
+		return nil
+	}
+	return s.Journal.Append(e)
+}
+
+// journalReplay submits the clip's full pipeline to a journaled stack whose
+// journal keeps only the submission, so the job reads as interrupted, then
+// reopens the journal on a fresh stack, which re-runs the job. A third
+// stack over the same journal must serve the finished job byte-identical
+// without running it again. Returns the re-run's document.
+func journalReplay(t *testing.T, v *synth.Video) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "jobs.journal")
+	var doc SubmitDoc
+	var replayed []byte
+	for phase := 0; phase < 3; phase++ {
+		j, err := journal.Open(path, journal.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := server.DefaultOptions()
+		opts.Journal = j
+		if phase == 0 {
+			opts.Journal = submitsOnly{j}
+		}
+		s, err := server.NewWithOptions(Config(), nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := httptest.NewServer(s.Handler())
+		switch phase {
+		case 0:
+			var raw []byte
+			var code int
+			doc, raw, code = Submit(t, hs.URL, v, "", false)
+			if code != http.StatusAccepted {
+				t.Fatalf("journaled submit status %d: %s", code, raw)
+			}
+			PollResult(t, hs.URL, doc.ResultURL, 2*time.Minute)
+		case 1:
+			replayed = PollResult(t, hs.URL, doc.ResultURL, 2*time.Minute)
+			if clips, _ := MetricsOf(t, hs.URL); clips != 1 {
+				t.Errorf("interrupted job: %d clips analysed after replay, want 1 (a re-run)", clips)
+			}
+		case 2:
+			if raw := PollResult(t, hs.URL, doc.ResultURL, 2*time.Minute); !bytes.Equal(raw, replayed) {
+				t.Errorf("finished job is not served byte-identical after replay:\n%s\nvs\n%s", raw, replayed)
+			}
+			if clips, _ := MetricsOf(t, hs.URL); clips != 0 {
+				t.Errorf("finished job: %d clips analysed after replay, want 0", clips)
+			}
+		}
+		hs.Close()
+		if err := s.Close(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return replayed
 }
 
 // analyzeSync runs the clip's full pipeline through base's synchronous

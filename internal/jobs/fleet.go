@@ -1,16 +1,12 @@
 package jobs
 
-import (
-	"errors"
-
-	"github.com/sljmotion/sljmotion/internal/obs"
-)
+import "errors"
 
 // Fleet errors surfaced by Fleet implementations. Servers map these
 // onto HTTP status codes, so they live here with the Fleet interface.
 var (
-	// ErrNodeUnknown reports a drain/remove request for a URL that is not a
-	// fleet member.
+	// ErrNodeUnknown reports a drain request for a URL that is not a fleet
+	// member.
 	ErrNodeUnknown = errors.New("node is not a fleet member")
 	// ErrNodeUnhealthy reports a join request whose admission probe failed;
 	// nodes are admitted to the ring only after answering a health probe.
@@ -64,18 +60,14 @@ type Fleet interface {
 	// existing member updates its weight and cancels a pending drain.
 	JoinNode(url string, weight int) (FleetView, error)
 	// DrainNode stops routing new keys to the node; its running jobs finish
-	// and the node is removed once none remain pending.
+	// and the node is removed once none remain pending, or at once if it
+	// fails a health probe while draining.
 	DrainNode(url string) (FleetView, error)
-	// RemoveNode drops the node immediately, abandoning any pending jobs
-	// (replication/failover may still recover them).
-	RemoveNode(url string) (FleetView, error)
 	// FederatedMetrics merges the members' Prometheus expositions into one
 	// node-labelled scrape, refreshing a stale cache synchronously.
 	FederatedMetrics() ([]byte, FederationStats, error)
 	// FederationStats reports the scrape bookkeeping from cache only.
 	FederationStats() FederationStats
-	// SetSLO feeds the SLI store one observation per terminal job.
-	SetSLO(s *obs.SLO)
 }
 
 // ReplicaMetrics counts successor-replication pushes from one node. Every

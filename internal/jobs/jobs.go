@@ -130,10 +130,6 @@ type Config struct {
 	// Log receives structured lifecycle logs, every line correlated by
 	// job_id (and trace_id once the job carries a trace). Nil discards.
 	Log *slog.Logger
-	// SLO, when set, receives one observation per terminal job: the
-	// end-to-end latency (enqueue to finish) and whether it succeeded,
-	// feeding the burn-rate gauges. Nil disables SLI tracking.
-	SLO *obs.SLO
 	// StallAfter is the queue-stall watchdog threshold: when the oldest
 	// queued job has waited longer than this, the manager's queue health
 	// component reports degraded. 0 means DefaultStallAfter.
@@ -784,9 +780,6 @@ func (m *Manager) execute(j *job) {
 	}
 	runSpan.End()
 	runSeconds.Observe(now.Sub(start).Seconds())
-	// The SLI is the client's view: enqueue to terminal, so queue wait
-	// counts against the latency objective exactly as a poller feels it.
-	m.cfg.SLO.Observe(now.Sub(j.enqueued), err == nil)
 
 	// Journal the terminal record BEFORE taking the lock and before the
 	// terminal state becomes visible: the result marshal can be megabytes

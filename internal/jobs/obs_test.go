@@ -2,8 +2,8 @@ package jobs
 
 // Tests for the Manager's observability plane: the replayed-trace stub on
 // journal-restored jobs, per-job resource accounting in the status
-// document, SLO observation on terminal transitions, the queue-stall
-// health watchdog, and the DisableObservability switch.
+// document, the queue-stall health watchdog, and the DisableObservability
+// switch.
 
 import (
 	"context"
@@ -11,8 +11,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"github.com/sljmotion/sljmotion/internal/obs"
 )
 
 // TestReplayedTraceStub: a journal-restored terminal job lost its live
@@ -184,36 +182,6 @@ func TestStatusCarriesResources(t *testing.T) {
 	}
 	if st.Resources.CPUUserMS < 0 || st.Resources.CPUSystemMS < 0 {
 		t.Errorf("negative CPU accounting: %+v", st.Resources)
-	}
-}
-
-// TestSLOObservedOnTerminal: every terminal job feeds the configured SLO
-// tracker — successes as good, failures as budget burn.
-func TestSLOObservedOnTerminal(t *testing.T) {
-	slo := obs.NewSLO(time.Minute, 0.99)
-	m, err := New(Config{Workers: 1, QueueSize: 4, SLO: slo}, routeExec{
-		"ok":   func(context.Context, Payload, func(string)) (any, error) { return 1, nil },
-		"boom": func(context.Context, Payload, func(string)) (any, error) { return nil, errors.New("nope") },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close(context.Background())
-	for _, k := range []string{"ok", "ok", "boom"} {
-		if _, err := m.Submit(kind(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, "slo observations", func() bool {
-		total, _ := slo.Window(obs.SLOWindowShort)
-		return total == 3
-	})
-	total, bad := slo.Window(obs.SLOWindowShort)
-	if total != 3 || bad != 1 {
-		t.Errorf("slo window = (%d, %d), want (3, 1)", total, bad)
-	}
-	if burn := slo.Burn(obs.SLOWindowShort); burn < 33 || burn > 34 {
-		t.Errorf("burn = %v, want ~33.3 (1/3 bad over a 0.01 budget)", burn)
 	}
 }
 

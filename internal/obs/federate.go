@@ -83,6 +83,12 @@ func MergeExpositions(nodes []ScrapedNode) ([]byte, error) {
 	}
 	for _, name := range order {
 		fam := families[name]
+		if fam.typ == "" {
+			// HELP without a TYPE anywhere: no sample can attach to the
+			// family (mergeOne needs a TYPE first), and a header with an
+			// empty type is not valid exposition.
+			continue
+		}
 		fmt.Fprintf(&buf, "# HELP %s %s\n# TYPE %s %s\n", fam.name, escapeHelp(fam.help), fam.name, fam.typ)
 		for _, s := range fam.samples {
 			buf.WriteString(s.name)

@@ -1,6 +1,10 @@
 package obs
 
-import "testing"
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
 
 // FuzzParseTraceparent feeds arbitrary header values to the traceparent
 // parser. It must never panic, and whatever it accepts must be a valid
@@ -22,6 +26,40 @@ func FuzzParseTraceparent(f *testing.F) {
 		again, ok := ParseTraceparent(sc.Traceparent())
 		if !ok || again != sc {
 			t.Fatalf("%q parsed to %+v, whose header %q parses to %+v (ok=%v)", s, sc, sc.Traceparent(), again, ok)
+		}
+	})
+}
+
+// FuzzMergeExpositions feeds two members' arbitrary scrape bodies to the
+// federation merger. It must never panic, its output must depend only on
+// the input (not on call or member order), and when both members pass the
+// conformance lint the merged scrape must pass it too.
+func FuzzMergeExpositions(f *testing.F) {
+	var gauges, counters, hists bytes.Buffer
+	NewPromWriter(&gauges).Gauge("slj_jobs_queue_depth", "Jobs waiting.", 3, "pool", "a")
+	NewPromWriter(&counters).Counter("slj_jobs_submitted_total", "Jobs submitted.\nSecond line.", 7)
+	reg := NewRegistry()
+	reg.Histogram("slj_job_run_seconds", "Run time.", []float64{0.1, 1}, "stage", "pose").Observe(0.5)
+	reg.WritePrometheus(NewPromWriter(&hists))
+	f.Add(gauges.Bytes(), counters.Bytes())
+	f.Add(hists.Bytes(), hists.Bytes())
+	f.Add(gauges.Bytes(), hists.Bytes())
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		nodes := []ScrapedNode{{Node: "http://a:1", Exposition: a}, {Node: "http://b:2", Exposition: b}}
+		merged, err := MergeExpositions(nodes)
+		if err != nil {
+			t.Fatalf("merge: %v", err)
+		}
+		again, _ := MergeExpositions(nodes)
+		swapped, _ := MergeExpositions([]ScrapedNode{nodes[1], nodes[0]})
+		if !bytes.Equal(merged, again) || !bytes.Equal(merged, swapped) {
+			t.Fatalf("merge is not a function of its input:\n%s\n---\n%s\n---\n%s", merged, again, swapped)
+		}
+		if len(LintExposition(a, nil).Issues) != 0 || len(LintExposition(b, nil).Issues) != 0 {
+			return
+		}
+		if res := LintExposition(merged, nil); len(res.Issues) != 0 {
+			t.Fatalf("clean members merged into a scrape that fails the lint:\n%s\n%s", strings.Join(res.Issues, "\n"), merged)
 		}
 	})
 }

@@ -138,7 +138,6 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 		"Events dropped by the hub's never-block policy (slow subscribers are resynced instead).",
 		float64(s.jobs.EventHub().Dropped()))
 
-	s.slo.WritePrometheus(p)
 	comps := s.componentHealth()
 	names := make([]string, 0, len(comps))
 	for name := range comps {

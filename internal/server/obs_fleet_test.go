@@ -1,6 +1,6 @@
 // Fleet observability end-to-end tests: the federated cluster scrape at
 // GET /v1/fleet/metrics passes the conformance lint with every member
-// labelled, the /v1/fleet rollup carries the SLO and federation sections,
+// labelled, the /v1/fleet rollup carries the federation section,
 // and the deep-health document degrades componentwise under an induced
 // queue stall while the HTTP status stays 200.
 package server
@@ -29,7 +29,7 @@ func TestFleetMetricsFederationConformance(t *testing.T) {
 	// background loop having ticked.
 	_, front := fleetFront(t, false, time.Hour, w1hs.URL, w2hs.URL)
 
-	// One finished job gives the workers real histogram and SLO samples.
+	// One finished job gives the workers real histogram samples.
 	v, err := synth.Generate(synth.DefaultJumpParams())
 	if err != nil {
 		t.Fatal(err)
@@ -54,12 +54,11 @@ func TestFleetMetricsFederationConformance(t *testing.T) {
 	}
 
 	// The acceptance bound: the merged cluster scrape obeys the same
-	// conformance grammar as a single node's, and carries the SLO
-	// burn-rate and component-health families from every member.
+	// conformance grammar as a single node's, and carries the
+	// component-health family from every member.
 	res := obs.LintExposition(merged, []string{
 		"slj_fleet_members", "slj_fleet_scrape_ok",
 		"slj_jobs_submitted_total", "slj_job_run_seconds",
-		"slj_slo_error_budget_burn", "slj_slo_objective_latency_seconds",
 		"slj_health_component_ok",
 	})
 	if len(res.Issues) != 0 {
@@ -68,7 +67,7 @@ func TestFleetMetricsFederationConformance(t *testing.T) {
 
 	nodesSeen := map[string]bool{}
 	scrapeOK := map[string]float64{}
-	burnNodes := map[string]bool{}
+	healthNodes := map[string]bool{}
 	for _, s := range res.Samples {
 		if n := s.Labels["node"]; n != "" {
 			nodesSeen[n] = true
@@ -80,8 +79,8 @@ func TestFleetMetricsFederationConformance(t *testing.T) {
 			}
 		case "slj_fleet_scrape_ok":
 			scrapeOK[s.Labels["node"]] = s.Value
-		case "slj_slo_error_budget_burn":
-			burnNodes[s.Labels["node"]] = true
+		case "slj_health_component_ok":
+			healthNodes[s.Labels["node"]] = true
 		}
 	}
 	for _, u := range []string{w1hs.URL, w2hs.URL} {
@@ -91,13 +90,13 @@ func TestFleetMetricsFederationConformance(t *testing.T) {
 		if scrapeOK[u] != 1 {
 			t.Errorf("scrape_ok[%s] = %v, want 1", u, scrapeOK[u])
 		}
-		if !burnNodes[u] {
-			t.Errorf("member %s contributes no burn-rate gauge", u)
+		if !healthNodes[u] {
+			t.Errorf("member %s contributes no component-health gauge", u)
 		}
 	}
 
-	// The /v1/fleet rollup gains the SLO and federation sections beside
-	// the membership view it always served.
+	// The /v1/fleet rollup gains the federation section beside the
+	// membership view it always served.
 	resp, err = http.Get(front.URL + "/v1/fleet")
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +106,6 @@ func TestFleetMetricsFederationConformance(t *testing.T) {
 		Nodes []struct {
 			URL string `json:"url"`
 		} `json:"nodes"`
-		SLO        *obs.SLODoc `json:"slo"`
 		Federation *struct {
 			NodesScraped int `json:"nodes_scraped"`
 		} `json:"federation"`
@@ -119,11 +117,6 @@ func TestFleetMetricsFederationConformance(t *testing.T) {
 	}
 	if fleet.Epoch == nil || len(fleet.Nodes) != 2 {
 		t.Errorf("fleet rollup epoch/nodes = %v/%d, want both members", fleet.Epoch, len(fleet.Nodes))
-	}
-	if fleet.SLO == nil {
-		t.Error("fleet rollup has no slo section")
-	} else if fleet.SLO.Jobs1h < 1 {
-		t.Errorf("front-end SLO observed %d jobs, want >= 1 after the finished job", fleet.SLO.Jobs1h)
 	}
 	if fleet.Federation == nil {
 		t.Error("fleet rollup has no federation section")
@@ -185,9 +178,6 @@ func TestHealthzDegradesOnQueueStall(t *testing.T) {
 	if c, ok := components["queue"]; !ok || c.Status != jobs.HealthOK {
 		t.Fatalf("queue component on a fresh server = %+v, want ok", components)
 	}
-	if c, ok := components["slo"]; !ok || c.Status != jobs.HealthOK {
-		t.Fatalf("slo component on a fresh server = %+v, want ok", components)
-	}
 
 	if _, err := mgr.Submit(jobs.Payload{Kind: jobs.KindAnalysis}); err != nil {
 		t.Fatal(err)
@@ -214,9 +204,6 @@ func TestHealthzDegradesOnQueueStall(t *testing.T) {
 			t.Fatalf("queue component never degraded; last doc: status=%q components=%+v", status, components)
 		}
 		time.Sleep(20 * time.Millisecond)
-	}
-	if c := components["slo"]; c.Status != jobs.HealthOK {
-		t.Errorf("slo component degraded by a queue stall: %+v", c)
 	}
 
 	// Releasing the worker drains the queue and the verdict recovers.

@@ -205,25 +205,11 @@ type Options struct {
 	// set this (slj-serve wires a dispatch.Replicator); the caller keeps
 	// ownership of closing it after the server closes.
 	Replicator jobs.ReplicaSink
-	// SLOLatency is the end-to-end job latency objective: a successful job
-	// slower than this still burns error budget (slj-serve -slo-latency-ms).
-	// Zero selects DefaultSLOLatency; negative disables the latency
-	// objective, leaving success ratio as the only SLI.
-	SLOLatency time.Duration
-	// SLOTarget is the objective's success-ratio target in (0, 1); zero
-	// selects DefaultSLOTarget.
-	SLOTarget float64
 	// StallAfter is the in-process queue-stall watchdog threshold (deep
 	// health degrades the "queue" component past it); zero selects
 	// jobs.DefaultStallAfter. Ignored when Dispatcher is set.
 	StallAfter time.Duration
 }
-
-// SLO defaults: jobs slower than 2s against a 99% target.
-const (
-	DefaultSLOLatency = 2 * time.Second
-	DefaultSLOTarget  = 0.99
-)
 
 // DefaultOptions returns a small-deployment default (jobs.DefaultConfig
 // workers/queue, artifacts.DefaultConfig store).
@@ -264,12 +250,6 @@ type Server struct {
 
 	mu       sync.Mutex
 	analyzed int // clips analysed since start, served by /v1/healthz
-
-	// slo is the rolling SLI store behind the burn-rate gauges, the
-	// /v1/fleet rollup and the deep-health "slo" component. Always set:
-	// the in-process Manager and the remote dispatcher both feed it one
-	// observation per terminal job.
-	slo *obs.SLO
 
 	// Successor replication (worker side): replica is the push sink;
 	// replActive refcounts targets of in-flight jobs (consulted by the
@@ -367,18 +347,6 @@ func NewWithOptions(cfg core.Config, logger *log.Logger, opts Options) (*Server,
 		replica:     opts.Replicator,
 		replActive:  make(map[string]int),
 	}
-	sloLatency := opts.SLOLatency
-	switch {
-	case sloLatency == 0:
-		sloLatency = DefaultSLOLatency
-	case sloLatency < 0:
-		sloLatency = 0 // success ratio only
-	}
-	sloTarget := opts.SLOTarget
-	if sloTarget == 0 {
-		sloTarget = DefaultSLOTarget
-	}
-	s.slo = obs.NewSLO(sloLatency, sloTarget)
 	srv = s
 	dispatcher := opts.Dispatcher
 	if dispatcher == nil {
@@ -396,7 +364,6 @@ func NewWithOptions(cfg core.Config, logger *log.Logger, opts Options) (*Server,
 			QueueSize:  opts.QueueSize,
 			ResultTTL:  opts.ResultTTL,
 			Journal:    opts.Journal,
-			SLO:        s.slo,
 			StallAfter: opts.StallAfter,
 			Events: events.NewHub(events.Config{
 				SubscriberBuffer: opts.EventBuffer,
@@ -413,9 +380,6 @@ func NewWithOptions(cfg core.Config, logger *log.Logger, opts Options) (*Server,
 	}
 	s.jobs = dispatcher
 	if fl, ok := dispatcher.(jobs.Fleet); ok {
-		// A fleet backend (the remote dispatcher) feeds the same SLI store
-		// from its submit→terminal round trips.
-		fl.SetSLO(s.slo)
 		s.fleet = fl
 	}
 	return s, nil
@@ -455,7 +419,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/fleet/metrics", method(http.MethodGet, s.handleFleetMetrics))
 	mux.HandleFunc("/v1/fleet/nodes", method(http.MethodPost, s.handleFleetJoin))
 	mux.HandleFunc("/v1/fleet/drain", method(http.MethodPost, s.handleFleetDrain))
-	mux.HandleFunc("/v1/fleet/remove", method(http.MethodPost, s.handleFleetRemove))
 	if s.worker {
 		// The worker intake: serialized payloads instead of multipart
 		// uploads.
@@ -1054,7 +1017,7 @@ func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
 
 // handleHealth serves the deep-health document: the overall status plus
 // one verdict per watchdog component (queue stall, fleet routability,
-// drain progress, replication backlog, SLO burn). The HTTP status is 200
+// drain progress, replication backlog). The HTTP status is 200
 // even when degraded — a stalled process is alive, and the dispatch
 // liveness prober must not mistake degraded for dead; the fleet JOIN
 // probe, by contrast, reads the body and refuses degraded members.
@@ -1079,8 +1042,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // componentHealth merges every subsystem's watchdog verdict: the job
 // backend's own components (queue stall for the Manager; fleet
-// routability and drain progress for the remote dispatcher), the
-// replication push backlog, and the short-window SLO burn rate.
+// routability and drain progress for the remote dispatcher) and the
+// replication push backlog.
 func (s *Server) componentHealth() map[string]jobs.ComponentHealth {
 	components := s.jobs.ComponentHealth()
 	if s.replica != nil {
@@ -1091,13 +1054,6 @@ func (s *Server) componentHealth() map[string]jobs.ComponentHealth {
 		}
 		components["replication"] = comp
 	}
-	slo := jobs.HealthOKComponent()
-	if burn := s.slo.Burn(obs.SLOWindowShort); burn >= obs.SLOFastBurnAlert {
-		slo = jobs.HealthDegradedComponent(
-			"error budget burning at %.1fx over the last 5m (alert at %.0fx)",
-			burn, obs.SLOFastBurnAlert)
-	}
-	components["slo"] = slo
 	return components
 }
 

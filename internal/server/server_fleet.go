@@ -8,8 +8,8 @@
 //	POST /v1/fleet/nodes    {"url": ..., "weight": n} — join after a
 //	                        passing health probe (502 on probe failure)
 //	POST /v1/fleet/drain    {"url": ...} — stop routing new keys; the node
-//	                        is removed once its running jobs finish
-//	POST /v1/fleet/remove   {"url": ...} — drop immediately (force path)
+//	                        is removed once its running jobs finish, or
+//	                        at once if it fails a health probe
 //
 // Successor replication pushes blobs to the ring successor's POST
 // /v1/artifacts, finished results as result/v1 blobs, so a failover re-hash
@@ -38,8 +38,7 @@ func (s *Server) requireFleet(w http.ResponseWriter) bool {
 	return true
 }
 
-// handleFleet serves GET /v1/fleet: the membership view plus the
-// observability rollup — the fleet-wide SLO document and the member
+// handleFleet serves GET /v1/fleet: the membership view plus the member
 // scrape bookkeeping (from cache only; listing the fleet must never
 // trigger a scrape sweep).
 func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
@@ -50,7 +49,6 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"epoch":      view.Epoch,
 		"nodes":      view.Nodes,
-		"slo":        s.slo.Doc(),
 		"federation": s.fleet.FederationStats(),
 	})
 }
@@ -126,24 +124,6 @@ func (s *Server) handleFleetDrain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.log.Info("fleet drain", "node", doc.URL, "epoch", view.Epoch)
-	writeJSON(w, http.StatusOK, view)
-}
-
-// handleFleetRemove serves POST /v1/fleet/remove.
-func (s *Server) handleFleetRemove(w http.ResponseWriter, r *http.Request) {
-	if !s.requireFleet(w) {
-		return
-	}
-	doc, ok := decodeFleetNode(w, r)
-	if !ok {
-		return
-	}
-	view, err := s.fleet.RemoveNode(doc.URL)
-	if err != nil {
-		writeFleetError(w, err)
-		return
-	}
-	s.log.Info("fleet remove", "node", doc.URL, "epoch", view.Epoch)
 	writeJSON(w, http.StatusOK, view)
 }
 

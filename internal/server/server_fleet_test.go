@@ -128,6 +128,12 @@ func TestFleetLiveJoinAndDrain(t *testing.T) {
 		t.Fatalf("join view: %v %s", err, body)
 	}
 
+	// There is no force-remove route: a dead draining node is dropped by
+	// the health loop instead.
+	if resp, _ := postJSON(t, front.URL+"/v1/fleet/remove", map[string]string{"url": w2hs.URL}); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /v1/fleet/remove: %d, want 404", resp.StatusCode)
+	}
+
 	// Drain w1: immediately out of the ring, removed once nothing pends.
 	resp, body = postJSON(t, front.URL+"/v1/fleet/drain", map[string]string{"url": w1hs.URL})
 	if resp.StatusCode != http.StatusOK {
