@@ -450,17 +450,9 @@ func (ss *Session) Seal() (*SealDoc, error) {
 }
 
 func (ss *Session) seal(frames []*imaging.Image) (*SealDoc, error) {
-	bg, err := ss.owner.pipe.EstimateBackground(frames)
+	bg, sils, err := ss.owner.pipe.SegmentClip(frames, 1)
 	if err != nil {
-		return nil, err
-	}
-	sils := make([]segmentation.Silhouette, len(frames))
-	for i, f := range frames {
-		st, err := ss.owner.pipe.SegmentFrame(f, bg)
-		if err != nil {
-			return nil, fmt.Errorf("artifacts: seal frame %d: %w", i, err)
-		}
-		sils[i] = segmentation.NewSilhouette(i, st.Object)
+		return nil, fmt.Errorf("artifacts: seal: %w", err)
 	}
 
 	framesBlob, err := EncodeFrames(frames)

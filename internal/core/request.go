@@ -276,7 +276,7 @@ func (a *Analyzer) Run(ctx context.Context, req Request, progress ProgressFunc) 
 		case req.SegmentationMemo && req.Background != nil && len(req.Silhouettes) == len(req.Frames):
 			// A sealed ingest session already segmented this exact clip
 			// under this exact configuration; replay its output instead of
-			// recomputing it. SegmentFrame is deterministic, so the replay
+			// recomputing it. Segmentation is deterministic, so the replay
 			// is bit-identical — the stage still runs (and is timed), it
 			// just costs nothing.
 			done()
@@ -287,7 +287,7 @@ func (a *Analyzer) Run(ctx context.Context, req Request, progress ProgressFunc) 
 			if err != nil {
 				return nil, fmt.Errorf("segmentation: %w", err)
 			}
-			bg, _, sils, err := seg.RunDetailedWorkers(req.Frames, maxParallel(a.cfg.Parallelism))
+			bg, sils, err := seg.SegmentClip(req.Frames, maxParallel(a.cfg.Parallelism))
 			if err != nil {
 				return nil, fmt.Errorf("segmentation: %w", err)
 			}

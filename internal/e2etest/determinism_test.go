@@ -18,8 +18,10 @@ import (
 	"time"
 
 	"github.com/sljmotion/sljmotion"
+	"github.com/sljmotion/sljmotion/internal/artifacts"
 	"github.com/sljmotion/sljmotion/internal/core"
 	"github.com/sljmotion/sljmotion/internal/dispatch"
+	"github.com/sljmotion/sljmotion/internal/imaging"
 	"github.com/sljmotion/sljmotion/internal/jobs"
 	"github.com/sljmotion/sljmotion/internal/journal"
 	"github.com/sljmotion/sljmotion/internal/segmentation"
@@ -324,41 +326,125 @@ var segDigests = map[string]struct{ background, silhouettes string }{
 	},
 }
 
+// TestSegmentationDeterminismTable runs every segmentation entry point on
+// the table's clips: all must give the pinned digests, and every
+// silhouette's statistics must equal NewSilhouette's on its mask.
 func TestSegmentationDeterminismTable(t *testing.T) {
+	cfg := core.DefaultConfig().Segmentation
 	for clip, params := range determinismClips() {
 		t.Run(clip, func(t *testing.T) {
 			v, err := synth.Generate(params)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pipe, err := segmentation.New(core.DefaultConfig().Segmentation)
+			pipe, err := segmentation.New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bg, _, sils, err := pipe.RunDetailed(v.Frames)
-			if err != nil {
-				t.Fatal(err)
-			}
-			h := sha256.New()
-			putInts(h, bg.W, bg.H)
-			for _, c := range bg.Pix {
-				h.Write([]byte{c.R, c.G, c.B})
-			}
-			gotBG := hex.EncodeToString(h.Sum(nil))
-			h.Reset()
-			for _, s := range sils {
-				h.Write(jobs.PackMask(s.Mask))
-			}
-			gotSils := hex.EncodeToString(h.Sum(nil))
 			want := segDigests[clip]
-			if gotBG != want.background {
-				t.Errorf("background digest %s, want %s", gotBG, want.background)
+			// check compares one entry point's output with the pins; a nil
+			// background is an entry point that does not return one.
+			check := func(entry string, bg *imaging.Image, sils []segmentation.Silhouette, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s: %v", entry, err)
+				}
+				if bg != nil {
+					if got := backgroundDigest(bg); got != want.background {
+						t.Errorf("%s: background digest %s, want %s", entry, got, want.background)
+					}
+				}
+				if len(sils) != len(v.Frames) {
+					t.Fatalf("%s: %d silhouettes for %d frames", entry, len(sils), len(v.Frames))
+				}
+				h := sha256.New()
+				for k, s := range sils {
+					h.Write(jobs.PackMask(s.Mask))
+					ref := segmentation.NewSilhouette(k, s.Mask)
+					if s.Frame != k || s.Area != ref.Area || s.BBox != ref.BBox ||
+						math.Float64bits(s.Centroid.X) != math.Float64bits(ref.Centroid.X) ||
+						math.Float64bits(s.Centroid.Y) != math.Float64bits(ref.Centroid.Y) {
+						t.Errorf("%s frame %d: statistics {%d %d %v %v}, NewSilhouette gives {%d %d %v %v}", entry, k,
+							s.Frame, s.Area, s.Centroid, s.BBox, ref.Frame, ref.Area, ref.Centroid, ref.BBox)
+					}
+				}
+				if got := hex.EncodeToString(h.Sum(nil)); got != want.silhouettes {
+					t.Errorf("%s: silhouettes digest %s, want %s", entry, got, want.silhouettes)
+				}
 			}
-			if gotSils != want.silhouettes {
-				t.Errorf("silhouettes digest %s, want %s", gotSils, want.silhouettes)
+
+			bg, _, sils, err := pipe.RunDetailed(v.Frames)
+			check("RunDetailed", bg, sils, err)
+			bg, _, sils, err = pipe.RunDetailedWorkers(v.Frames, 2)
+			check("RunDetailedWorkers(2)", bg, sils, err)
+			sils, err = pipe.Run(v.Frames)
+			check("Run", nil, sils, err)
+			sils, err = pipe.RunWorkers(v.Frames, 2)
+			check("RunWorkers(2)", nil, sils, err)
+			bg, sils, err = pipe.SegmentClip(v.Frames, 2)
+			check("SegmentClip(2)", bg, sils, err)
+
+			bg, err = pipe.EstimateBackground(v.Frames)
+			if err != nil {
+				t.Fatal(err)
 			}
+			sils = make([]segmentation.Silhouette, len(v.Frames))
+			for k, f := range v.Frames {
+				st, err := pipe.SegmentFrame(f, bg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sils[k] = segmentation.NewSilhouette(k, st.Object)
+			}
+			check("SegmentFrame", bg, sils, nil)
+
+			bg, sils, err = sealAndDecode(t, cfg, v.Frames)
+			check("ingest seal", bg, sils, err)
 		})
 	}
+}
+
+// backgroundDigest is the SHA-256 of a background: width, height, then RGB
+// row-major.
+func backgroundDigest(bg *imaging.Image) string {
+	h := sha256.New()
+	putInts(h, bg.W, bg.H)
+	for _, c := range bg.Pix {
+		h.Write([]byte{c.R, c.G, c.B})
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// sealAndDecode uploads a clip to an ingest session, seals it, and decodes
+// the silhouettes artifact the seal stored.
+func sealAndDecode(t *testing.T, cfg segmentation.Config, frames []*imaging.Image) (*imaging.Image, []segmentation.Silhouette, error) {
+	t.Helper()
+	store, err := artifacts.NewStore(artifacts.Config{MaxBlobs: 8, MaxBytes: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	sessions, err := artifacts.NewSessions(artifacts.SessionConfig{Store: store, Seg: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sessions.Close()
+	sess, err := sessions.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Append(0, frames); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := sess.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, _, ok := store.Get(doc.SilhouettesHash)
+	if !ok {
+		t.Fatalf("sealed silhouettes %s not in the store", doc.SilhouettesHash)
+	}
+	return artifacts.DecodeSilhouettes(blob)
 }
 
 // twoDecimals rounds the annotation to the two decimals a truth file

@@ -20,19 +20,23 @@ func FromRGB(c imaging.Color) HSV {
 	r := float64(c.R) / 255
 	g := float64(c.G) / 255
 	b := float64(c.B) / 255
-	maxC := math.Max(r, math.Max(g, b))
-	minC := math.Min(r, math.Min(g, b))
-	delta := maxC - minC
+	// Dividing by 255 keeps the channels' order and tells distinct bytes
+	// apart, so the byte extremes pick the same channels math.Max and
+	// math.Min would, and give the same values.
+	hi, lo := max(c.R, c.G, c.B), min(c.R, c.G, c.B)
+	maxC := float64(hi) / 255
+	delta := maxC - float64(lo)/255
 
 	var h float64
 	switch {
-	case delta == 0:
+	case hi == lo:
 		h = 0
-	case maxC == r:
-		h = 60 * math.Mod((g-b)/delta, 6)
-	case maxC == g:
+	case hi == c.R:
+		// (g-b)/delta lies in [-1, 1], where math.Mod(x, 6) returns x.
+		h = 60 * ((g - b) / delta)
+	case hi == c.G:
 		h = 60 * ((b-r)/delta + 2)
-	default: // maxC == b
+	default: // hi == c.B
 		h = 60 * ((r-g)/delta + 4)
 	}
 	if h < 0 {
@@ -85,7 +89,15 @@ func (c HSV) ToRGB() imaging.Color {
 // HueDist returns DH of Eq. 2: the angular distance between two hues,
 // min(|h1-h2|, 360-|h1-h2|), always in [0,180].
 func HueDist(h1, h2 float64) float64 {
-	d := math.Abs(math.Mod(h1, 360) - math.Mod(h2, 360))
+	// math.Mod returns its argument unchanged inside (-360, 360), so only
+	// hues outside it (and ±Inf, NaN) pay for the call.
+	if !(h1 > -360 && h1 < 360) {
+		h1 = math.Mod(h1, 360)
+	}
+	if !(h2 > -360 && h2 < 360) {
+		h2 = math.Mod(h2, 360)
+	}
+	d := math.Abs(h1 - h2)
 	if d > 180 {
 		d = 360 - d
 	}

@@ -122,3 +122,73 @@ func absInt(v int) int {
 	}
 	return v
 }
+
+// fromRGBReference is FromRGB as first written: math.Max, math.Min and
+// math.Mod on the divided channels. FromRGB must match it bit for bit.
+func fromRGBReference(c imaging.Color) HSV {
+	r := float64(c.R) / 255
+	g := float64(c.G) / 255
+	b := float64(c.B) / 255
+	maxC := math.Max(r, math.Max(g, b))
+	minC := math.Min(r, math.Min(g, b))
+	delta := maxC - minC
+
+	var h float64
+	switch {
+	case delta == 0:
+		h = 0
+	case maxC == r:
+		h = 60 * math.Mod((g-b)/delta, 6)
+	case maxC == g:
+		h = 60 * ((b-r)/delta + 2)
+	default:
+		h = 60 * ((r-g)/delta + 4)
+	}
+	if h < 0 {
+		h += 360
+	}
+	s := 0.0
+	if maxC > 0 {
+		s = delta / maxC
+	}
+	return HSV{H: h, S: s, V: maxC}
+}
+
+// TestFromRGBMatchesReferenceOnEveryColour checks all 2^24 colours.
+func TestFromRGBMatchesReferenceOnEveryColour(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for rgb := 0; rgb < 1<<24; rgb++ {
+		c := imaging.Color{R: uint8(rgb >> 16), G: uint8(rgb >> 8), B: uint8(rgb)}
+		got, want := FromRGB(c), fromRGBReference(c)
+		if !same(got.H, want.H) || !same(got.S, want.S) || !same(got.V, want.V) {
+			t.Fatalf("FromRGB(%v) = %+v, reference %+v", c, got, want)
+		}
+	}
+}
+
+// TestHueDistMatchesReference checks HueDist against the always-math.Mod
+// formula on a grid of hues in and out of range, signed zeros, NaN and
+// infinities, bit for bit (any NaN matches any NaN).
+func TestHueDistMatchesReference(t *testing.T) {
+	reference := func(h1, h2 float64) float64 {
+		d := math.Abs(math.Mod(h1, 360) - math.Mod(h2, 360))
+		if d > 180 {
+			d = 360 - d
+		}
+		return d
+	}
+	grid := []float64{
+		0, math.Copysign(0, -1), 5e-324, 0.5, 59.999, 90, 179.5, 180, 180.5, 270,
+		math.Nextafter(360, 0), 360, 360.25, 539, 720, 1e6, 1e300,
+		-0.5, -90, -180, -270, math.Nextafter(-360, 0), -360, -400, -720, -1e300,
+		math.NaN(), math.Inf(1), math.Inf(-1),
+	}
+	for _, h1 := range grid {
+		for _, h2 := range grid {
+			got, want := HueDist(h1, h2), reference(h1, h2)
+			if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Errorf("HueDist(%v, %v) = %v, reference %v", h1, h2, got, want)
+			}
+		}
+	}
+}

@@ -29,7 +29,9 @@ type ScrapedNode struct {
 }
 
 // promFamily is one merged family: the TYPE/HELP header plus the samples
-// of every node, in node order.
+// of every node, in node order. help is the first member's HELP line after
+// the family name as it came off the wire: already escaped, and with its
+// separating space when it has one, so it is written back unchanged.
 type promFamily struct {
 	name, typ, help string
 	samples         []promNodeSample
@@ -89,7 +91,7 @@ func MergeExpositions(nodes []ScrapedNode) ([]byte, error) {
 			// empty type is not valid exposition.
 			continue
 		}
-		fmt.Fprintf(&buf, "# HELP %s %s\n# TYPE %s %s\n", fam.name, escapeHelp(fam.help), fam.name, fam.typ)
+		fmt.Fprintf(&buf, "# HELP %s%s\n# TYPE %s %s\n", fam.name, fam.help, fam.name, fam.typ)
 		for _, s := range fam.samples {
 			buf.WriteString(s.name)
 			buf.WriteString(`{node="`)
@@ -123,11 +125,9 @@ func mergeOne(n ScrapedNode, order *[]string, families map[string]*promFamily) e
 			continue
 		}
 		if strings.HasPrefix(line, "# HELP ") {
-			parts := strings.SplitN(strings.TrimPrefix(line, "# HELP "), " ", 2)
-			name, help := parts[0], ""
-			if len(parts) == 2 {
-				help = parts[1]
-			}
+			rest := strings.TrimPrefix(line, "# HELP ")
+			name, _, _ := strings.Cut(rest, " ")
+			help := rest[len(name):]
 			fam, ok := families[name]
 			if !ok {
 				fam = &promFamily{name: name, help: help}

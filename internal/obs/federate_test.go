@@ -138,6 +138,24 @@ func TestMergeExpositionsFailedScrape(t *testing.T) {
 	}
 }
 
+// TestMergeExpositionsKeepsHelpEscapes checks that a member's HELP text,
+// escaped once on the wire, is federated as it came and not escaped again.
+func TestMergeExpositionsKeepsHelpEscapes(t *testing.T) {
+	var member bytes.Buffer
+	NewPromWriter(&member).Counter("slj_things_total", "line one\nback\\slash", 1)
+	const help = `# HELP slj_things_total line one\nback\\slash`
+	if !strings.Contains(member.String(), help+"\n") {
+		t.Fatalf("member exposition lacks %q:\n%s", help, member.String())
+	}
+	merged, err := MergeExpositions([]ScrapedNode{{Node: "http://a:8080", Exposition: member.Bytes()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(merged), help+"\n") {
+		t.Errorf("federated HELP is not the member's %q:\n%s", help, merged)
+	}
+}
+
 func TestMergeExpositionsTypeMismatch(t *testing.T) {
 	a := []byte("# HELP slj_thing A thing.\n# TYPE slj_thing gauge\nslj_thing 1\n")
 	b := []byte("# HELP slj_thing A thing.\n# TYPE slj_thing counter\nslj_thing 2\n")

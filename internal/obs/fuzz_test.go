@@ -32,8 +32,10 @@ func FuzzParseTraceparent(f *testing.F) {
 
 // FuzzMergeExpositions feeds two members' arbitrary scrape bodies to the
 // federation merger. It must never panic, its output must depend only on
-// the input (not on call or member order), and when both members pass the
-// conformance lint the merged scrape must pass it too.
+// the input (not on call or member order), when both members pass the
+// conformance lint the merged scrape must pass it too, and a lone clean
+// member's HELP lines (of families it declares a TYPE for) must pass
+// through byte for byte.
 func FuzzMergeExpositions(f *testing.F) {
 	var gauges, counters, hists bytes.Buffer
 	NewPromWriter(&gauges).Gauge("slj_jobs_queue_depth", "Jobs waiting.", 3, "pool", "a")
@@ -55,7 +57,29 @@ func FuzzMergeExpositions(f *testing.F) {
 		if !bytes.Equal(merged, again) || !bytes.Equal(merged, swapped) {
 			t.Fatalf("merge is not a function of its input:\n%s\n---\n%s\n---\n%s", merged, again, swapped)
 		}
-		if len(LintExposition(a, nil).Issues) != 0 || len(LintExposition(b, nil).Issues) != 0 {
+		clean := true
+		for _, n := range nodes {
+			lint := LintExposition(n.Exposition, nil)
+			if len(lint.Issues) != 0 {
+				clean = false
+				continue
+			}
+			lone, err := MergeExpositions([]ScrapedNode{n})
+			if err != nil {
+				t.Fatalf("merge: %v", err)
+			}
+			kept := map[string]bool{}
+			for _, line := range strings.Split(string(lone), "\n") {
+				kept[line] = true
+			}
+			for _, line := range strings.Split(string(n.Exposition), "\n") {
+				name, _, _ := strings.Cut(strings.TrimPrefix(line, "# HELP "), " ")
+				if strings.HasPrefix(line, "# HELP ") && lint.Types[name] != "" && !kept[line] {
+					t.Fatalf("HELP line %q did not pass through:\n%s", line, lone)
+				}
+			}
+		}
+		if !clean {
 			return
 		}
 		if res := LintExposition(merged, nil); len(res.Issues) != 0 {

@@ -21,7 +21,6 @@ import (
 
 	"github.com/sljmotion/sljmotion/internal/background"
 	"github.com/sljmotion/sljmotion/internal/imaging"
-	"github.com/sljmotion/sljmotion/internal/morphology"
 	"github.com/sljmotion/sljmotion/internal/shadow"
 )
 
@@ -169,49 +168,69 @@ func (p *Pipeline) EstimateBackground(frames []*imaging.Image) (*imaging.Image, 
 // SegmentFrame runs Steps 2-5 on a single frame against a known background,
 // returning all intermediate masks.
 func (p *Pipeline) SegmentFrame(frame, bg *imaging.Image) (*StageMasks, error) {
-	sub, err := background.Subtract(frame, bg, p.cfg.SubtractThreshold)
-	if err != nil {
-		return nil, fmt.Errorf("step 2: %w", err)
+	var st StageMasks
+	if _, err := p.segment(new(frameScratch), 0, frame, bg, &st); err != nil {
+		return nil, err
 	}
+	return &st, nil
+}
 
-	den := morphology.RemoveNoise(sub, p.cfg.NoiseMinNeighbors)
-
-	spots := morphology.RemoveSmallSpots(den, p.cfg.SpotFraction, p.cfg.SpotFloor, morphology.Conn8)
-
-	var holes *imaging.Mask
-	if p.cfg.FillEnclosed {
-		holes = morphology.FillEnclosed(spots)
-	} else {
-		holes = morphology.FillHolesN(spots, maxInt(p.cfg.HoleFillPasses, 0))
+// segment runs Steps 2-5 on frame k of a clip against a known background,
+// on the sparse representation of frameScratch. When st is non-nil it also
+// receives every intermediate mask; st.Object is the silhouette's mask.
+func (p *Pipeline) segment(s *frameScratch, k int, frame, bg *imaging.Image, st *StageMasks) (Silhouette, error) {
+	if !frame.SameSize(bg) {
+		return Silhouette{}, fmt.Errorf("step 2: subtract %dx%d vs %dx%d: %w",
+			frame.W, frame.H, bg.W, bg.H, imaging.ErrSizeMismatch)
 	}
-
-	stages := &StageMasks{
-		Subtracted:   sub,
-		Denoised:     den,
-		SpotsRemoved: spots,
-		HolesFilled:  holes,
+	threshold := p.cfg.SubtractThreshold
+	if threshold <= 0 {
+		threshold = background.DefaultSubtractThreshold
 	}
-
-	object := holes.Clone()
-	if p.detector != nil {
-		obj, sm, err := p.detector.Remove(frame, bg, holes)
-		if err != nil {
-			return nil, fmt.Errorf("step 5: %w", err)
+	var stages StageMasks
+	snap := func(list []int32) *imaging.Mask {
+		if st == nil {
+			return nil
 		}
-		object = obj
-		stages.ShadowMask = sm
-	} else {
-		stages.ShadowMask = imaging.NewMask(frame.W, frame.H)
+		return s.mask(list)
 	}
+
+	s.reset(frame.W, frame.H)
+	s.subtract(frame, bg, threshold)
+	stages.Subtracted = snap(s.list)
+	s.removeNoise(p.cfg.NoiseMinNeighbors)
+	stages.Denoised = snap(s.list)
+	s.removeSmallSpots(p.cfg.SpotFraction, p.cfg.SpotFloor)
+	stages.SpotsRemoved = snap(s.list)
+	if p.cfg.FillEnclosed {
+		s.fillEnclosed()
+	} else {
+		for pass := 0; pass < p.cfg.HoleFillPasses; pass++ {
+			if !s.fillHoles() {
+				break
+			}
+		}
+	}
+	stages.HolesFilled = snap(s.list)
+	s.aside = s.aside[:0]
+	if p.detector != nil {
+		s.removeShadow(frame, bg, p.detector)
+	}
+	stages.ShadowMask = snap(s.aside)
 
 	// Shadow removal can fragment the object or expose small residues;
 	// re-run hole filling and keep the dominant component when configured.
-	object = morphology.FillHolesN(object, 1)
+	s.fillHoles()
 	if p.cfg.KeepLargestOnly {
-		object = morphology.KeepLargest(object, morphology.Conn8)
+		s.keepLargest()
 	}
-	stages.Object = object
-	return stages, nil
+	sil := s.silhouette(k)
+	s.clear()
+	if st != nil {
+		stages.Object = sil.Mask
+		*st = stages
+	}
+	return sil, nil
 }
 
 // Run executes the full pipeline on a sequence: Step 1 once, Steps 2-5 per
@@ -225,8 +244,16 @@ func (p *Pipeline) Run(frames []*imaging.Image) ([]Silhouette, error) {
 // identical to the sequential path regardless of worker count. workers <= 0
 // selects GOMAXPROCS; workers == 1 is fully sequential.
 func (p *Pipeline) RunWorkers(frames []*imaging.Image, workers int) ([]Silhouette, error) {
-	_, _, sils, err := p.runDetailedWorkers(frames, workers, false)
+	_, _, sils, err := p.run(frames, workers, false)
 	return sils, err
+}
+
+// SegmentClip is RunWorkers that also returns the Step 1 background: the
+// whole of what a clip's segmentation produces, without the intermediate
+// stages.
+func (p *Pipeline) SegmentClip(frames []*imaging.Image, workers int) (*imaging.Image, []Silhouette, error) {
+	bg, _, sils, err := p.run(frames, workers, false)
+	return bg, sils, err
 }
 
 // RunDetailed is Run but also returns the background and every frame's
@@ -238,14 +265,14 @@ func (p *Pipeline) RunDetailed(frames []*imaging.Image) (*imaging.Image, []Stage
 // RunDetailedWorkers is RunDetailed with the per-frame work (Steps 2-5)
 // distributed over a worker pool; see RunWorkers for worker semantics.
 func (p *Pipeline) RunDetailedWorkers(frames []*imaging.Image, workers int) (*imaging.Image, []StageMasks, []Silhouette, error) {
-	return p.runDetailedWorkers(frames, workers, true)
+	return p.run(frames, workers, true)
 }
 
-// runDetailedWorkers runs Step 1 once, then Steps 2-5 per frame on up to
-// `workers` goroutines. Results land in index-addressed slices, so the
-// output ordering (and content — SegmentFrame is deterministic and the
-// pipeline is immutable after New) is independent of scheduling.
-func (p *Pipeline) runDetailedWorkers(frames []*imaging.Image, workers int, keepStages bool) (*imaging.Image, []StageMasks, []Silhouette, error) {
+// run runs Step 1 once, then Steps 2-5 per frame on up to `workers`
+// goroutines, each with its own scratch. Results land in index-addressed
+// slices, so the output ordering (and content — segment is deterministic
+// and the pipeline is immutable after New) is independent of scheduling.
+func (p *Pipeline) run(frames []*imaging.Image, workers int, keepStages bool) (*imaging.Image, []StageMasks, []Silhouette, error) {
 	bg, err := p.EstimateBackground(frames)
 	if err != nil {
 		return nil, nil, nil, err
@@ -263,21 +290,23 @@ func (p *Pipeline) runDetailedWorkers(frames []*imaging.Image, workers int, keep
 	}
 	sils := make([]Silhouette, len(frames))
 
-	segment := func(i int) error {
-		st, err := p.SegmentFrame(frames[i], bg)
+	segment := func(s *frameScratch, i int) error {
+		var st *StageMasks
+		if keepStages {
+			st = &stages[i]
+		}
+		sil, err := p.segment(s, i, frames[i], bg, st)
 		if err != nil {
 			return fmt.Errorf("frame %d: %w", i, err)
 		}
-		if keepStages {
-			stages[i] = *st
-		}
-		sils[i] = NewSilhouette(i, st.Object)
+		sils[i] = sil
 		return nil
 	}
 
 	if workers == 1 {
+		s := new(frameScratch)
 		for i := range frames {
-			if err := segment(i); err != nil {
+			if err := segment(s, i); err != nil {
 				return nil, nil, nil, err
 			}
 		}
@@ -296,12 +325,13 @@ func (p *Pipeline) runDetailedWorkers(frames []*imaging.Image, workers int, keep
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			s := new(frameScratch)
 			for !failed.Load() { // stop claiming frames once any frame errors
 				i := int(next.Add(1)) - 1
 				if i >= len(frames) {
 					return
 				}
-				if err := segment(i); err != nil {
+				if err := segment(s, i); err != nil {
 					// Keep the lowest failing frame so the reported error
 					// matches the sequential path on multi-frame failures.
 					mu.Lock()
@@ -320,11 +350,4 @@ func (p *Pipeline) runDetailedWorkers(frames []*imaging.Image, workers int, keep
 		return nil, nil, nil, runErr
 	}
 	return bg, stages, sils, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
