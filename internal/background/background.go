@@ -1,7 +1,8 @@
-// Package background implements Step 1 and Step 2 of the paper's
-// segmentation pipeline: estimating the static background of a video
-// sequence by temporal change detection, and subtracting that background
-// from each frame to obtain a raw foreground mask.
+// Package background implements Step 1 of the paper's segmentation
+// pipeline: estimating the static background of a video sequence by
+// temporal change detection. Step 2, subtracting that background from each
+// frame, runs in package segmentation; its calibrated threshold is
+// DefaultSubtractThreshold.
 //
 // Besides the paper's change-detection estimator, the package provides
 // median and running-mean estimators used as ablation baselines
@@ -153,29 +154,9 @@ func (r *RunningMean) Estimate(frames []*imaging.Image) (*imaging.Image, error) 
 	return bg, nil
 }
 
-// DefaultSubtractThreshold is the calibrated foreground threshold for
-// Subtract (DESIGN.md §7).
+// DefaultSubtractThreshold is the calibrated foreground threshold of Step 2,
+// background subtraction, which package segmentation runs (DESIGN.md §7).
 const DefaultSubtractThreshold = 28
-
-// Subtract implements Step 2: pixels whose max-channel difference from the
-// background exceeds threshold become foreground. threshold ≤ 0 selects the
-// calibrated default.
-func Subtract(frame, bg *imaging.Image, threshold int) (*imaging.Mask, error) {
-	if !frame.SameSize(bg) {
-		return nil, fmt.Errorf("subtract %dx%d vs %dx%d: %w",
-			frame.W, frame.H, bg.W, bg.H, imaging.ErrSizeMismatch)
-	}
-	if threshold <= 0 {
-		threshold = DefaultSubtractThreshold
-	}
-	m := imaging.NewMask(frame.W, frame.H)
-	for i := range frame.Pix {
-		if frame.Pix[i].MaxChanDiff(bg.Pix[i]) > threshold {
-			m.Bits[i] = true
-		}
-	}
-	return m, nil
-}
 
 // RMSE returns the root-mean-square error between two images over all
 // channels; the harness uses it to compare estimated and true backgrounds.

@@ -141,51 +141,6 @@ func TestRunningMeanSmearsMovingObject(t *testing.T) {
 	}
 }
 
-func TestSubtract(t *testing.T) {
-	bg := imaging.NewImageFilled(20, 20, imaging.Gray5)
-	frame := bg.Clone()
-	imaging.FillRect(frame, imaging.Rect{X0: 5, Y0: 5, X1: 9, Y1: 9}, imaging.Red)
-	m, err := Subtract(frame, bg, 28)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Count() != 25 {
-		t.Errorf("foreground = %d px, want 25", m.Count())
-	}
-	if !m.At(7, 7) || m.At(0, 0) {
-		t.Error("foreground location wrong")
-	}
-}
-
-func TestSubtractThresholdBehaviour(t *testing.T) {
-	bg := imaging.NewImageFilled(4, 4, imaging.Color{R: 100, G: 100, B: 100})
-	frame := imaging.NewImageFilled(4, 4, imaging.Color{R: 120, G: 100, B: 100})
-	m, err := Subtract(frame, bg, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Empty() {
-		t.Error("20-level change under threshold 25 must not trigger")
-	}
-	m, err = Subtract(frame, bg, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Count() != 16 {
-		t.Error("20-level change over threshold 15 must trigger everywhere")
-	}
-	// Threshold <= 0 selects the calibrated default.
-	if _, err := Subtract(frame, bg, 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSubtractSizeMismatch(t *testing.T) {
-	if _, err := Subtract(imaging.NewImage(3, 3), imaging.NewImage(4, 4), 10); err == nil {
-		t.Error("expected size mismatch error")
-	}
-}
-
 func TestRMSE(t *testing.T) {
 	a := imaging.NewImageFilled(2, 2, imaging.Color{R: 10, G: 10, B: 10})
 	b := imaging.NewImageFilled(2, 2, imaging.Color{R: 13, G: 6, B: 10})

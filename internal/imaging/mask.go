@@ -123,75 +123,6 @@ func (m *Mask) BBox() (r Rect, ok bool) {
 	return Rect{X0: minX, Y0: minY, X1: maxX, Y1: maxY}, true
 }
 
-// And intersects m with o in place. Sizes must match.
-func (m *Mask) And(o *Mask) error {
-	if !m.SameSize(o) {
-		return fmt.Errorf("mask and: %w", ErrSizeMismatch)
-	}
-	for i := range m.Bits {
-		m.Bits[i] = m.Bits[i] && o.Bits[i]
-	}
-	return nil
-}
-
-// Or unions o into m in place. Sizes must match.
-func (m *Mask) Or(o *Mask) error {
-	if !m.SameSize(o) {
-		return fmt.Errorf("mask or: %w", ErrSizeMismatch)
-	}
-	for i := range m.Bits {
-		m.Bits[i] = m.Bits[i] || o.Bits[i]
-	}
-	return nil
-}
-
-// Subtract clears every pixel of m that is set in o. Sizes must match.
-func (m *Mask) Subtract(o *Mask) error {
-	if !m.SameSize(o) {
-		return fmt.Errorf("mask subtract: %w", ErrSizeMismatch)
-	}
-	for i := range m.Bits {
-		if o.Bits[i] {
-			m.Bits[i] = false
-		}
-	}
-	return nil
-}
-
-// Invert flips every bit in place.
-func (m *Mask) Invert() {
-	for i := range m.Bits {
-		m.Bits[i] = !m.Bits[i]
-	}
-}
-
-// ToGray renders the mask as a grayscale plane (255 for set pixels).
-func (m *Mask) ToGray() *Gray {
-	g := NewGray(m.W, m.H)
-	for i, b := range m.Bits {
-		if b {
-			g.Pix[i] = 255
-		}
-	}
-	return g
-}
-
-// Apply returns a copy of img with pixels outside the mask replaced by bg.
-// It reproduces the paper's Figure 3(b): the segmented object "in original
-// colors".
-func (m *Mask) Apply(img *Image, bg Color) (*Image, error) {
-	if m.W != img.W || m.H != img.H {
-		return nil, fmt.Errorf("mask apply: %w", ErrSizeMismatch)
-	}
-	out := NewImageFilled(img.W, img.H, bg)
-	for i, b := range m.Bits {
-		if b {
-			out.Pix[i] = img.Pix[i]
-		}
-	}
-	return out, nil
-}
-
 // Point is an integer pixel coordinate.
 type Point struct {
 	X, Y int

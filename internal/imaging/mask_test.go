@@ -3,7 +3,6 @@ package imaging
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestMaskAtOutOfBounds(t *testing.T) {
@@ -63,94 +62,6 @@ func TestMaskBBox(t *testing.T) {
 	}
 }
 
-func TestMaskBooleanOps(t *testing.T) {
-	a := NewMask(3, 1)
-	b := NewMask(3, 1)
-	a.Bits = []bool{true, true, false}
-	b.Bits = []bool{false, true, true}
-
-	and := a.Clone()
-	if err := and.And(b); err != nil {
-		t.Fatal(err)
-	}
-	if got := and.Bits; got[0] || !got[1] || got[2] {
-		t.Errorf("And = %v", got)
-	}
-
-	or := a.Clone()
-	if err := or.Or(b); err != nil {
-		t.Fatal(err)
-	}
-	if got := or.Bits; !got[0] || !got[1] || !got[2] {
-		t.Errorf("Or = %v", got)
-	}
-
-	sub := a.Clone()
-	if err := sub.Subtract(b); err != nil {
-		t.Fatal(err)
-	}
-	if got := sub.Bits; !got[0] || got[1] || got[2] {
-		t.Errorf("Subtract = %v", got)
-	}
-
-	inv := a.Clone()
-	inv.Invert()
-	if got := inv.Bits; got[0] || got[1] || !got[2] {
-		t.Errorf("Invert = %v", got)
-	}
-}
-
-func TestMaskOpsSizeMismatch(t *testing.T) {
-	a, b := NewMask(2, 2), NewMask(3, 3)
-	if a.And(b) == nil || a.Or(b) == nil || a.Subtract(b) == nil {
-		t.Error("size mismatch must error")
-	}
-}
-
-// Property: A∧B ⊆ A ⊆ A∨B for random masks.
-func TestMaskLatticeProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
-		a, b := randomMask(rng, 8, 8), randomMask(rng, 8, 8)
-		and := a.Clone()
-		if err := and.And(b); err != nil {
-			t.Fatal(err)
-		}
-		or := a.Clone()
-		if err := or.Or(b); err != nil {
-			t.Fatal(err)
-		}
-		for i := range a.Bits {
-			if and.Bits[i] && !a.Bits[i] {
-				t.Fatal("A∧B ⊄ A")
-			}
-			if a.Bits[i] && !or.Bits[i] {
-				t.Fatal("A ⊄ A∨B")
-			}
-		}
-	}
-}
-
-// Property: double inversion is the identity.
-func TestMaskInvertInvolution(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := randomMask(rng, 7, 5)
-		orig := m.Clone()
-		m.Invert()
-		m.Invert()
-		for i := range m.Bits {
-			if m.Bits[i] != orig.Bits[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestMaskPointsRowMajor(t *testing.T) {
 	m := NewMask(3, 2)
 	m.Set(2, 0, true)
@@ -158,31 +69,6 @@ func TestMaskPointsRowMajor(t *testing.T) {
 	pts := m.Points()
 	if len(pts) != 2 || pts[0] != (Point{2, 0}) || pts[1] != (Point{0, 1}) {
 		t.Errorf("Points = %v", pts)
-	}
-}
-
-func TestMaskApply(t *testing.T) {
-	img := NewImageFilled(2, 2, Red)
-	m := NewMask(2, 2)
-	m.Set(0, 0, true)
-	out, err := m.Apply(img, Black)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.At(0, 0) != Red || out.At(1, 1) != Black {
-		t.Errorf("Apply result wrong: %v", out.Pix)
-	}
-	if _, err := m.Apply(NewImage(3, 3), Black); err == nil {
-		t.Error("Apply size mismatch must error")
-	}
-}
-
-func TestMaskToGray(t *testing.T) {
-	m := NewMask(2, 1)
-	m.Set(1, 0, true)
-	g := m.ToGray()
-	if g.Pix[0] != 0 || g.Pix[1] != 255 {
-		t.Errorf("ToGray = %v", g.Pix)
 	}
 }
 

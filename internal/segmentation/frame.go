@@ -3,7 +3,6 @@ package segmentation
 import (
 	"github.com/sljmotion/sljmotion/internal/hsv"
 	"github.com/sljmotion/sljmotion/internal/imaging"
-	"github.com/sljmotion/sljmotion/internal/morphology"
 	"github.com/sljmotion/sljmotion/internal/shadow"
 )
 
@@ -18,9 +17,9 @@ import (
 // set it), so the next frame starts without a full-plane reset. Plane
 // indices are int32: frame decoders bound a frame to 2^28 pixels.
 //
-// The dense operators (background.Subtract, package morphology and
-// shadow.Detector.Mask) compute the same masks pixel by pixel over the
-// whole frame; the differential tests hold this file to them.
+// The differential tests hold this file bit for bit to a dense reference in
+// reference_test.go that computes each step pixel by pixel over the whole
+// frame with bounds-checked neighbour reads.
 type frameScratch struct {
 	w, h, pw int32    // frame size and plane stride (w+2)
 	on       []bool   // the current mask's plane
@@ -158,9 +157,9 @@ func (s *frameScratch) retain() {
 	s.list = kept
 }
 
-// removeSmallSpots is Step 3's spot removal, morphology.RemoveSmallSpots
-// with 8-connectivity: components smaller than
-// max(fraction × the largest component's area, floor) are erased.
+// removeSmallSpots is Step 3's spot removal over 8-connected components:
+// components smaller than max(fraction × the largest component's area,
+// floor) are erased.
 func (s *frameScratch) removeSmallSpots(fraction float64, floor int) {
 	n := s.label()
 	largest := 0
@@ -176,7 +175,7 @@ func (s *frameScratch) removeSmallSpots(fraction float64, floor int) {
 }
 
 // keepLargest keeps only the largest 8-connected component; among equal
-// areas the first in raster order wins, as in morphology.KeepLargest.
+// areas the first in raster order wins.
 func (s *frameScratch) keepLargest() {
 	n := s.label()
 	best := 1
@@ -197,7 +196,7 @@ func (s *frameScratch) keepLargest() {
 // Such a pixel's left neighbour is set, so the candidates are the right
 // neighbours of listed pixels, each visited once and in ascending order;
 // a candidate on the frame edge has a clear border neighbour and stays
-// clear, as in morphology.FillHoles.
+// clear.
 func (s *frameScratch) fillHoles() bool {
 	on, pw := s.on, s.pw
 	filled := s.aside[:0]
@@ -228,24 +227,6 @@ func (s *frameScratch) fillHoles() bool {
 	merged = append(append(merged, old[i:]...), filled[j:]...)
 	s.list, s.other = merged, old
 	return true
-}
-
-// fillEnclosed is the FillEnclosed extension. It runs the dense
-// morphology.FillEnclosed on the mask and reloads the planes from it.
-func (s *frameScratch) fillEnclosed() {
-	filled := morphology.FillEnclosed(s.mask(s.list))
-	s.clear()
-	w := int(s.w)
-	for y := 0; y < int(s.h); y++ {
-		q := int32(y+1)*s.pw + 1
-		for _, set := range filled.Bits[y*w : (y+1)*w] {
-			if set {
-				s.on[q] = true
-				s.list = append(s.list, q)
-			}
-			q++
-		}
-	}
 }
 
 // removeShadow is Step 5: it clears every listed pixel that det classifies

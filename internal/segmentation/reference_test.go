@@ -7,37 +7,176 @@ import (
 	"testing"
 
 	"github.com/sljmotion/sljmotion/internal/background"
+	"github.com/sljmotion/sljmotion/internal/hsv"
 	"github.com/sljmotion/sljmotion/internal/imaging"
-	"github.com/sljmotion/sljmotion/internal/morphology"
+	"github.com/sljmotion/sljmotion/internal/shadow"
 	"github.com/sljmotion/sljmotion/internal/synth"
 )
 
-// denseSegment is Steps 2-5 composed from the dense whole-frame operators,
-// the reference the pipeline's sparse path must match bit for bit.
-func denseSegment(t *testing.T, p *Pipeline, k int, frame, bg *imaging.Image) (StageMasks, Silhouette) {
-	t.Helper()
-	cfg := p.Config()
-	sub, err := background.Subtract(frame, bg, cfg.SubtractThreshold)
-	if err != nil {
-		t.Fatal(err)
+// The dense reference: each of Steps 2-5 in its simplest form, a scan of
+// the whole frame that reads neighbours through the bounds-checked
+// imaging.Mask.At, so pixels outside the frame read clear.
+
+// neigh8 and neigh4 are the 8- and 4-neighbourhood offsets.
+var (
+	neigh8 = [8][2]int{{-1, -1}, {0, -1}, {1, -1}, {-1, 0}, {1, 0}, {-1, 1}, {0, 1}, {1, 1}}
+	neigh4 = [4][2]int{{0, -1}, {-1, 0}, {1, 0}, {0, 1}}
+)
+
+// denseSubtract is Step 2: a pixel is set when its max-channel difference
+// from the background exceeds threshold; threshold <= 0 selects
+// background.DefaultSubtractThreshold, as Config.SubtractThreshold documents.
+func denseSubtract(frame, bg *imaging.Image, threshold int) *imaging.Mask {
+	if threshold <= 0 {
+		threshold = background.DefaultSubtractThreshold
 	}
-	den := morphology.RemoveNoise(sub, cfg.NoiseMinNeighbors)
-	spots := morphology.RemoveSmallSpots(den, cfg.SpotFraction, cfg.SpotFloor, morphology.Conn8)
-	holes := morphology.FillHolesN(spots, cfg.HoleFillPasses)
-	if cfg.FillEnclosed {
-		holes = morphology.FillEnclosed(spots)
+	m := imaging.NewMask(frame.W, frame.H)
+	for i := range frame.Pix {
+		m.Bits[i] = frame.Pix[i].MaxChanDiff(bg.Pix[i]) > threshold
 	}
-	st := StageMasks{Subtracted: sub, Denoised: den, SpotsRemoved: spots, HolesFilled: holes}
-	object, sm := holes.Clone(), imaging.NewMask(frame.W, frame.H)
-	if p.detector != nil {
-		if object, sm, err = p.detector.Remove(frame, bg, holes); err != nil {
-			t.Fatal(err)
+	return m
+}
+
+// denseRemoveNoise is Step 3's filter: a set pixel stays when at least
+// minNeighbors of its 8 neighbours are set.
+func denseRemoveNoise(m *imaging.Mask, minNeighbors int) *imaging.Mask {
+	out := imaging.NewMask(m.W, m.H)
+	for y := 0; y < m.H; y++ {
+		for x := 0; x < m.W; x++ {
+			if !m.At(x, y) {
+				continue
+			}
+			n := 0
+			for _, d := range neigh8 {
+				if m.At(x+d[0], y+d[1]) {
+					n++
+				}
+			}
+			out.Set(x, y, n >= minNeighbors)
 		}
 	}
+	return out
+}
+
+// denseLabels labels the 8-connected components of m in the raster order
+// of each component's first pixel and returns the label plane (0 = clear)
+// and the area of each label (index 0 unused).
+func denseLabels(m *imaging.Mask) (plane []int, area []int) {
+	plane, area = make([]int, len(m.Bits)), []int{0}
+	for i, set := range m.Bits {
+		if !set || plane[i] != 0 {
+			continue
+		}
+		l := len(area)
+		area = append(area, 0)
+		plane[i] = l
+		stack := []imaging.Point{{X: i % m.W, Y: i / m.W}}
+		for len(stack) > 0 {
+			p := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			area[l]++
+			for _, d := range neigh8 {
+				x, y := p.X+d[0], p.Y+d[1]
+				if m.At(x, y) && plane[y*m.W+x] == 0 {
+					plane[y*m.W+x] = l
+					stack = append(stack, imaging.Point{X: x, Y: y})
+				}
+			}
+		}
+	}
+	return plane, area
+}
+
+// denseKeep keeps the pixels of the components keep selects by label.
+func denseKeep(m *imaging.Mask, plane []int, keep func(label int) bool) *imaging.Mask {
+	out := imaging.NewMask(m.W, m.H)
+	for i, l := range plane {
+		out.Bits[i] = l != 0 && keep(l)
+	}
+	return out
+}
+
+// denseRemoveSmallSpots is Step 3's spot removal: components smaller than
+// max(fraction × the largest component's area, floor) are erased.
+func denseRemoveSmallSpots(m *imaging.Mask, fraction float64, floor int) *imaging.Mask {
+	plane, area := denseLabels(m)
+	largest := 0
+	for _, a := range area {
+		largest = max(largest, a)
+	}
+	minArea := max(int(fraction*float64(largest)), floor)
+	return denseKeep(m, plane, func(l int) bool { return area[l] >= minArea })
+}
+
+// denseKeepLargest keeps the largest component; among equal areas the one
+// whose first pixel comes first in raster order.
+func denseKeepLargest(m *imaging.Mask) *imaging.Mask {
+	plane, area := denseLabels(m)
+	best := 1
+	for l := range area {
+		if l > 0 && area[l] > area[best] {
+			best = l
+		}
+	}
+	return denseKeep(m, plane, func(l int) bool { return l == best })
+}
+
+// denseFillHoles runs up to passes passes of Step 4's rule, stopping after
+// a pass that sets nothing: a clear pixel whose four 4-neighbours are all
+// set becomes set.
+func denseFillHoles(m *imaging.Mask, passes int) *imaging.Mask {
+	for ; passes > 0; passes-- {
+		out, changed := m.Clone(), false
+		for y := 0; y < m.H; y++ {
+			for x := 0; x < m.W; x++ {
+				if m.At(x, y) {
+					continue
+				}
+				all := true
+				for _, d := range neigh4 {
+					all = all && m.At(x+d[0], y+d[1])
+				}
+				if all {
+					out.Set(x, y, true)
+					changed = true
+				}
+			}
+		}
+		if m = out; !changed {
+			break
+		}
+	}
+	return m
+}
+
+// denseRemoveShadow is Step 5: it splits fg into the pixels det does not
+// classify as shadow (Eq. 1-2) and those it does.
+func denseRemoveShadow(det *shadow.Detector, frame, bg *imaging.Image, fg *imaging.Mask) (object, shadowMask *imaging.Mask) {
+	object, shadowMask = fg.Clone(), imaging.NewMask(fg.W, fg.H)
+	for i, set := range fg.Bits {
+		if set && det.IsShadow(hsv.FromRGB(frame.Pix[i]), hsv.FromRGB(bg.Pix[i])) {
+			object.Bits[i], shadowMask.Bits[i] = false, true
+		}
+	}
+	return object, shadowMask
+}
+
+// denseSegment is Steps 2-5 composed from the dense reference, which the
+// pipeline's sparse path must match bit for bit.
+func denseSegment(p *Pipeline, k int, frame, bg *imaging.Image) (StageMasks, Silhouette) {
+	cfg := p.Config()
+	st := StageMasks{Subtracted: denseSubtract(frame, bg, cfg.SubtractThreshold)}
+	st.Denoised = denseRemoveNoise(st.Subtracted, cfg.NoiseMinNeighbors)
+	st.SpotsRemoved = denseRemoveSmallSpots(st.Denoised, cfg.SpotFraction, cfg.SpotFloor)
+	st.HolesFilled = denseFillHoles(st.SpotsRemoved, cfg.HoleFillPasses)
+	object, sm := st.HolesFilled, imaging.NewMask(frame.W, frame.H)
+	if p.detector != nil {
+		object, sm = denseRemoveShadow(p.detector, frame, bg, st.HolesFilled)
+	}
 	st.ShadowMask = sm
-	object = morphology.FillHolesN(object, 1)
+	object = denseFillHoles(object, 1)
 	if cfg.KeepLargestOnly {
-		object = morphology.KeepLargest(object, morphology.Conn8)
+		object = denseKeepLargest(object)
 	}
 	st.Object = object
 	return st, NewSilhouette(k, object)
@@ -48,7 +187,7 @@ func denseSegment(t *testing.T, p *Pipeline, k int, frame, bg *imaging.Image) (S
 // (centroid by float bits).
 func checkAgainstDense(t *testing.T, what string, p *Pipeline, k int, frame, bg *imaging.Image, got StageMasks, gotSil Silhouette) {
 	t.Helper()
-	want, wantSil := denseSegment(t, p, k, frame, bg)
+	want, wantSil := denseSegment(p, k, frame, bg)
 	stages := []struct {
 		name      string
 		got, want *imaging.Mask
@@ -92,12 +231,13 @@ func maskDiff(a, b *imaging.Mask) string {
 }
 
 // variantConfig draws clip i's configuration so the runs cover shadow
-// removal on and off, FillEnclosed, every HoleFillPasses in 0-3 and
-// NoiseMinNeighbors in 0-8, KeepLargestOnly off, and random spot bounds.
+// removal on and off, every HoleFillPasses in 0-3 and NoiseMinNeighbors in
+// 0-8, KeepLargestOnly off, SubtractThreshold at and beyond both ends of
+// its range (0 and -5 select the default), and random spot bounds.
 func variantConfig(i int, rng *rand.Rand) Config {
 	cfg := DefaultConfig()
 	cfg.DisableShadowRemoval = i%2 == 1
-	cfg.FillEnclosed = i%5 == 2
+	cfg.SubtractThreshold = [...]int{background.DefaultSubtractThreshold, 0, -5, 1, 255}[i%5]
 	cfg.HoleFillPasses = i % 4
 	cfg.NoiseMinNeighbors = i % 9
 	cfg.KeepLargestOnly = i%3 != 0

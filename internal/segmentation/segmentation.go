@@ -29,7 +29,8 @@ import (
 type Config struct {
 	// StabilityThreshold is Step 1's "very small change" bound.
 	StabilityThreshold int
-	// SubtractThreshold is Step 2's foreground threshold.
+	// SubtractThreshold is Step 2's foreground threshold; values ≤ 0
+	// select background.DefaultSubtractThreshold.
 	SubtractThreshold int
 	// NoiseMinNeighbors is Step 3's 8-neighbour keep threshold.
 	NoiseMinNeighbors int
@@ -39,9 +40,6 @@ type Config struct {
 	SpotFloor    int
 	// HoleFillPasses is the number of Step 4 passes (paper uses one).
 	HoleFillPasses int
-	// FillEnclosed switches Step 4 to full enclosed-region filling
-	// (extension; off reproduces the paper).
-	FillEnclosed bool
 	// Shadow holds the Eq. (1) constants.
 	Shadow shadow.Params
 	// DisableShadowRemoval skips Step 5 entirely (ablation A3).
@@ -202,13 +200,9 @@ func (p *Pipeline) segment(s *frameScratch, k int, frame, bg *imaging.Image, st 
 	stages.Denoised = snap(s.list)
 	s.removeSmallSpots(p.cfg.SpotFraction, p.cfg.SpotFloor)
 	stages.SpotsRemoved = snap(s.list)
-	if p.cfg.FillEnclosed {
-		s.fillEnclosed()
-	} else {
-		for pass := 0; pass < p.cfg.HoleFillPasses; pass++ {
-			if !s.fillHoles() {
-				break
-			}
+	for pass := 0; pass < p.cfg.HoleFillPasses; pass++ {
+		if !s.fillHoles() {
+			break
 		}
 	}
 	stages.HolesFilled = snap(s.list)

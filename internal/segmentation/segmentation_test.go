@@ -227,20 +227,133 @@ func TestNewSilhouetteStats(t *testing.T) {
 	}
 }
 
-func TestFillEnclosedOption(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.FillEnclosed = true
-	p, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestSegmentFramePaperRules runs hand-drawn frames through SegmentFrame and
+// checks one stage's mask pixel for pixel. Each case starts from
+// DefaultConfig with noise and spot removal, shadow removal and
+// keep-largest off, then applies its own settings. In the drawings '#' and
+// 'x' are painted in a colour far from the flat background, 's' and 'S'
+// are the background darkened as a cast shadow darkens it, and '.' and '+'
+// are left as background. The checked stage must set exactly the '#', '+'
+// and 'S' pixels.
+func TestSegmentFramePaperRules(t *testing.T) {
+	denoised := func(s *StageMasks) *imaging.Mask { return s.Denoised }
+	spots := func(s *StageMasks) *imaging.Mask { return s.SpotsRemoved }
+	holes := func(s *StageMasks) *imaging.Mask { return s.HolesFilled }
+	shadowMask := func(s *StageMasks) *imaging.Mask { return s.ShadowMask }
+	object := func(s *StageMasks) *imaging.Mask { return s.Object }
+	cases := []struct {
+		name  string
+		cfg   func(*Config)
+		stage func(*StageMasks) *imaging.Mask
+		rows  []string
+	}{
+		{"noise drops isolated pixels at a corner and an edge", func(c *Config) { c.NoiseMinNeighbors = 3 }, denoised, []string{
+			"x........",
+			"...###...",
+			"...###..x",
+			"...###...",
+		}},
+		{"noise threshold 0 keeps everything", nil, denoised, []string{
+			"...",
+			".#.",
+			"...",
+		}},
+		{"one pass fills a 1-pixel hole", nil, holes, []string{
+			".......",
+			".#####.",
+			".##+##.",
+			".#####.",
+			".......",
+		}},
+		{"no number of passes fills a 2x2 hole", func(c *Config) { c.HoleFillPasses = 10 }, holes, []string{
+			"......",
+			".####.",
+			".#..#.",
+			".#..#.",
+			".####.",
+			"......",
+		}},
+		{"a concavity and a frame-edge pixel stay clear", nil, holes, []string{
+			"#...#....",
+			".#.#.#...",
+			"#........",
+		}},
+		{"spot bound is a fraction of the largest component", func(c *Config) { c.SpotFraction = 0.2 }, spots, []string{
+			"#####.###...",
+			"#####.##..xx",
+			"#####.....xx",
+			"#####.......",
+			"#####.......",
+		}},
+		{"a smaller largest component lowers the spot bound", func(c *Config) { c.SpotFraction = 0.2 }, spots, []string{
+			"#####.###...",
+			"#####.##..##",
+			"#####.....##",
+			"#####.......",
+		}},
+		{"spot floor overrides a lower fraction bound", func(c *Config) { c.SpotFraction, c.SpotFloor = 0.2, 6 }, spots, []string{
+			"#####.xxx...",
+			"#####.xx..xx",
+			"#####.....xx",
+			"#####.......",
+			"#####.......",
+		}},
+		{"keep-largest tie goes to the first component in raster order", func(c *Config) { c.KeepLargestOnly = true }, object, []string{
+			".....##",
+			"xx...##",
+			"xx.....",
+		}},
+		{"shadow rectangle cleared, object rectangle kept", func(c *Config) { c.DisableShadowRemoval = false }, object, []string{
+			"..........",
+			".sss..###.",
+			".sss..###.",
+			".sss..###.",
+			"..........",
+		}},
+		{"shadow mask is the shadow rectangle", func(c *Config) { c.DisableShadowRemoval = false }, shadowMask, []string{
+			"..........",
+			".SSS..xxx.",
+			".SSS..xxx.",
+			".SSS..xxx.",
+			"..........",
+		}},
 	}
-	v := testVideo(t)
-	sils, err := p.Run(v.Frames[:4])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sils) != 4 {
-		t.Fatalf("got %d silhouettes", len(sils))
+	ground := imaging.Color{R: 180, G: 150, B: 110}
+	paint := imaging.Color{R: 40, G: 60, B: 140}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.NoiseMinNeighbors, cfg.SpotFraction, cfg.SpotFloor = 0, 0, 0
+			cfg.DisableShadowRemoval, cfg.KeepLargestOnly = true, false
+			if tc.cfg != nil {
+				tc.cfg(&cfg)
+			}
+			p, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, h := len(tc.rows[0]), len(tc.rows)
+			bg := imaging.NewImageFilled(w, h, ground)
+			frame, want := bg.Clone(), imaging.NewMask(w, h)
+			for y, row := range tc.rows {
+				for x, g := range row {
+					switch g {
+					case '#', 'x':
+						frame.Set(x, y, paint)
+					case 's', 'S':
+						frame.Set(x, y, ground.Scale(0.6))
+					}
+					want.Set(x, y, g == '#' || g == '+' || g == 'S')
+				}
+			}
+			st, err := p.SegmentFrame(frame, bg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := maskDiff(tc.stage(st), want); d != "" {
+				t.Fatalf("stage mask: %s", d)
+			}
+		})
 	}
 }
 

@@ -3,13 +3,14 @@
 // foreground pixel is declared shadow when its value ratio against the
 // background lies in [α, β], its saturation drop is bounded by τS, and its
 // angular hue distance DH from the background is bounded by τH.
+// Detector.IsShadow classifies one pixel; package segmentation applies it
+// to each foreground pixel of a frame.
 package shadow
 
 import (
 	"fmt"
 
 	"github.com/sljmotion/sljmotion/internal/hsv"
-	"github.com/sljmotion/sljmotion/internal/imaging"
 )
 
 // Params are the four experimentally determined constants of Eq. (1).
@@ -60,9 +61,6 @@ func NewDetector(p Params) (*Detector, error) {
 	return &Detector{params: p}, nil
 }
 
-// Params returns the detector's parameters.
-func (d *Detector) Params() Params { return d.params }
-
 // IsShadow evaluates Eq. (1) for a single foreground/background HSV pair.
 func (d *Detector) IsShadow(f, b hsv.HSV) bool {
 	if b.V <= 0 {
@@ -76,38 +74,4 @@ func (d *Detector) IsShadow(f, b hsv.HSV) bool {
 		return false
 	}
 	return hsv.Dist(f, b) <= d.params.TauH
-}
-
-// Mask computes the shadow mask SM_k of Eq. (1) for every pixel of the
-// foreground mask. frame and bg must match the mask size.
-func (d *Detector) Mask(frame, bg *imaging.Image, fg *imaging.Mask) (*imaging.Mask, error) {
-	if !frame.SameSize(bg) || frame.W != fg.W || frame.H != fg.H {
-		return nil, fmt.Errorf("shadow mask: %w", imaging.ErrSizeMismatch)
-	}
-	out := imaging.NewMask(fg.W, fg.H)
-	for i, isFg := range fg.Bits {
-		if !isFg {
-			continue
-		}
-		f := hsv.FromRGB(frame.Pix[i])
-		b := hsv.FromRGB(bg.Pix[i])
-		if d.IsShadow(f, b) {
-			out.Bits[i] = true
-		}
-	}
-	return out, nil
-}
-
-// Remove returns fg minus detected shadow pixels, together with the shadow
-// mask itself (for Figure 3 style reporting).
-func (d *Detector) Remove(frame, bg *imaging.Image, fg *imaging.Mask) (object, shadowMask *imaging.Mask, err error) {
-	sm, err := d.Mask(frame, bg, fg)
-	if err != nil {
-		return nil, nil, err
-	}
-	object = fg.Clone()
-	if err := object.Subtract(sm); err != nil {
-		return nil, nil, err
-	}
-	return object, sm, nil
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/sljmotion/sljmotion/internal/hsv"
-	"github.com/sljmotion/sljmotion/internal/imaging"
 )
 
 func TestParamsValidate(t *testing.T) {
@@ -70,118 +69,5 @@ func TestIsShadowBlackBackground(t *testing.T) {
 	}
 	if det.IsShadow(hsv.HSV{V: 0.1}, hsv.HSV{V: 0}) {
 		t.Error("black background must never classify as shadow")
-	}
-}
-
-// buildShadowScene creates a background, a frame where region A is a
-// photometric shadow (uniform darkening) and region B is a genuine object
-// (different colour), plus the foreground mask covering both.
-func buildShadowScene() (frame, bg *imaging.Image, fg *imaging.Mask, shadowRect, objRect imaging.Rect) {
-	bg = imaging.NewImageFilled(40, 30, imaging.Color{R: 180, G: 150, B: 110})
-	frame = bg.Clone()
-	shadowRect = imaging.Rect{X0: 4, Y0: 4, X1: 14, Y1: 14}
-	objRect = imaging.Rect{X0: 20, Y0: 4, X1: 30, Y1: 14}
-	for y := shadowRect.Y0; y <= shadowRect.Y1; y++ {
-		for x := shadowRect.X0; x <= shadowRect.X1; x++ {
-			frame.Set(x, y, frame.At(x, y).Scale(0.6))
-		}
-	}
-	imaging.FillRect(frame, objRect, imaging.Color{R: 40, G: 60, B: 140})
-	fg = imaging.NewMask(40, 30)
-	imaging.FillRectMask(fg, shadowRect)
-	imaging.FillRectMask(fg, objRect)
-	return frame, bg, fg, shadowRect, objRect
-}
-
-func TestMaskSeparatesShadowFromObject(t *testing.T) {
-	frame, bg, fg, shadowRect, objRect := buildShadowScene()
-	det, err := NewDetector(DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sm, err := det.Mask(frame, bg, fg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for y := shadowRect.Y0; y <= shadowRect.Y1; y++ {
-		for x := shadowRect.X0; x <= shadowRect.X1; x++ {
-			if !sm.At(x, y) {
-				t.Fatalf("shadow pixel (%d,%d) not detected", x, y)
-			}
-		}
-	}
-	for y := objRect.Y0; y <= objRect.Y1; y++ {
-		for x := objRect.X0; x <= objRect.X1; x++ {
-			if sm.At(x, y) {
-				t.Fatalf("object pixel (%d,%d) misclassified as shadow", x, y)
-			}
-		}
-	}
-}
-
-func TestMaskIgnoresBackgroundPixels(t *testing.T) {
-	frame, bg, _, _, _ := buildShadowScene()
-	det, err := NewDetector(DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sm, err := det.Mask(frame, bg, imaging.NewMask(40, 30))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sm.Empty() {
-		t.Error("empty foreground must yield empty shadow mask")
-	}
-}
-
-func TestRemove(t *testing.T) {
-	frame, bg, fg, _, objRect := buildShadowScene()
-	det, err := NewDetector(DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	object, sm, err := det.Remove(frame, bg, fg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantObj := objRect.Area()
-	if object.Count() != wantObj {
-		t.Errorf("object pixels = %d, want %d", object.Count(), wantObj)
-	}
-	if sm.Count() == 0 {
-		t.Error("no shadow detected")
-	}
-	// object ∪ shadow == original foreground; object ∩ shadow == ∅.
-	for i := range fg.Bits {
-		if object.Bits[i] && sm.Bits[i] {
-			t.Fatal("object and shadow overlap")
-		}
-		if fg.Bits[i] != (object.Bits[i] || sm.Bits[i]) {
-			t.Fatal("object ∪ shadow != foreground")
-		}
-	}
-}
-
-func TestMaskSizeMismatch(t *testing.T) {
-	det, err := NewDetector(DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame := imaging.NewImage(4, 4)
-	bg := imaging.NewImage(5, 5)
-	fg := imaging.NewMask(4, 4)
-	if _, err := det.Mask(frame, bg, fg); err == nil {
-		t.Error("expected size mismatch error")
-	}
-}
-
-func TestParamsAccessor(t *testing.T) {
-	p := DefaultParams()
-	det, err := NewDetector(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if det.Params() != p {
-		t.Error("Params accessor lost values")
 	}
 }
