@@ -2,11 +2,12 @@ package sljmotion
 
 // ClipSession is the streaming-upload client of the web service's chunked
 // clip-ingest protocol (DESIGN.md §14): open a session, append frame
-// chunks as they become available, then seal — the server segments the
-// complete clip once, as the batch pipeline does — to obtain content
-// hashes, and analyse the stored clip by hash without re-uploading a
-// byte. The analysis response is byte-identical (modulo stage timings)
-// to submitting the same frames inline.
+// chunks as they become available, then seal — the server stores the
+// complete clip as one frames artifact — to obtain its content hash, and
+// analyse the stored clip by hash without re-uploading a byte. The
+// analysis segments the clip once, as the batch pipeline does, and its
+// response is byte-identical (modulo stage timings) to submitting the
+// same frames inline.
 
 import (
 	"bytes"
@@ -22,12 +23,11 @@ import (
 )
 
 // ClipSeal is the terminal document of a sealed ingest session: the
-// content hashes a by-hash analysis needs.
+// content hash a by-hash analysis needs.
 type ClipSeal struct {
-	ClipID          string `json:"clip_id"`
-	FramesHash      string `json:"frames_hash"`
-	SilhouettesHash string `json:"silhouettes_hash"`
-	Frames          int    `json:"frames"`
+	ClipID     string `json:"clip_id"`
+	FramesHash string `json:"frames_hash"`
+	Frames     int    `json:"frames"`
 	// Deprecated: the server no longer segments while a clip uploads, so
 	// nothing is reused and the field is always 0.
 	EagerReused int `json:"eager_reused"`
@@ -119,9 +119,8 @@ func (cs *ClipSession) AppendFrames(frames []*Image) error {
 	return nil
 }
 
-// Seal closes the session: the server segments the complete clip and
-// stores the frames and silhouettes artifacts. Idempotent — resealing
-// returns the same document.
+// Seal closes the session: the server stores the complete clip as one
+// frames artifact. Idempotent — resealing returns the same document.
 func (cs *ClipSession) Seal() (*ClipSeal, error) {
 	resp, err := cs.client.Post(cs.base+"/v1/clips/"+cs.id+"/seal", "application/json", nil)
 	if err != nil {

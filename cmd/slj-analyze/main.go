@@ -34,11 +34,11 @@
 //
 // -clip-session URL streams the clip to a running slj-serve through the
 // chunked ingest protocol instead of analysing in-process: frames upload
-// in small chunks (the server segments them while later chunks are still
-// in flight), the session is sealed into content-addressed artifacts, and
-// the analysis runs by hash — the printed document is the web service's
-// JSON response. A second run of the same clip re-uses the stored
-// artifacts and the server's result cache without re-uploading anything.
+// in small chunks, the session is sealed into a content-addressed frames
+// artifact, and the analysis — which segments the clip once — runs by
+// hash; the printed document is the web service's JSON response. A second
+// run of the same clip re-uses the stored artifacts and the server's
+// result cache without re-uploading anything.
 package main
 
 import (

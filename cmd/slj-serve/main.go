@@ -57,8 +57,8 @@
 //
 // Streaming ingest + content-addressed artifacts (DESIGN.md §14): POST
 // /v1/clips opens a chunked upload session, PUT /v1/clips/{id}/frames
-// appends ordered frame chunks, POST /v1/clips/{id}/seal segments the
-// complete clip once and yields content hashes, and an
+// appends ordered frame chunks, POST /v1/clips/{id}/seal stores the
+// complete clip as one frames artifact and yields its hash, and an
 // application/json POST to /v1/analyze or /v1/jobs naming frames_ref
 // analyses the stored clip without re-uploading a byte. Artifact blobs are
 // stored/served at /v1/artifacts (-artifact-blobs/-artifact-bytes/

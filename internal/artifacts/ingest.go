@@ -1,23 +1,14 @@
 // Streaming clip ingest: chunked upload sessions over the artifact store.
 //
 // A session accepts a clip as ordered frame chunks and holds the frames
-// until seal. The paper's pipeline is batch: Step 1 estimates the
-// background over the *whole* sequence, and Steps 2-5 segment every frame
-// against that one background. Seal does exactly that, once, over the
-// complete clip, so the sealed output is the batch pipeline's output by
-// construction. Nothing is segmented during the upload: against a prefix
-// background, only the last chunk's silhouettes survive seal (4 of 20 on
-// perfbench's 5x4-frame clip), while every chunk re-runs Step 1 over the
-// whole prefix. Segmenting only at seal took perfbench's ingest_fleet from
-// 12.5 to 18.3 ops/s on a 2-CPU host (DESIGN.md §14).
-//
-// Seal stores two artifacts — the frames and the segmentation output — and
-// registers a frames-hash → silhouettes-hash memo, which the server uses
-// to answer a by-hash analysis over the same clip without re-running
-// segmentation (the injected silhouettes being bit-identical to a
-// recompute). Append refuses a chunk that would make those two artifacts
-// larger than the store can hold, so every clip a session accepts can be
-// sealed.
+// until seal, which stores them as one frames artifact and nothing else.
+// Nothing is segmented here, neither during the upload nor at seal: the
+// paper's pipeline is batch — Step 1 estimates the background over the
+// *whole* sequence, and Steps 2-5 segment every frame against it — and
+// that step runs once, inside the analysis of the sealed clip, on
+// whichever node executes it (DESIGN.md §14). Append refuses a chunk that
+// would make the frames artifact larger than the store can hold, so every
+// clip a session accepts can be sealed.
 package artifacts
 
 import (
@@ -30,7 +21,6 @@ import (
 	"time"
 
 	"github.com/sljmotion/sljmotion/internal/imaging"
-	"github.com/sljmotion/sljmotion/internal/segmentation"
 )
 
 // DefaultSessionTTL expires idle ingest sessions (the clip never sealed).
@@ -39,17 +29,10 @@ const DefaultSessionTTL = 15 * time.Minute
 // DefaultMaxSessions bounds concurrently open (unsealed) sessions.
 const DefaultMaxSessions = 64
 
-// memoCap bounds the frames-hash → silhouettes-hash memo registry.
-const memoCap = 256
-
 // SessionConfig parameterises the ingest session layer.
 type SessionConfig struct {
-	// Store receives the sealed artifacts. Required.
+	// Store receives the sealed frames artifacts. Required.
 	Store *Store
-	// Seg is the segmentation configuration sessions segment under. It must
-	// equal the analyzer's, or the memo would hand back silhouettes a batch
-	// run would not have produced.
-	Seg segmentation.Config
 	// TTL expires sessions this long after their last append or seal;
 	// 0 selects DefaultSessionTTL.
 	TTL time.Duration
@@ -86,17 +69,19 @@ func (e *OutOfOrderError) Error() string {
 var ErrSessionSealed = errors.New("artifacts: session is sealed")
 
 // ErrClipTooLarge rejects a chunk that would make the clip's sealed
-// artifacts larger than the store's byte capacity. The session keeps the
-// frames it already holds, so it can still be sealed.
+// frames artifact larger than the store's byte capacity. The session keeps
+// the frames it already holds, so it can still be sealed.
 var ErrClipTooLarge = errors.New("artifacts: clip too large for the artifact store")
 
+// ErrEmptySession rejects sealing a session that holds no frames.
+var ErrEmptySession = errors.New("artifacts: cannot seal a session with no frames")
+
 // SealDoc is the terminal document of one ingest session: the content
-// hashes a by-hash analysis request needs.
+// hash a by-hash analysis request needs.
 type SealDoc struct {
-	ClipID          string `json:"clip_id"`
-	FramesHash      string `json:"frames_hash"`
-	SilhouettesHash string `json:"silhouettes_hash"`
-	Frames          int    `json:"frames"`
+	ClipID     string `json:"clip_id"`
+	FramesHash string `json:"frames_hash"`
+	Frames     int    `json:"frames"`
 }
 
 // SessionStatus reports one session's progress.
@@ -110,15 +95,10 @@ type SessionStatus struct {
 // Sessions manages the open ingest sessions of one server.
 type Sessions struct {
 	cfg   SessionConfig
-	pipe  *segmentation.Pipeline
 	clock func() time.Time
 
 	mu       sync.Mutex
 	sessions map[string]*Session
-
-	memoMu    sync.Mutex
-	memo      map[string]string
-	memoOrder []string
 
 	opened         atomic.Uint64
 	sealedN        atomic.Uint64
@@ -143,20 +123,14 @@ func NewSessions(cfg SessionConfig) (*Sessions, error) {
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = DefaultMaxSessions
 	}
-	pipe, err := segmentation.New(cfg.Seg)
-	if err != nil {
-		return nil, err
-	}
 	clock := cfg.Clock
 	if clock == nil {
 		clock = time.Now
 	}
 	s := &Sessions{
 		cfg:         cfg,
-		pipe:        pipe,
 		clock:       clock,
 		sessions:    make(map[string]*Session),
-		memo:        make(map[string]string),
 		janitorStop: make(chan struct{}),
 	}
 	s.janitor.Add(1)
@@ -208,30 +182,6 @@ func (s *Sessions) Get(id string) (*Session, bool) {
 		return nil, false
 	}
 	return sess, true
-}
-
-// Memo returns the silhouettes-artifact hash memoised for a frames-artifact
-// hash by a sealed session, if any.
-func (s *Sessions) Memo(framesHash string) (string, bool) {
-	s.memoMu.Lock()
-	defer s.memoMu.Unlock()
-	h, ok := s.memo[framesHash]
-	return h, ok
-}
-
-// recordMemo registers a frames→silhouettes association, evicting the
-// oldest beyond the registry bound.
-func (s *Sessions) recordMemo(framesHash, silsHash string) {
-	s.memoMu.Lock()
-	defer s.memoMu.Unlock()
-	if _, ok := s.memo[framesHash]; !ok {
-		s.memoOrder = append(s.memoOrder, framesHash)
-		for len(s.memoOrder) > memoCap {
-			delete(s.memo, s.memoOrder[0])
-			s.memoOrder = s.memoOrder[1:]
-		}
-	}
-	s.memo[framesHash] = silsHash
 }
 
 // Metrics returns a snapshot of the ingest counters.
@@ -347,9 +297,9 @@ func (ss *Session) expired(now time.Time) bool {
 // zero and must arrive in order — an out-of-sequence chunk is rejected with
 // an OutOfOrderError naming the expected index, and a sealed session
 // rejects every append. A chunk whose frames differ in size from the clip,
-// or that would make the sealed artifacts exceed the store's capacity
-// (ErrClipTooLarge), is rejected whole: the session is left as it was.
-// Nothing is segmented before Seal.
+// or that would make the sealed frames artifact exceed the store's
+// capacity (ErrClipTooLarge), is rejected whole: the session is left as it
+// was.
 func (ss *Session) Append(chunk int, frames []*imaging.Image) error {
 	if len(frames) == 0 {
 		return errors.New("artifacts: empty chunk")
@@ -385,15 +335,9 @@ func (ss *Session) Append(chunk int, frames []*imaging.Image) error {
 }
 
 // sealBytes is what Seal stores for an n-frame clip of w×h frames: the
-// frames blob (EncodeFrames) plus the silhouettes blob (EncodeSilhouettes:
-// the background and n bit-packed masks). Both go into the same store, so
-// a clip whose frames blob fits alone could still evict it with its own
-// silhouettes.
+// frames blob (EncodeFrames).
 func sealBytes(n, w, h int) int64 {
-	px := int64(w) * int64(h)
-	frames := headerLen + 4 + int64(n)*(8+3*px)
-	sils := headerLen + 5 + 8 + 3*px + int64(n)*(12+(px+7)/8)
-	return frames + sils
+	return headerLen + 4 + int64(n)*(8+3*int64(w)*int64(h))
 }
 
 // Status reports the session's progress.
@@ -407,13 +351,13 @@ func (ss *Session) Status() SessionStatus {
 	return st
 }
 
-// Seal closes the session: it estimates the background over the complete
-// clip, segments every frame against it, stores the frames and
-// segmentation artifacts, registers the frames→silhouettes memo, and
-// returns the seal document. Seal is idempotent — a second call returns
-// the same document without redoing any work — and a failed seal leaves
-// the session open for retry. A sealed session releases its frames (the
-// store holds the artifacts) and stops counting against MaxSessions.
+// Seal closes the session: it stores the complete clip as one frames
+// artifact and returns the seal document. Sealing a session with no frames
+// fails with ErrEmptySession; any other error is the store's. Seal is
+// idempotent — a second call returns the same document without redoing
+// any work — and a failed seal leaves the session open for retry. A sealed
+// session releases its frames (the store holds the artifact) and stops
+// counting against MaxSessions.
 func (ss *Session) Seal() (*SealDoc, error) {
 	ss.sealMu.Lock()
 	defer ss.sealMu.Unlock()
@@ -426,7 +370,7 @@ func (ss *Session) Seal() (*SealDoc, error) {
 	}
 	if len(ss.frames) == 0 {
 		ss.mu.Unlock()
-		return nil, errors.New("artifacts: cannot seal a session with no frames")
+		return nil, ErrEmptySession
 	}
 	ss.sealing = true // Append now rejects
 	frames := ss.frames[:len(ss.frames):len(ss.frames)]
@@ -450,32 +394,13 @@ func (ss *Session) Seal() (*SealDoc, error) {
 }
 
 func (ss *Session) seal(frames []*imaging.Image) (*SealDoc, error) {
-	bg, sils, err := ss.owner.pipe.SegmentClip(frames, 1)
-	if err != nil {
-		return nil, fmt.Errorf("artifacts: seal: %w", err)
-	}
-
-	framesBlob, err := EncodeFrames(frames)
+	blob, err := EncodeFrames(frames)
 	if err != nil {
 		return nil, err
 	}
-	framesHash, err := ss.owner.cfg.Store.Put(framesBlob)
+	hash, err := ss.owner.cfg.Store.Put(blob)
 	if err != nil {
 		return nil, err
 	}
-	silsBlob, err := EncodeSilhouettes(bg, sils)
-	if err != nil {
-		return nil, err
-	}
-	silsHash, err := ss.owner.cfg.Store.Put(silsBlob)
-	if err != nil {
-		return nil, err
-	}
-	ss.owner.recordMemo(framesHash, silsHash)
-	return &SealDoc{
-		ClipID:          ss.id,
-		FramesHash:      framesHash,
-		SilhouettesHash: silsHash,
-		Frames:          len(frames),
-	}, nil
+	return &SealDoc{ClipID: ss.id, FramesHash: hash, Frames: len(frames)}, nil
 }

@@ -9,7 +9,6 @@ import (
 
 	"github.com/sljmotion/sljmotion/internal/core"
 	"github.com/sljmotion/sljmotion/internal/imaging"
-	"github.com/sljmotion/sljmotion/internal/segmentation"
 )
 
 func newTestSessions(t *testing.T, cfg SessionConfig) (*Sessions, *Store) {
@@ -21,9 +20,6 @@ func newTestSessions(t *testing.T, cfg SessionConfig) (*Sessions, *Store) {
 		}
 		t.Cleanup(store.Close)
 		cfg.Store = store
-	}
-	if cfg.Seg == (segmentation.Config{}) {
-		cfg.Seg = segmentation.DefaultConfig()
 	}
 	s, err := NewSessions(cfg)
 	if err != nil {
@@ -104,10 +100,14 @@ func TestSealIdempotentAndAppendAfterSealRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if doc.Frames != 5 || doc.FramesHash == "" || doc.SilhouettesHash == "" {
+	if doc.Frames != 5 || doc.FramesHash == "" {
 		t.Fatalf("seal doc = %+v", doc)
 	}
-	// The frames artifact is the canonical encoding of what was appended.
+	// Seal stores exactly one blob: the frames artifact, the canonical
+	// encoding of what was appended. Nothing is segmented.
+	if m := store.Metrics(); m.Blobs != 1 || m.Stored != 1 {
+		t.Fatalf("store after seal = %+v, want exactly the frames blob", m)
+	}
 	blob, kind, ok := store.Get(doc.FramesHash)
 	if !ok || kind != KindFrames {
 		t.Fatalf("frames artifact: kind %q, ok %v", kind, ok)
@@ -118,9 +118,6 @@ func TestSealIdempotentAndAppendAfterSealRejected(t *testing.T) {
 	}
 	if !bytes.Equal(blob, want) {
 		t.Fatal("frames artifact differs from the appended frames")
-	}
-	if _, kind, ok := store.Get(doc.SilhouettesHash); !ok || kind != KindSilhouettes {
-		t.Fatalf("silhouettes artifact: kind %q, ok %v", kind, ok)
 	}
 
 	// Sealing again returns the same document without re-running anything.
@@ -136,10 +133,6 @@ func TestSealIdempotentAndAppendAfterSealRejected(t *testing.T) {
 	}
 	if err := sess.Append(2, frames[:1]); !errors.Is(err, ErrSessionSealed) {
 		t.Fatalf("append after seal: %v, want ErrSessionSealed", err)
-	}
-	// The frames→silhouettes memo is registered for by-hash analyses.
-	if h, ok := s.Memo(doc.FramesHash); !ok || h != doc.SilhouettesHash {
-		t.Fatalf("memo = %q, %v; want the silhouettes hash", h, ok)
 	}
 }
 
@@ -179,8 +172,8 @@ func TestSealEmptySessionFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Seal(); err == nil {
-		t.Fatal("sealed a session with no frames")
+	if _, err := sess.Seal(); !errors.Is(err, ErrEmptySession) {
+		t.Fatalf("seal of an empty session: %v, want ErrEmptySession", err)
 	}
 }
 
@@ -221,7 +214,7 @@ func TestOpenAfterCloseFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	s, err := NewSessions(SessionConfig{Store: store, Seg: segmentation.DefaultConfig()})
+	s, err := NewSessions(SessionConfig{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,61 +225,8 @@ func TestOpenAfterCloseFails(t *testing.T) {
 	}
 }
 
-// TestSealMatchesBatchSegmentation: a clip appended in uneven chunks seals
-// into exactly the batch pipeline's output — the Step 1 background over the
-// whole clip and every frame's silhouette against it, bit for bit.
-func TestSealMatchesBatchSegmentation(t *testing.T) {
-	s, store := newTestSessions(t, SessionConfig{})
-	sess, err := s.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	frames := testFrames(7, 64, 16)
-	for chunk, r := range [][2]int{{0, 3}, {3, 5}, {5, 7}} {
-		if err := sess.Append(chunk, frames[r[0]:r[1]]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	doc, err := sess.Seal()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	pipe, err := segmentation.New(segmentation.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBG, err := pipe.EstimateBackground(frames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, _, ok := store.Get(doc.SilhouettesHash)
-	if !ok {
-		t.Fatal("silhouettes artifact missing")
-	}
-	gotBG, sils, err := DecodeSilhouettes(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameImage(gotBG, wantBG) {
-		t.Fatal("sealed background differs from the batch estimate")
-	}
-	if len(sils) != len(frames) {
-		t.Fatalf("sealed %d silhouettes, want %d", len(sils), len(frames))
-	}
-	for i, f := range frames {
-		st, err := pipe.SegmentFrame(f, wantBG)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameMask(sils[i].Mask, st.Object) {
-			t.Fatalf("frame %d: sealed silhouette differs from the batch segmentation", i)
-		}
-	}
-}
-
 // TestAppendRejectsClipPastStoreCapacity: a chunk that would make the sealed
-// artifacts larger than the store is refused with ErrClipTooLarge and
+// frames artifact larger than the store is refused with ErrClipTooLarge and
 // leaves the session as it was, so what it already holds still seals.
 func TestAppendRejectsClipPastStoreCapacity(t *testing.T) {
 	const w, h = 16, 8
@@ -320,29 +260,19 @@ func TestAppendRejectsClipPastStoreCapacity(t *testing.T) {
 	if doc.Frames != 4 {
 		t.Fatalf("sealed %d frames, want 4", doc.Frames)
 	}
-	// Both artifacts fit side by side: sealing the frames did not evict them.
 	if _, _, ok := store.Get(doc.FramesHash); !ok {
-		t.Fatal("frames artifact evicted by its own silhouettes")
+		t.Fatal("frames artifact missing from a store sized to hold it")
 	}
 }
 
-// TestSealBytesMatchesEncoders pins sealBytes to the encoders it predicts.
+// TestSealBytesMatchesEncoders pins sealBytes to the encoder it predicts.
 func TestSealBytesMatchesEncoders(t *testing.T) {
 	for _, n := range []int{1, 2, 5} {
-		frames := testFrames(n, 13, 7)
-		fb, err := EncodeFrames(frames)
+		fb, err := EncodeFrames(testFrames(n, 13, 7))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sils := make([]segmentation.Silhouette, n)
-		for i := range sils {
-			sils[i] = segmentation.NewSilhouette(i, imaging.NewMask(13, 7))
-		}
-		sb, err := EncodeSilhouettes(frames[0], sils)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := sealBytes(n, 13, 7), int64(len(fb)+len(sb)); got != want {
+		if got, want := sealBytes(n, 13, 7), int64(len(fb)); got != want {
 			t.Fatalf("sealBytes(%d, 13, 7) = %d, encoders wrote %d", n, got, want)
 		}
 	}

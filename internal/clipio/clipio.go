@@ -150,13 +150,15 @@ func ReadPoses(r io.Reader) ([]stickmodel.Pose, error) {
 	if maxFrame < 0 {
 		return nil, errors.New("clipio: no pose lines")
 	}
-	poses := make([]stickmodel.Pose, maxFrame+1)
-	for k := range poses {
+	// Grow by what the lines hold, never by the largest index: one line
+	// naming frame 1<<62 is a missing frame, not a slice that size.
+	poses := make([]stickmodel.Pose, 0, len(byFrame))
+	for k := 0; k <= maxFrame; k++ {
 		p, ok := byFrame[k]
 		if !ok {
 			return nil, fmt.Errorf("clipio: missing pose for frame %d", k)
 		}
-		poses[k] = p
+		poses = append(poses, p)
 	}
 	return poses, nil
 }

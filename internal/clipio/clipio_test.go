@@ -96,6 +96,8 @@ func TestReadPosesErrors(t *testing.T) {
 		{"negative index", "-1 10 20 0 1 2 3 4 5 6 7\n"},
 		{"bad float", "0 10 twenty 0 1 2 3 4 5 6 7\n"},
 		{"gap in frames", "0 10 20 0 1 2 3 4 5 6 7\n2 10 20 0 1 2 3 4 5 6 7\n"},
+		{"index far past the lines", "0 10 20 0 1 2 3 4 5 6 7\n4611686018427387903 10 20 0 1 2 3 4 5 6 7\n"},
+		{"largest index", "9223372036854775807 10 20 0 1 2 3 4 5 6 7\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -172,14 +172,6 @@ type Request struct {
 	SilhouettesRef string
 	PosesRef       string
 
-	// SegmentationMemo marks Silhouettes and Background as a trusted,
-	// server-injected replay of this exact configuration's segmentation over
-	// Frames (recorded when an ingest session sealed). Run then reuses them
-	// instead of re-segmenting — bit-identical by determinism, so only
-	// timing changes. The flag is process-local: it never crosses the wire
-	// and cache keys ignore the injected artifacts it covers.
-	SegmentationMemo bool
-
 	// IncludePoses and IncludeSilhouettes shape serialised responses built
 	// from the result (the web service's JSON document). The in-process
 	// Result always carries every computed artifact regardless.
@@ -272,29 +264,17 @@ func (a *Analyzer) Run(ctx context.Context, req Request, progress ProgressFunc) 
 		if err != nil {
 			return nil, err
 		}
-		switch {
-		case req.SegmentationMemo && req.Background != nil && len(req.Silhouettes) == len(req.Frames):
-			// A sealed ingest session already segmented this exact clip
-			// under this exact configuration; replay its output instead of
-			// recomputing it. Segmentation is deterministic, so the replay
-			// is bit-identical — the stage still runs (and is timed), it
-			// just costs nothing.
-			done()
-			res.Background = req.Background
-			res.Silhouettes = req.Silhouettes
-		default:
-			seg, err := segmentation.New(a.cfg.Segmentation)
-			if err != nil {
-				return nil, fmt.Errorf("segmentation: %w", err)
-			}
-			bg, sils, err := seg.SegmentClip(req.Frames, maxParallel(a.cfg.Parallelism))
-			if err != nil {
-				return nil, fmt.Errorf("segmentation: %w", err)
-			}
-			done()
-			res.Background = bg
-			res.Silhouettes = sils
+		seg, err := segmentation.New(a.cfg.Segmentation)
+		if err != nil {
+			return nil, fmt.Errorf("segmentation: %w", err)
 		}
+		bg, sils, err := seg.SegmentClip(req.Frames, maxParallel(a.cfg.Parallelism))
+		if err != nil {
+			return nil, fmt.Errorf("segmentation: %w", err)
+		}
+		done()
+		res.Background = bg
+		res.Silhouettes = sils
 	}
 
 	res.Poses = req.Poses

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"github.com/sljmotion/sljmotion"
-	"github.com/sljmotion/sljmotion/internal/artifacts"
 	"github.com/sljmotion/sljmotion/internal/core"
 	"github.com/sljmotion/sljmotion/internal/dispatch"
 	"github.com/sljmotion/sljmotion/internal/imaging"
@@ -397,9 +396,6 @@ func TestSegmentationDeterminismTable(t *testing.T) {
 				sils[k] = segmentation.NewSilhouette(k, st.Object)
 			}
 			check("SegmentFrame", bg, sils, nil)
-
-			bg, sils, err = sealAndDecode(t, cfg, v.Frames)
-			check("ingest seal", bg, sils, err)
 		})
 	}
 }
@@ -413,38 +409,6 @@ func backgroundDigest(bg *imaging.Image) string {
 		h.Write([]byte{c.R, c.G, c.B})
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// sealAndDecode uploads a clip to an ingest session, seals it, and decodes
-// the silhouettes artifact the seal stored.
-func sealAndDecode(t *testing.T, cfg segmentation.Config, frames []*imaging.Image) (*imaging.Image, []segmentation.Silhouette, error) {
-	t.Helper()
-	store, err := artifacts.NewStore(artifacts.Config{MaxBlobs: 8, MaxBytes: 64 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	sessions, err := artifacts.NewSessions(artifacts.SessionConfig{Store: store, Seg: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sessions.Close()
-	sess, err := sessions.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Append(0, frames); err != nil {
-		t.Fatal(err)
-	}
-	doc, err := sess.Seal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, _, ok := store.Get(doc.SilhouettesHash)
-	if !ok {
-		t.Fatalf("sealed silhouettes %s not in the store", doc.SilhouettesHash)
-	}
-	return artifacts.DecodeSilhouettes(blob)
 }
 
 // twoDecimals rounds the annotation to the two decimals a truth file

@@ -154,15 +154,6 @@ func ConfigFingerprint(cfg core.Config) string {
 // requests must be covered too: two tracking..scoring re-scores over
 // different poses may never collide.
 func RequestKey(cfgFP string, req core.Request) cache.Key {
-	// A segmentation memo is a server-injected replay of what segmentation
-	// would compute over Frames anyway — bit-identical by determinism — so
-	// it must not shift the key: a memo-assisted request and the equivalent
-	// cold request are the same work and must share one cache entry and one
-	// ring placement. req is a by-value copy, so stripping is local.
-	if req.SegmentationMemo {
-		req.Silhouettes = nil
-		req.Background = nil
-	}
 	k := cache.NewKeyer()
 	k.WriteString("slj-analysis-response/v2")
 	k.WriteString(cfgFP)

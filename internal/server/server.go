@@ -326,7 +326,6 @@ func NewWithOptions(cfg core.Config, logger *log.Logger, opts Options) (*Server,
 	}
 	clips, err := artifacts.NewSessions(artifacts.SessionConfig{
 		Store: blobs,
-		Seg:   cfg.Segmentation,
 		TTL:   opts.ClipTTL,
 	})
 	if err != nil {
@@ -518,49 +517,6 @@ func (s *Server) store(key cache.Key, resp *AnalysisResponse, target string) []b
 	return doc
 }
 
-// materialize resolves a by-reference request against the server's own
-// artifact store and, when a sealed ingest session memoised this exact
-// clip's segmentation, injects the stored silhouettes so Run replays them
-// instead of recomputing (bit-identical by determinism; see core.Request.
-// SegmentationMemo). Inline requests pass through untouched.
-func (s *Server) materialize(req core.Request) (core.Request, error) {
-	framesRef := req.FramesRef
-	if framesRef == "" && req.SilhouettesRef == "" && req.PosesRef == "" {
-		return req, nil
-	}
-	resolved, err := artifacts.ResolveRequest(s.artifacts, req)
-	if err != nil {
-		return core.Request{}, err
-	}
-	return s.injectMemo(framesRef, resolved), nil
-}
-
-// injectMemo fills the segmentation memo for a resolved request whose
-// frames arrived by reference, when the ingest layer recorded one.
-func (s *Server) injectMemo(framesRef string, req core.Request) core.Request {
-	if framesRef == "" || req.SegmentationMemo ||
-		len(req.Silhouettes) > 0 || req.Background != nil ||
-		!req.Stages.Normalize().Includes(core.StageSegmentation) {
-		return req
-	}
-	silsHash, ok := s.clips.Memo(framesRef)
-	if !ok {
-		return req
-	}
-	blob, _, ok := s.artifacts.Get(silsHash)
-	if !ok {
-		return req
-	}
-	bg, sils, err := artifacts.DecodeSilhouettes(blob)
-	if err != nil || len(sils) != len(req.Frames) {
-		return req
-	}
-	req.Silhouettes = sils
-	req.Background = bg
-	req.SegmentationMemo = true
-	return req
-}
-
 // writeResolveError maps a reference-resolution failure onto the error
 // envelope: unknown hashes are 404 with a machine-readable code, anything
 // else (conflicting inline+ref, corrupt blob) is a 400.
@@ -587,7 +543,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	req, err := s.materialize(req)
+	req, err := artifacts.ResolveRequest(s.artifacts, req)
 	if err != nil {
 		writeResolveError(w, err)
 		return
@@ -746,7 +702,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			return
 		}
-		req, err := s.materialize(refReq)
+		req, err := artifacts.ResolveRequest(s.artifacts, refReq)
 		if err != nil {
 			writeResolveError(w, err)
 			return
@@ -833,12 +789,10 @@ func (s *Server) executeAnalysis(ctx context.Context, p jobs.Payload, progress f
 		// intake stashes its resolution) still naming artifacts by hash:
 		// materialise them — pulling from the originating front end when the
 		// local store misses — before keying and running.
-		framesRef := req.FramesRef
 		req, err = artifacts.ResolveRequest(s.resolver(p.ArtifactOrigin), req)
 		if err != nil {
 			return nil, err
 		}
-		req = s.injectMemo(framesRef, req)
 	}
 	// Referenced artifacts this node already held never re-Put (the OnStore
 	// hook stays silent), so mirror them explicitly — the successor must be

@@ -11,7 +11,7 @@
 //	POST /v1/clips                open a session → clip id + URLs
 //	GET  /v1/clips/{id}           session progress
 //	PUT  /v1/clips/{id}/frames    append chunk N (multipart frames + chunk=N)
-//	POST /v1/clips/{id}/seal      close → frames + silhouettes hashes
+//	POST /v1/clips/{id}/seal      close → frames hash
 //
 // A sealed clip's frames hash is accepted anywhere a frame list is today:
 // POST /v1/analyze or /v1/jobs with an application/json body naming it
@@ -217,11 +217,17 @@ func (s *Server) handleClipFrames(w http.ResponseWriter, r *http.Request, sess *
 }
 
 // handleClipSeal closes an ingest session (POST /v1/clips/{id}/seal).
-// Idempotent: resealing answers the same document.
+// Idempotent: resealing answers the same document. Sealing an empty
+// session is the client's fault (422); a store that cannot take the frames
+// artifact is the server's (500), and the session stays open for retry.
 func (s *Server) handleClipSeal(w http.ResponseWriter, sess *artifacts.Session) {
 	doc, err := sess.Seal()
-	if err != nil {
+	if errors.Is(err, artifacts.ErrEmptySession) {
 		writeError(w, http.StatusUnprocessableEntity, err.Error())
+		return
+	}
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, doc)

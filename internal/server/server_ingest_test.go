@@ -8,6 +8,8 @@ import (
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"testing"
 
@@ -198,12 +200,12 @@ func TestClipIngestProtocolErrors(t *testing.T) {
 		t.Fatalf("seal of empty session: %d %s", code, raw)
 	}
 
-	// A chunk that would make the sealed artifacts outgrow the store: 413
-	// clip_too_large, and the session still seals what it accepted. Each
-	// 16x8 frame adds 420 bytes to what seal stores (411 bytes fixed), so
-	// a 4 KiB store takes 8 frames.
+	// A chunk that would make the sealed frames artifact outgrow the store:
+	// 413 clip_too_large, and the session still seals what it accepted.
+	// Each 16x8 frame adds 392 bytes to what seal stores (9 bytes fixed),
+	// so a 3400-byte store takes 8 frames.
 	smallOpts := DefaultOptions()
-	smallOpts.ArtifactBytes = 4 << 10
+	smallOpts.ArtifactBytes = 3400
 	small := httptest.NewServer(fastServerWithOptions(t, smallOpts).Handler())
 	defer small.Close()
 	capped := openClipHTTP(t, small.URL)
@@ -249,13 +251,55 @@ func TestClipIngestProtocolErrors(t *testing.T) {
 	}
 }
 
+// TestClipIngestSealStoreFailure: a seal the store cannot take — here the
+// spill directory was replaced by a regular file, so the write-through
+// fails — is the server's fault, a 500 and not the 422 of an empty
+// session, and leaves the session open: once the directory is back, the
+// same session seals.
+func TestClipIngestSealStoreFailure(t *testing.T) {
+	spill := filepath.Join(t.TempDir(), "spill")
+	opts := DefaultOptions()
+	opts.ArtifactSpillDir = spill
+	srv := httptest.NewServer(fastServerWithOptions(t, opts).Handler())
+	defer srv.Close()
+
+	id := openClipHTTP(t, srv.URL)
+	frames := []*imaging.Image{imaging.NewImageFilled(16, 8, imaging.Color{R: 100, G: 100, B: 100})}
+	if code, raw := appendChunkHTTP(t, srv.URL, id, 0, frames); code != http.StatusOK {
+		t.Fatalf("chunk 0: %d %s", code, raw)
+	}
+	if err := os.RemoveAll(spill); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(spill, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, raw := sealClipHTTP(t, srv.URL, id); code != http.StatusInternalServerError {
+		t.Fatalf("seal with an unwritable spill: %d %s, want 500", code, raw)
+	}
+
+	if err := os.Remove(spill); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(spill, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	code, raw := sealClipHTTP(t, srv.URL, id)
+	var seal artifacts.SealDoc
+	if err := json.Unmarshal(raw, &seal); code != http.StatusOK || err != nil || seal.Frames != 1 {
+		t.Fatalf("seal retried after the spill came back: %d %s", code, raw)
+	}
+	if _, err := os.Stat(filepath.Join(spill, seal.FramesHash)); err != nil {
+		t.Fatalf("retried seal did not spill the frames artifact: %v", err)
+	}
+}
+
 // TestByHashAnalysisMatchesInline is the single-node identity acceptance:
 // a clip streamed through an ingest session and analysed by content hash
 // (full pipeline) returns a document byte-identical — modulo stage_ms — to
 // the same clip uploaded inline. The inline run goes to a second server,
 // so neither request is answered from the other's stored result: both
-// genuinely run, proving the memo-injected segmentation replay changes
-// nothing.
+// genuinely run, each segmenting the clip once inside its analysis.
 func TestByHashAnalysisMatchesInline(t *testing.T) {
 	srv := httptest.NewServer(fastServer(t).Handler())
 	defer srv.Close()
@@ -315,7 +359,8 @@ func TestByHashAnalysisMatchesInline(t *testing.T) {
 		t.Fatalf("by-hash result differs from inline:\n%s\nvs\n%s", got, want)
 	}
 
-	// The ingest layer's metrics count the session and both artifacts.
+	// The ingest layer's metrics count the session; the store holds exactly
+	// the sealed frames blob and the by-hash run's result blob.
 	mresp, err := http.Get(srv.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -332,15 +377,15 @@ func TestByHashAnalysisMatchesInline(t *testing.T) {
 	if mdoc.ClipSessions.Sealed != 1 || mdoc.ClipSessions.FramesIngested != uint64(n) {
 		t.Fatalf("clip session metrics = %+v", mdoc.ClipSessions)
 	}
-	if mdoc.Artifacts.Blobs < 2 || mdoc.Artifacts.Stored < 2 {
-		t.Fatalf("artifact metrics = %+v, want the frames and silhouettes blobs", mdoc.Artifacts)
+	if mdoc.Artifacts.Blobs != 2 || mdoc.Artifacts.Stored != 2 {
+		t.Fatalf("artifact metrics = %+v, want the frames and result blobs", mdoc.Artifacts)
 	}
 }
 
-// TestByHashAnalysisStacksWithResultCache: because the memo-injected
-// segmentation is excluded from the cache key, a by-hash request hashes
-// identically to the inline upload of the same clip — so the second form is
-// answered from the result cache populated by the first.
+// TestByHashAnalysisStacksWithResultCache: a resolved by-hash request is
+// indistinguishable from the inline upload of the same clip, so it hashes
+// to the same key — and the second form is answered from the result cache
+// populated by the first.
 func TestByHashAnalysisStacksWithResultCache(t *testing.T) {
 	s := fastServer(t)
 	srv := httptest.NewServer(s.Handler())

@@ -65,13 +65,11 @@ func (s *Server) handleWorkerJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if p.ByReference() {
-		framesRef := req.FramesRef
 		req, err = artifacts.ResolveRequest(s.resolver(p.ArtifactOrigin), req)
 		if err != nil {
 			writeResolveError(w, err)
 			return
 		}
-		req = s.injectMemo(framesRef, req)
 	}
 	// Consult the node's own stored results under the node's own config
 	// fingerprint — a hash-routed resubmission of an identical clip is
