@@ -60,16 +60,18 @@
 // appends ordered frame chunks, POST /v1/clips/{id}/seal stores the
 // complete clip as one frames artifact and yields its hash, and an
 // application/json POST to /v1/analyze or /v1/jobs naming frames_ref
-// analyses the stored clip without re-uploading a byte. Artifact blobs are
-// stored/served at /v1/artifacts (-artifact-blobs/-artifact-bytes/
+// analyses the stored clip without re-uploading a byte. Frames are the
+// only artifact a request names, and HTTP stage selections start at
+// segmentation. Artifact blobs are stored/served at /v1/artifacts
+// (-artifact-blobs/-artifact-bytes/
 // -artifact-ttl bound the store, -artifact-spill adds a disk tier,
 // -clip-ttl expires idle sessions). The same store is the result cache:
 // every finished response is kept as a result/v1 blob under its request
 // key, so an identical resubmission is answered without re-running the
 // pipeline, within the same -artifact-* bounds. A dispatching front end sets
 // -artifact-origin to its own public base URL so worker nodes can pull
-// referenced artifacts by hash (-max-payload-bytes caps the worker intake
-// body; by-reference payloads skip the base64 headroom).
+// a referenced frames artifact by hash (-max-payload-bytes caps the
+// worker intake body; by-reference payloads skip the base64 headroom).
 //
 // -workers sizes the analysis worker pool and -queue the submission queue
 // (backpressure beyond it). -result-ttl bounds how long finished results

@@ -1,18 +1,15 @@
 // Package artifacts is the content-addressed blob store behind the
-// streaming ingest path: frames, silhouettes and pose sequences are stored
-// once under the SHA-256 of their canonical binary encoding, and every
-// later consumer — a re-score, a worker node, a by-hash analysis request —
-// names them by that hash instead of re-shipping the bytes.
+// streaming ingest path: a clip's frames are stored once under the SHA-256
+// of their canonical binary encoding, and every later consumer — a worker
+// node, a by-hash analysis request — names them by that hash instead of
+// re-shipping the bytes.
 //
-// Four typed artifact kinds exist, each with a deterministic, versioned
+// Two typed artifact kinds exist, each with a deterministic, versioned
 // binary encoding (a four-byte magic plus a kind byte, then little-endian
-// fields): a clip's frames, the segmentation output (background plus
-// per-frame silhouettes, bundled so one hash covers the whole stage), a
-// pose sequence with its calibrated dimensions, and a finished analysis
-// (the response document under the request key it answers). The encodings
-// round-trip exactly, so a request resolved from hashes is bit-identical
-// to the same request built inline — and therefore hashes to the same
-// request key.
+// fields): a clip's frames, and a finished analysis (the response document
+// under the request key it answers). The frames encoding round-trips
+// exactly, so a request resolved from a frames hash is bit-identical to the
+// same request built inline — and therefore hashes to the same request key.
 //
 // The Store is a bounded two-tier cache: an in-memory LRU limited by blob
 // count and total bytes, with TTL expiry (janitor plus lazy checks), and
@@ -34,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -44,9 +40,6 @@ import (
 
 	"github.com/sljmotion/sljmotion/internal/cache"
 	"github.com/sljmotion/sljmotion/internal/imaging"
-	"github.com/sljmotion/sljmotion/internal/jobs"
-	"github.com/sljmotion/sljmotion/internal/segmentation"
-	"github.com/sljmotion/sljmotion/internal/stickmodel"
 )
 
 // Kind names an artifact type; the version suffix changes whenever the
@@ -55,31 +48,33 @@ type Kind string
 
 // The typed artifact kinds.
 const (
-	KindFrames      Kind = "frames/v1"
-	KindSilhouettes Kind = "silhouettes/v1"
-	KindPoses       Kind = "poses/v1"
-	KindResult      Kind = "result/v1"
+	KindFrames Kind = "frames/v1"
+	KindResult Kind = "result/v1"
 )
 
 // magic prefixes every artifact blob; the byte after it is the kind tag.
 var magic = []byte("SLJA")
 
+// Tags 2 and 3 were the retired silhouettes/v1 and poses/v1 kinds. They
+// must never be reused: a spill directory written by an older build may
+// still hold such blobs, and KindOf must keep refusing them.
 const (
-	tagFrames      byte = 1
-	tagSilhouettes byte = 2
-	tagPoses       byte = 3
-	tagResult      byte = 4
+	tagFrames byte = 1
+	tagResult byte = 4
 )
 
 // Encoding sanity bounds: dimensions and counts beyond these are corrupt
 // blobs, not plausible clips, and are rejected before any allocation.
 const (
-	maxItems  = 1 << 20 // per-blob frame/silhouette/pose count bound
+	maxItems  = 1 << 20 // per-blob frame count bound
 	headerLen = 5       // len(magic) + 1 kind byte
 )
 
 // ErrNotFound is returned by resolvers for hashes they cannot materialise.
 var ErrNotFound = errors.New("artifacts: artifact not found")
+
+// errClosed rejects a Put after Close.
+var errClosed = errors.New("artifacts: store is closed")
 
 // HashOf returns the content address of a blob: its SHA-256, lowercase hex.
 func HashOf(blob []byte) string {
@@ -96,10 +91,6 @@ func KindOf(blob []byte) (Kind, bool) {
 	switch blob[len(magic)] {
 	case tagFrames:
 		return KindFrames, true
-	case tagSilhouettes:
-		return KindSilhouettes, true
-	case tagPoses:
-		return KindPoses, true
 	case tagResult:
 		return KindResult, true
 	}
@@ -118,12 +109,8 @@ func newEnc(tag byte, sizeHint int) *enc {
 	return e
 }
 
-func (e *enc) u32(v int) { e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(v)) }
-func (e *enc) f64(v float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
-}
-func (e *enc) raw(b []byte)   { e.buf = append(e.buf, b...) }
-func (e *enc) byteVal(b byte) { e.buf = append(e.buf, b) }
+func (e *enc) u32(v int)    { e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(v)) }
+func (e *enc) raw(b []byte) { e.buf = append(e.buf, b...) }
 func (e *enc) image(img *imaging.Image) {
 	e.u32(img.W)
 	e.u32(img.H)
@@ -162,22 +149,6 @@ func (d *dec) u32() int {
 		return 0
 	}
 	return int(binary.LittleEndian.Uint32(b))
-}
-
-func (d *dec) f64() float64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
-}
-
-func (d *dec) byteVal() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
 }
 
 func (d *dec) image() *imaging.Image {
@@ -257,136 +228,6 @@ func DecodeFrames(blob []byte) ([]*imaging.Image, error) {
 		return nil, err
 	}
 	return frames, nil
-}
-
-// EncodeSilhouettes encodes one segmentation output — the Step 1 background
-// estimate plus every frame's silhouette mask (bit-packed row-major, MSB
-// first) — as a silhouettes/v1 blob. Bundling the background keeps the whole
-// stage output under a single hash, so a by-hash re-score reproduces the
-// batch path's response exactly.
-func EncodeSilhouettes(bg *imaging.Image, sils []segmentation.Silhouette) ([]byte, error) {
-	if len(sils) == 0 {
-		return nil, errors.New("artifacts: no silhouettes to encode")
-	}
-	size := 5
-	if bg != nil {
-		size += 8 + 3*len(bg.Pix)
-	}
-	for _, s := range sils {
-		size += 12 + (len(s.Mask.Bits)+7)/8
-	}
-	e := newEnc(tagSilhouettes, size)
-	if bg != nil {
-		e.byteVal(1)
-		e.image(bg)
-	} else {
-		e.byteVal(0)
-	}
-	e.u32(len(sils))
-	for _, s := range sils {
-		e.u32(s.Frame)
-		e.u32(s.Mask.W)
-		e.u32(s.Mask.H)
-		e.raw(jobs.PackMask(s.Mask))
-	}
-	return e.buf, nil
-}
-
-// DecodeSilhouettes reverses EncodeSilhouettes; silhouette statistics are
-// rederived from the masks, so they cannot drift from them.
-func DecodeSilhouettes(blob []byte) (*imaging.Image, []segmentation.Silhouette, error) {
-	d, err := open(blob, KindSilhouettes)
-	if err != nil {
-		return nil, nil, err
-	}
-	var bg *imaging.Image
-	switch hasBG := d.byteVal(); hasBG {
-	case 0:
-	case 1:
-		bg = d.image()
-	default:
-		d.fail("artifacts: invalid background flag %d", hasBG)
-	}
-	n := d.u32()
-	if d.err == nil && (n <= 0 || n > maxItems) {
-		d.fail("artifacts: invalid silhouette count %d", n)
-	}
-	var sils []segmentation.Silhouette
-	for i := 0; i < n && d.err == nil; i++ {
-		frame, w, h := d.u32(), d.u32(), d.u32()
-		if d.err != nil {
-			break
-		}
-		if w <= 0 || h <= 0 || w > imaging.MaxDim || h > imaging.MaxDim {
-			d.fail("artifacts: invalid mask size %dx%d", w, h)
-			break
-		}
-		packed := d.take((w*h + 7) / 8)
-		if packed == nil {
-			break
-		}
-		mask, err := jobs.UnpackMask(w, h, packed)
-		if err != nil {
-			d.fail("artifacts: silhouette %d: %v", i, err)
-			break
-		}
-		sils = append(sils, segmentation.NewSilhouette(frame, mask))
-	}
-	if err := d.done(); err != nil {
-		return nil, nil, err
-	}
-	return bg, sils, nil
-}
-
-// EncodePoses encodes a pose sequence plus its calibrated stick dimensions
-// as a poses/v1 blob (IEEE-754 bits, so float round-trips are exact).
-func EncodePoses(poses []stickmodel.Pose, dims stickmodel.Dimensions) ([]byte, error) {
-	if len(poses) == 0 {
-		return nil, errors.New("artifacts: no poses to encode")
-	}
-	e := newEnc(tagPoses, 4+len(poses)*(2+stickmodel.NumSticks)*8+2*stickmodel.NumSticks*8)
-	e.u32(len(poses))
-	for _, p := range poses {
-		e.f64(p.X)
-		e.f64(p.Y)
-		for _, rho := range p.Rho {
-			e.f64(rho)
-		}
-	}
-	for i := 0; i < stickmodel.NumSticks; i++ {
-		e.f64(dims.Length[i])
-		e.f64(dims.Thick[i])
-	}
-	return e.buf, nil
-}
-
-// DecodePoses reverses EncodePoses exactly.
-func DecodePoses(blob []byte) ([]stickmodel.Pose, stickmodel.Dimensions, error) {
-	d, err := open(blob, KindPoses)
-	if err != nil {
-		return nil, stickmodel.Dimensions{}, err
-	}
-	n := d.u32()
-	if d.err == nil && (n <= 0 || n > maxItems) {
-		d.fail("artifacts: invalid pose count %d", n)
-	}
-	var poses []stickmodel.Pose
-	for i := 0; i < n && d.err == nil; i++ {
-		var p stickmodel.Pose
-		p.X, p.Y = d.f64(), d.f64()
-		for j := 0; j < stickmodel.NumSticks; j++ {
-			p.Rho[j] = d.f64()
-		}
-		poses = append(poses, p)
-	}
-	var dims stickmodel.Dimensions
-	for i := 0; i < stickmodel.NumSticks; i++ {
-		dims.Length[i], dims.Thick[i] = d.f64(), d.f64()
-	}
-	if err := d.done(); err != nil {
-		return nil, stickmodel.Dimensions{}, err
-	}
-	return poses, dims, nil
 }
 
 // ResultDocOffset is where a result/v1 blob's response document starts:
@@ -582,7 +423,9 @@ func (s *Store) Config() Config { return s.cfg }
 // must carry a valid artifact header. Storing an already-present hash
 // refreshes its TTL and recency. Blobs larger than the byte capacity are
 // rejected (they could never be admitted). A result blob also becomes the
-// answer Result returns for its request key.
+// answer Result returns for its request key. The spill write comes before
+// admission, so a Put that fails leaves nothing behind: no memory entry,
+// no result-index entry, no count and no OnStore call.
 func (s *Store) Put(blob []byte) (string, error) {
 	kind, ok := KindOf(blob)
 	if !ok {
@@ -594,13 +437,24 @@ func (s *Store) Put(blob []byte) (string, error) {
 	if int64(len(blob)) > s.cfg.MaxBytes {
 		return "", fmt.Errorf("artifacts: blob of %d bytes exceeds the store's %d-byte capacity", len(blob), s.cfg.MaxBytes)
 	}
-	sum := sha256.Sum256(blob)
-	key := cache.Key(sum)
+	key := cache.Key(sha256.Sum256(blob))
 	now := s.clock()
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
+		return "", errClosed
+	}
+	if s.cfg.SpillDir != "" {
+		// On a refresh this moves the spill copy's mtime, the last store.
+		if err := s.writeSpill(key.String(), blob, now); err != nil {
+			return "", err
+		}
+	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return "", errors.New("artifacts: store is closed")
+		return "", errClosed
 	}
 	var expires time.Time
 	if s.cfg.TTL > 0 {
@@ -613,44 +467,25 @@ func (s *Store) Put(blob []byte) (string, error) {
 	if e, ok := s.entries[key]; ok {
 		e.expires = expires
 		s.lru.MoveToFront(e.elem)
-		s.stored++
-		spill := s.cfg.SpillDir
-		s.mu.Unlock()
-		if spill != "" {
-			// The spill copy's mtime is the last store: refresh it too.
-			if err := s.writeSpill(key.String(), blob, now); err != nil {
-				return "", err
+	} else {
+		for len(s.entries) >= s.cfg.MaxBlobs || s.bytes+int64(len(blob)) > s.cfg.MaxBytes {
+			oldest := s.lru.Back()
+			if oldest == nil {
+				break
 			}
+			s.removeLocked(oldest.Value.(*blobEntry), false)
+			s.evictedLRU++
 		}
-		if s.cfg.OnStore != nil {
-			// A refresh still notifies: the observer (replication) may not
-			// have seen the blob yet, and dedups what it has.
-			s.cfg.OnStore(key.String(), blob)
-		}
-		return key.String(), nil
+		e := &blobEntry{key: key, blob: blob, kind: kind, expires: expires}
+		e.elem = s.lru.PushFront(e)
+		s.entries[key] = e
+		s.bytes += int64(len(blob))
 	}
-	for len(s.entries) >= s.cfg.MaxBlobs || s.bytes+int64(len(blob)) > s.cfg.MaxBytes {
-		oldest := s.lru.Back()
-		if oldest == nil {
-			break
-		}
-		s.removeLocked(oldest.Value.(*blobEntry), false)
-		s.evictedLRU++
-	}
-	e := &blobEntry{key: key, blob: blob, kind: kind, expires: expires}
-	e.elem = s.lru.PushFront(e)
-	s.entries[key] = e
-	s.bytes += int64(len(blob))
 	s.stored++
-	spill := s.cfg.SpillDir
 	s.mu.Unlock()
-
-	if spill != "" {
-		if err := s.writeSpill(key.String(), blob, now); err != nil {
-			return "", err
-		}
-	}
 	if s.cfg.OnStore != nil {
+		// A refresh still notifies: the observer (replication) may not have
+		// seen the blob yet, and dedups what it has.
 		s.cfg.OnStore(key.String(), blob)
 	}
 	return key.String(), nil
@@ -769,8 +604,8 @@ func (s *Store) Open(hash string) (io.ReadSeeker, Kind, int64, bool) {
 }
 
 // openSpill streams a spill file: the artifact header is read to recover
-// the kind, then the reader is rewound to the start. An expired file is
-// unlinked instead.
+// the kind, then the reader is rewound to the start. An expired file, or
+// one whose header names no kind (a retired tag), is unlinked instead.
 func (s *Store) openSpill(key cache.Key, hash string, now time.Time) (io.ReadSeeker, Kind, int64, bool) {
 	path := filepath.Join(s.cfg.SpillDir, hash)
 	f, err := os.Open(path)
@@ -795,6 +630,7 @@ func (s *Store) openSpill(key cache.Key, hash string, now time.Time) (io.ReadSee
 	kind, ok := KindOf(head)
 	if !ok {
 		f.Close()
+		_ = os.Remove(path)
 		return nil, "", 0, false
 	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {

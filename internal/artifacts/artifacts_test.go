@@ -11,8 +11,6 @@ import (
 	"time"
 
 	"github.com/sljmotion/sljmotion/internal/imaging"
-	"github.com/sljmotion/sljmotion/internal/segmentation"
-	"github.com/sljmotion/sljmotion/internal/stickmodel"
 )
 
 // testFrames builds a small deterministic clip: a dark block marching over
@@ -39,18 +37,6 @@ func sameImage(a, b *imaging.Image) bool {
 	}
 	for i := range a.Pix {
 		if a.Pix[i] != b.Pix[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sameMask(a, b *imaging.Mask) bool {
-	if !a.SameSize(b) {
-		return false
-	}
-	for i := range a.Bits {
-		if a.Bits[i] != b.Bits[i] {
 			return false
 		}
 	}
@@ -88,91 +74,6 @@ func TestFramesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSilhouettesRoundTrip(t *testing.T) {
-	frames := testFrames(3, 32, 16)
-	sils := make([]segmentation.Silhouette, len(frames))
-	for i := range sils {
-		m := imaging.NewMask(32, 16)
-		for y := 4; y < 8; y++ {
-			for x := i * 8; x < i*8+4; x++ {
-				m.Set(x, y, true)
-			}
-		}
-		sils[i] = segmentation.NewSilhouette(i, m)
-	}
-	bg := imaging.NewImageFilled(32, 16, imaging.Color{R: 200, G: 200, B: 200})
-
-	for _, withBG := range []bool{true, false} {
-		var in *imaging.Image
-		if withBG {
-			in = bg
-		}
-		blob, err := EncodeSilhouettes(in, sils)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if k, ok := KindOf(blob); !ok || k != KindSilhouettes {
-			t.Fatalf("KindOf = %q, %v; want %q, true", k, ok, KindSilhouettes)
-		}
-		gotBG, got, err := DecodeSilhouettes(blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if withBG != (gotBG != nil) {
-			t.Fatalf("background presence: got %v, want %v", gotBG != nil, withBG)
-		}
-		if withBG && !sameImage(gotBG, bg) {
-			t.Fatal("background changed across the round trip")
-		}
-		if len(got) != len(sils) {
-			t.Fatalf("decoded %d silhouettes, want %d", len(got), len(sils))
-		}
-		for i := range got {
-			if got[i].Frame != sils[i].Frame || !sameMask(got[i].Mask, sils[i].Mask) {
-				t.Fatalf("silhouette %d changed across the round trip", i)
-			}
-			// Derived statistics are recomputed, not stored: they must agree.
-			if got[i].Area != sils[i].Area || got[i].Centroid != sils[i].Centroid || got[i].BBox != sils[i].BBox {
-				t.Fatalf("silhouette %d statistics diverged", i)
-			}
-		}
-	}
-}
-
-func TestPosesRoundTrip(t *testing.T) {
-	dims := stickmodel.ChildDimensions(60)
-	poses := make([]stickmodel.Pose, 4)
-	for i := range poses {
-		poses[i].X = 10 + float64(i)*3.5
-		poses[i].Y = 20.25
-		for j := 0; j < stickmodel.NumSticks; j++ {
-			poses[i].Rho[j] = float64(i*10+j) + 0.125
-		}
-	}
-	blob, err := EncodePoses(poses, dims)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k, ok := KindOf(blob); !ok || k != KindPoses {
-		t.Fatalf("KindOf = %q, %v; want %q, true", k, ok, KindPoses)
-	}
-	gotPoses, gotDims, err := DecodePoses(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotDims != dims {
-		t.Fatalf("dimensions changed: got %+v, want %+v", gotDims, dims)
-	}
-	if len(gotPoses) != len(poses) {
-		t.Fatalf("decoded %d poses, want %d", len(gotPoses), len(poses))
-	}
-	for i := range gotPoses {
-		if gotPoses[i] != poses[i] {
-			t.Fatalf("pose %d changed: got %+v, want %+v", i, gotPoses[i], poses[i])
-		}
-	}
-}
-
 // reencoders decode a blob as one kind and encode what was accepted again.
 // The codec is canonical, so an accepted blob must come back byte for byte.
 var reencoders = map[Kind]func([]byte) ([]byte, error){
@@ -183,20 +84,6 @@ var reencoders = map[Kind]func([]byte) ([]byte, error){
 		}
 		return EncodeFrames(frames)
 	},
-	KindSilhouettes: func(blob []byte) ([]byte, error) {
-		bg, sils, err := DecodeSilhouettes(blob)
-		if err != nil {
-			return nil, err
-		}
-		return EncodeSilhouettes(bg, sils)
-	},
-	KindPoses: func(blob []byte) ([]byte, error) {
-		poses, dims, err := DecodePoses(blob)
-		if err != nil {
-			return nil, err
-		}
-		return EncodePoses(poses, dims)
-	},
 	KindResult: func(blob []byte) ([]byte, error) {
 		key, doc, err := DecodeResult(blob)
 		if err != nil {
@@ -204,6 +91,13 @@ var reencoders = map[Kind]func([]byte) ([]byte, error){
 		}
 		return EncodeResult(key, doc), nil
 	},
+}
+
+// retag returns a copy of blob carrying kind tag instead of its own.
+func retag(blob []byte, tag byte) []byte {
+	out := bytes.Clone(blob)
+	out[len(magic)] = tag
+	return out
 }
 
 func TestDecodeRejectsCorruptBlobs(t *testing.T) {
@@ -214,16 +108,6 @@ func TestDecodeRejectsCorruptBlobs(t *testing.T) {
 	if _, ok := KindOf([]byte("not an artifact")); ok {
 		t.Fatal("KindOf accepted garbage")
 	}
-	// A 5×3 mask packs into two bytes with one padding bit after the last
-	// pixel; the byte after the header is the background flag.
-	sils, err := EncodeSilhouettes(nil, []segmentation.Silhouette{segmentation.NewSilhouette(0, imaging.NewMask(5, 3))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	padded := bytes.Clone(sils)
-	padded[len(padded)-1] |= 1
-	badFlag := bytes.Clone(sils)
-	badFlag[headerLen] = 7
 
 	for _, tc := range []struct {
 		name string
@@ -232,13 +116,19 @@ func TestDecodeRejectsCorruptBlobs(t *testing.T) {
 	}{
 		{"truncated", KindFrames, frames[:len(frames)-3]},
 		{"trailing bytes", KindFrames, append(bytes.Clone(frames), 0xFF)},
-		// A frames blob is not a poses blob: the kind tag must be honoured.
-		{"wrong kind", KindPoses, frames},
-		{"mask padding bits set", KindSilhouettes, padded},
-		{"background flag 7", KindSilhouettes, badFlag},
+		// A frames blob is not a result blob: the kind tag must be honoured.
+		{"wrong kind", KindResult, frames},
+		// Tags 2 and 3 were silhouettes/v1 and poses/v1: retired, no kind.
+		{"retired tag 2", KindFrames, retag(frames, 2)},
+		{"retired tag 3", KindFrames, retag(frames, 3)},
 	} {
 		if _, err := reencoders[tc.kind](tc.blob); err == nil {
 			t.Errorf("%s: decoding as %s accepted the blob", tc.name, tc.kind)
+		}
+	}
+	for _, tag := range []byte{2, 3} {
+		if k, ok := KindOf(retag(frames, tag)); ok {
+			t.Errorf("KindOf read retired tag %d as %q", tag, k)
 		}
 	}
 }
@@ -268,8 +158,10 @@ func TestStorePutGet(t *testing.T) {
 	if _, _, ok := s.Get(strings.Repeat("0", 64)); ok {
 		t.Fatal("Get answered for an unknown hash")
 	}
-	if _, err := s.Put([]byte("no header")); err == nil {
-		t.Fatal("Put accepted a blob without an artifact header")
+	for _, bad := range [][]byte{[]byte("no header"), retag(blob, 2), retag(blob, 3)} {
+		if _, err := s.Put(bad); err == nil {
+			t.Fatalf("Put accepted %q..., a blob without a valid artifact header", bad[:headerLen])
+		}
 	}
 	m := s.Metrics()
 	if m.Blobs != 1 || m.Stored != 1 || m.Hits != 1 || m.Misses != 1 {
@@ -375,6 +267,47 @@ func TestStoreSpillServesMemoryEvictions(t *testing.T) {
 	m := s.Metrics()
 	if m.SpillWrites != 2 || m.SpillReads != 1 {
 		t.Fatalf("metrics = %+v, want 2 spill writes and 1 spill read", m)
+	}
+}
+
+// TestSpillRetiredTagNeverServed: a spill file an older build wrote for a
+// retired kind (tags 2 and 3) is a miss on both read paths, and either
+// removes it.
+func TestSpillRetiredTagNeverServed(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewStore(Config{MaxBlobs: 8, MaxBytes: 1 << 20, SpillDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	frames, err := EncodeFrames(testFrames(1, 16, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tag := range []byte{2, 3} {
+		blob := retag(frames, tag)
+		hash := HashOf(blob)
+		path := filepath.Join(dir, hash)
+		for _, read := range []struct {
+			name string
+			hit  func() bool
+		}{
+			{"Open", func() bool { _, _, _, ok := s.Open(hash); return ok }},
+			{"Get", func() bool { _, _, ok := s.Get(hash); return ok }},
+		} {
+			if err := os.WriteFile(path, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if read.hit() {
+				t.Fatalf("tag %d: %s served a retired-kind spill file", tag, read.name)
+			}
+			if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("tag %d: retired-kind spill file still there after %s: %v", tag, read.name, err)
+			}
+		}
+	}
+	if m := s.Metrics(); m.Blobs != 0 || m.SpillReads != 0 {
+		t.Fatalf("metrics = %+v, want nothing admitted or read", m)
 	}
 }
 

@@ -5,18 +5,23 @@ import (
 	"testing"
 )
 
-// FuzzArtifactDecode feeds arbitrary bytes to DecodeFrames,
-// DecodeSilhouettes, DecodePoses and DecodeResult (worker nodes decode
-// result/v1 blobs pushed by fleet peers). None may panic, and whatever one
-// accepts must re-encode to the identical bytes: one content, one encoding,
-// one artifact hash. The seed corpus lives in
+// FuzzArtifactDecode feeds arbitrary bytes to DecodeFrames and DecodeResult
+// (worker nodes decode result/v1 blobs pushed by fleet peers). Neither may
+// panic, a blob KindOf does not recognise — the retired silhouettes/v1 and
+// poses/v1 seeds among them — must be refused by both, and whatever one
+// accepts must re-encode to the identical bytes: one content, one
+// encoding, one artifact hash. The seed corpus lives in
 // testdata/fuzz/FuzzArtifactDecode.
 func FuzzArtifactDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, blob []byte) {
+		_, known := KindOf(blob)
 		for kind, reencode := range reencoders {
 			back, err := reencode(blob)
 			if err != nil {
 				continue
+			}
+			if !known {
+				t.Fatalf("%s decoder accepted a blob of no known kind: %x", kind, blob)
 			}
 			if !bytes.Equal(back, blob) {
 				t.Fatalf("accepted %s blob re-encodes differently:\n in %x\nout %x", kind, blob, back)

@@ -3,12 +3,14 @@ package artifacts
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/sljmotion/sljmotion/internal/core"
 	"github.com/sljmotion/sljmotion/internal/imaging"
+	"github.com/sljmotion/sljmotion/internal/jobs"
 )
 
 func newTestSessions(t *testing.T, cfg SessionConfig) (*Sessions, *Store) {
@@ -278,14 +280,11 @@ func TestSealBytesMatchesEncoders(t *testing.T) {
 	}
 }
 
-// reqWithFramesRef builds the minimal valid by-reference request.
-func reqWithFramesRef(hash string) core.Request {
-	req := core.Request{FramesRef: hash}
-	req.Stages = core.AllStages()
-	return req
-}
-
-func TestResolveRequestMaterialisesRefs(t *testing.T) {
+// TestPayloadRequestResolvesFramesRef: a wire payload naming its frames by
+// hash decodes into the request with the stored frames materialised; an
+// unknown hash is ErrNotFound, and a payload carrying both inline frames
+// and a frames ref is refused.
+func TestPayloadRequestResolvesFramesRef(t *testing.T) {
 	store, err := NewStore(Config{MaxBlobs: 8, MaxBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -301,25 +300,29 @@ func TestResolveRequestMaterialisesRefs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	req, err := ResolveRequest(store, reqWithFramesRef(hash))
+	req, err := PayloadRequest(store, jobs.Payload{Kind: jobs.KindAnalysis, FramesRef: hash})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.FramesRef != "" || len(req.Frames) != 3 {
-		t.Fatalf("resolved request: ref %q, %d frames", req.FramesRef, len(req.Frames))
+	if len(req.Frames) != 3 {
+		t.Fatalf("resolved request has %d frames, want 3", len(req.Frames))
 	}
 	for i := range frames {
 		if !sameImage(req.Frames[i], frames[i]) {
 			t.Fatalf("frame %d differs after resolution", i)
 		}
 	}
-	if _, err := ResolveRequest(store, reqWithFramesRef("ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff")); !errors.Is(err, ErrNotFound) {
+	unknown := jobs.Payload{Kind: jobs.KindAnalysis, FramesRef: strings.Repeat("f", 64)}
+	if _, err := PayloadRequest(store, unknown); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("unknown ref: %v, want ErrNotFound", err)
 	}
-	conflicted := reqWithFramesRef(hash)
-	conflicted.Frames = frames
-	if _, err := ResolveRequest(store, conflicted); err == nil {
-		t.Fatal("accepted a request with both inline frames and a frames ref")
+	conflicted, err := jobs.NewAnalysisPayload("cfg", core.Request{Frames: frames})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conflicted.FramesRef = hash
+	if _, err := PayloadRequest(store, conflicted); err == nil {
+		t.Fatal("accepted a payload with both inline frames and a frames ref")
 	}
 }
 

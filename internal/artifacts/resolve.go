@@ -4,63 +4,37 @@ import (
 	"fmt"
 
 	"github.com/sljmotion/sljmotion/internal/core"
+	"github.com/sljmotion/sljmotion/internal/imaging"
+	"github.com/sljmotion/sljmotion/internal/jobs"
 )
 
-// ResolveRequest materialises every artifact reference of a request into
-// its inline field and clears the reference, so the returned request is
-// indistinguishable from one built inline — same Validate outcome, same
-// cache key, same analysis. A request carrying both a reference and the
-// corresponding inline artifact is rejected: the two could disagree, and
-// there is no principled winner.
-func ResolveRequest(r Resolver, req core.Request) (core.Request, error) {
-	if req.FramesRef != "" {
-		if len(req.Frames) > 0 {
-			return core.Request{}, fmt.Errorf("artifacts: request carries both inline frames and frames ref %s", req.FramesRef)
-		}
-		blob, err := r.Artifact(req.FramesRef)
-		if err != nil {
-			return core.Request{}, fmt.Errorf("frames ref: %w", err)
-		}
-		frames, err := DecodeFrames(blob)
-		if err != nil {
-			return core.Request{}, fmt.Errorf("frames ref %s: %w", req.FramesRef, err)
-		}
-		req.Frames = frames
-		req.FramesRef = ""
+// ResolveFrames materialises the frames artifact stored under hash. The
+// frames come back bit-identical to the clip that was sealed, so a request
+// built from them is indistinguishable from one uploaded inline — same
+// Validate outcome, same cache key, same analysis.
+func ResolveFrames(r Resolver, hash string) ([]*imaging.Image, error) {
+	blob, err := r.Artifact(hash)
+	if err != nil {
+		return nil, fmt.Errorf("frames ref: %w", err)
 	}
-	if req.SilhouettesRef != "" {
-		if len(req.Silhouettes) > 0 {
-			return core.Request{}, fmt.Errorf("artifacts: request carries both inline silhouettes and silhouettes ref %s", req.SilhouettesRef)
-		}
-		blob, err := r.Artifact(req.SilhouettesRef)
-		if err != nil {
-			return core.Request{}, fmt.Errorf("silhouettes ref: %w", err)
-		}
-		bg, sils, err := DecodeSilhouettes(blob)
-		if err != nil {
-			return core.Request{}, fmt.Errorf("silhouettes ref %s: %w", req.SilhouettesRef, err)
-		}
-		req.Silhouettes = sils
-		if req.Background == nil {
-			req.Background = bg
-		}
-		req.SilhouettesRef = ""
+	frames, err := DecodeFrames(blob)
+	if err != nil {
+		return nil, fmt.Errorf("frames ref %s: %w", hash, err)
 	}
-	if req.PosesRef != "" {
-		if len(req.Poses) > 0 {
-			return core.Request{}, fmt.Errorf("artifacts: request carries both inline poses and poses ref %s", req.PosesRef)
-		}
-		blob, err := r.Artifact(req.PosesRef)
-		if err != nil {
-			return core.Request{}, fmt.Errorf("poses ref: %w", err)
-		}
-		poses, dims, err := DecodePoses(blob)
-		if err != nil {
-			return core.Request{}, fmt.Errorf("poses ref %s: %w", req.PosesRef, err)
-		}
-		req.Poses = poses
-		req.Dimensions = dims
-		req.PosesRef = ""
+	return frames, nil
+}
+
+// PayloadRequest decodes a payload into its analysis request and, when the
+// payload names its frames by hash (jobs.Payload.FramesRef) and the request
+// does not carry them yet, materialises them through r.
+func PayloadRequest(r Resolver, p jobs.Payload) (core.Request, error) {
+	req, err := p.AnalysisRequest()
+	if err != nil || p.FramesRef == "" || len(req.Frames) > 0 {
+		return req, err
+	}
+	req.Frames, err = ResolveFrames(r, p.FramesRef)
+	if err != nil {
+		return core.Request{}, err
 	}
 	return req, nil
 }

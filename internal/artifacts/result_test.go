@@ -212,6 +212,54 @@ func TestResultIndexDropsUnreadableSpill(t *testing.T) {
 	}
 }
 
+// TestPutSpillFailureLeavesNothing: a Put whose spill write fails (the
+// spill directory replaced by a regular file) admits nothing — no memory
+// entry, no result-index entry, no count, no OnStore call — and a refresh
+// of a stored blob that fails the same way counts and notifies nothing.
+func TestPutSpillFailureLeavesNothing(t *testing.T) {
+	spill := filepath.Join(t.TempDir(), "spill")
+	var notified []string
+	s, err := NewStore(Config{MaxBlobs: 8, MaxBytes: 1 << 20, SpillDir: spill,
+		OnStore: func(hash string, _ []byte) { notified = append(notified, hash) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	stored := EncodeResult(testKey(1), []byte(`{"a":1}`))
+	if _, err := s.Put(stored); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(spill); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(spill, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := EncodeResult(testKey(2), []byte(`{"b":2}`))
+	if _, err := s.Put(fresh); err == nil {
+		t.Fatal("Put succeeded with the spill directory replaced by a file")
+	}
+	if _, _, ok := s.Get(HashOf(fresh)); ok {
+		t.Fatal("Get served the blob whose Put failed")
+	}
+	if got := resultDoc(s, testKey(2)); got != "" {
+		t.Fatalf("Result answered for the blob whose Put failed: %q", got)
+	}
+	if _, err := s.Put(stored); err == nil {
+		t.Fatal("refresh succeeded with the spill directory replaced by a file")
+	}
+	if m := s.Metrics(); m.Blobs != 1 || m.Stored != 1 {
+		t.Fatalf("metrics = %+v, want the first blob alone, stored once", m)
+	}
+	if m := s.ResultMetrics(); m.Stored != 1 || m.Entries != 1 {
+		t.Fatalf("result metrics = %+v, want one result stored", m)
+	}
+	if len(notified) != 1 {
+		t.Fatalf("OnStore called %d times, want once (the first Put)", len(notified))
+	}
+}
+
 func TestResultConcurrentAccess(t *testing.T) {
 	s, err := NewStore(Config{MaxBlobs: 16, MaxBytes: 1 << 20, TTL: time.Minute})
 	if err != nil {

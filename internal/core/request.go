@@ -162,16 +162,6 @@ type Request struct {
 	// Dimensions are the calibrated stick dimensions accompanying Poses.
 	Dimensions stickmodel.Dimensions
 
-	// FramesRef, SilhouettesRef and PosesRef are content-address references
-	// (SHA-256 hex) into the artifact store, standing in for the inline
-	// Frames / Silhouettes / Poses fields. They exist only on the request's
-	// way in: callers resolve them into the inline fields (the
-	// artifacts.Resolver seam) before validation, keying, or Run — a request
-	// reaching those with a reference still set is a programming error.
-	FramesRef      string
-	SilhouettesRef string
-	PosesRef       string
-
 	// IncludePoses and IncludeSilhouettes shape serialised responses built
 	// from the result (the web service's JSON document). The in-process
 	// Result always carries every computed artifact regardless.
@@ -186,9 +176,6 @@ func (r Request) Validate(windows WindowMode) error {
 	sel := r.Stages.Normalize()
 	if err := sel.Validate(); err != nil {
 		return err
-	}
-	if r.FramesRef != "" || r.SilhouettesRef != "" || r.PosesRef != "" {
-		return errors.New("core: request carries unresolved artifact references (resolve via artifacts.ResolveRequest first)")
 	}
 	switch sel.First {
 	case StageSegmentation:

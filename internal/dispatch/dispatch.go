@@ -306,9 +306,9 @@ func (r *Remote) SubmitTraced(p jobs.Payload, parent obs.SpanContext) (string, e
 	r.mu.Unlock()
 	order := v.order(hash)
 
-	byRef := p.ByReference()
+	byRef := p.FramesRef != ""
 	if byRef && p.ArtifactOrigin == "" {
-		// Tell the worker where to pull referenced artifacts it lacks.
+		// Tell the worker where to pull the frames artifact if it lacks it.
 		p.ArtifactOrigin = r.cfg.ArtifactOrigin
 	}
 	body, err := json.Marshal(p)
@@ -922,7 +922,7 @@ func (r *Remote) recover(id string, e *entry) bool {
 	}()
 
 	order := v.order(hash)
-	byRef := p.ByReference()
+	byRef := p.FramesRef != ""
 	for i, n := range order {
 		r.mu.Lock()
 		healthy := n.healthy

@@ -19,7 +19,7 @@ import (
 const KindAnalysis = "slj-analysis/v1"
 
 // ArtifactPayloadHeader marks a worker submission whose payload names its
-// bulk artifacts by content hash (Payload.ByReference). The worker intake
+// frames by content hash (Payload.FramesRef). The worker intake
 // reads it before the body, so by-reference submissions get a tight body
 // cap instead of the base64-inflation headroom inline clips need.
 const ArtifactPayloadHeader = "X-SLJ-Artifact-Payload"
@@ -64,15 +64,12 @@ type Payload struct {
 	Poses      []PoseWire      `json:"poses,omitempty"`
 	Dimensions *DimensionsWire `json:"dimensions,omitempty"`
 
-	// FramesRef / SilhouettesRef / PosesRef reference the corresponding
-	// artifacts by content hash instead of carrying them inline, shrinking
-	// a megabytes payload to a few hundred bytes. A worker that does not
-	// hold a referenced artifact pulls it from ArtifactOrigin — the
-	// submitting front end's base URL, stamped by the dispatcher — via
-	// GET /v1/artifacts/{hash}, and caches it locally.
+	// FramesRef names the clip's frames/v1 artifact by content hash instead
+	// of carrying Frames inline, shrinking a megabytes payload to a few
+	// hundred bytes. A worker that does not hold the artifact pulls it from
+	// ArtifactOrigin — the submitting front end's base URL, stamped by the
+	// dispatcher — via GET /v1/artifacts/{hash}, and caches it locally.
 	FramesRef      string `json:"frames_ref,omitempty"`
-	SilhouettesRef string `json:"silhouettes_ref,omitempty"`
-	PosesRef       string `json:"poses_ref,omitempty"`
 	ArtifactOrigin string `json:"artifact_origin,omitempty"`
 
 	// ReplicaTarget is the base URL of the ring successor for this payload's
@@ -252,10 +249,16 @@ func NewAnalysisPayload(cfgFP string, req core.Request) (Payload, error) {
 // The round trip is exact: frames, poses and masks reconstruct bit- and
 // float-identically, so the decoded request's cache key equals CacheKey.
 // Payloads that never left the process return the submitter's original
-// request without a decode copy.
+// request without a decode copy. FramesRef is left for the caller to
+// resolve (artifacts.PayloadRequest); a payload carrying both inline
+// frames and FramesRef is rejected, since the two could disagree and there
+// is no principled winner.
 func (p Payload) AnalysisRequest() (core.Request, error) {
 	if p.Kind != KindAnalysis {
 		return core.Request{}, fmt.Errorf("jobs: payload kind %q is not %s", p.Kind, KindAnalysis)
+	}
+	if p.FramesRef != "" && len(p.Frames) > 0 {
+		return core.Request{}, fmt.Errorf("jobs: payload carries both inline frames and frames ref %s", p.FramesRef)
 	}
 	if p.decoded != nil {
 		return *p.decoded, nil
@@ -268,9 +271,6 @@ func (p Payload) AnalysisRequest() (core.Request, error) {
 		Stages:             sel,
 		IncludePoses:       p.IncludePoses,
 		IncludeSilhouettes: p.IncludeSilhouettes,
-		FramesRef:          p.FramesRef,
-		SilhouettesRef:     p.SilhouettesRef,
-		PosesRef:           p.PosesRef,
 	}
 	if p.Manual != nil {
 		pose, err := decodePose(*p.Manual)
@@ -317,15 +317,15 @@ func (p Payload) AnalysisRequest() (core.Request, error) {
 	return req, nil
 }
 
-// NewArtifactPayload encodes a by-reference analysis request: refReq names
-// its bulk artifacts by content hash, and resolved is the same request with
-// those references materialised (the submitting front end resolves against
-// its own store). The payload carries only the references plus the small
-// inline fields, but its cache key — and its in-process decoded shortcut —
-// come from the resolved request, so by-reference and inline submissions of
-// the same clip share one cache entry and one dispatch-ring placement.
-func NewArtifactPayload(cfgFP string, refReq, resolved core.Request) (Payload, error) {
-	if err := refReq.Stages.Validate(); err != nil {
+// NewArtifactPayload encodes a by-reference analysis request: framesRef is
+// the content hash of the clip's frames, and resolved is the request with
+// those frames materialised (the submitting front end resolves against its
+// own store). The payload carries only the hash plus the small inline
+// fields, but its cache key — and its in-process decoded shortcut — come
+// from the resolved request, so by-reference and inline submissions of the
+// same clip share one cache entry and one dispatch-ring placement.
+func NewArtifactPayload(cfgFP, framesRef string, resolved core.Request) (Payload, error) {
+	if err := resolved.Stages.Validate(); err != nil {
 		return Payload{}, err
 	}
 	key := RequestKey(cfgFP, resolved)
@@ -333,28 +333,20 @@ func NewArtifactPayload(cfgFP string, refReq, resolved core.Request) (Payload, e
 		Kind:               KindAnalysis,
 		ConfigFP:           cfgFP,
 		CacheKey:           key.String(),
-		IncludePoses:       refReq.IncludePoses,
-		IncludeSilhouettes: refReq.IncludeSilhouettes,
-		FramesRef:          refReq.FramesRef,
-		SilhouettesRef:     refReq.SilhouettesRef,
-		PosesRef:           refReq.PosesRef,
+		IncludePoses:       resolved.IncludePoses,
+		IncludeSilhouettes: resolved.IncludeSilhouettes,
+		FramesRef:          framesRef,
 		key:                key,
 		keyFP:              cfgFP,
 	}
-	if !refReq.Stages.Normalize().IsFull() {
-		p.Stages = refReq.Stages.String()
+	if !resolved.Stages.Normalize().IsFull() {
+		p.Stages = resolved.Stages.String()
 	}
-	if refReq.ManualFirst != (stickmodel.Pose{}) {
-		p.Manual = encodePose(refReq.ManualFirst)
+	if resolved.ManualFirst != (stickmodel.Pose{}) {
+		p.Manual = encodePose(resolved.ManualFirst)
 	}
 	p.decoded = &resolved
 	return p, nil
-}
-
-// ByReference reports whether the payload names any artifact by hash
-// instead of carrying it inline.
-func (p Payload) ByReference() bool {
-	return p.FramesRef != "" || p.SilhouettesRef != "" || p.PosesRef != ""
 }
 
 // WithResolved returns the payload with req installed as its decoded

@@ -223,6 +223,10 @@ func TestPayloadRejectsCorruptWire(t *testing.T) {
 	if _, err := badMask.AnalysisRequest(); err == nil {
 		t.Error("truncated mask must be rejected")
 	}
+	both := Payload{Kind: KindAnalysis, Frames: []FrameWire{{W: 1, H: 1, RGB: []byte{1, 2, 3}}}, FramesRef: "ab"}
+	if _, err := both.AnalysisRequest(); err == nil {
+		t.Error("inline frames next to a frames ref must be rejected")
+	}
 }
 
 func TestMaskPacking(t *testing.T) {
@@ -347,8 +351,7 @@ func TestLocalKeyTrust(t *testing.T) {
 
 func mustArtifactPayload(t *testing.T, cfgFP string, resolved core.Request) Payload {
 	t.Helper()
-	ref := core.Request{FramesRef: "ab", ManualFirst: resolved.ManualFirst, IncludePoses: resolved.IncludePoses}
-	p, err := NewArtifactPayload(cfgFP, ref, resolved)
+	p, err := NewArtifactPayload(cfgFP, "ab", resolved)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,11 +22,10 @@
 // rewritten keeping only live records, and the blobs no live record names
 // are unlinked after the rewritten log is in place.
 //
-// Durability policy: terminal records (done/failed) are fsynced unless
-// DisableTerminalFsync is set — losing a submit record costs at most an
-// acknowledged id, losing a running record nothing, and losing a done
-// record one re-execution, but a result served to a client must never
-// evaporate across a crash. A terminal record's result blob is fsynced,
+// Durability policy: terminal records (done/failed) are always fsynced —
+// losing a submit record costs at most an acknowledged id, losing a
+// running record nothing, and losing a done record one re-execution, but
+// a result served to a client must never evaporate across a crash. A terminal record's result blob is fsynced,
 // renamed into place and its directory fsynced before the line naming it
 // is written. Payload blobs follow the submit record and are not fsynced:
 // a lost payload blob costs at most the pending job, exactly what losing
@@ -64,12 +63,6 @@ var (
 
 // Config parameterises a Journal.
 type Config struct {
-	// DisableTerminalFsync skips the fsync after terminal (done/failed)
-	// appends. The zero Config keeps the fsync — like every other field,
-	// the zero value is the safe production policy; disabling is an
-	// explicit trade of the durability contract for throughput (benches,
-	// best-effort deployments).
-	DisableTerminalFsync bool
 	// MaxSegmentBytes seals the active segment once it grows past this
 	// size; 0 uses DefaultConfig's bound.
 	MaxSegmentBytes int64
@@ -259,7 +252,7 @@ func (j *Journal) Append(e jobs.JournalEntry) error {
 	// before the line naming it is written, let alone fsynced — a crash
 	// at any point leaves either no record or a record whose blob is on
 	// disk. Payload blobs ride the submit record's policy: not fsynced.
-	durable := e.Op.Terminal() && !j.cfg.DisableTerminalFsync
+	durable := e.Op.Terminal()
 	r := record{JournalEntry: e}
 	if err := j.externalizeLocked(&r, false, durable); err != nil {
 		return err

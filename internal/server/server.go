@@ -334,7 +334,7 @@ func NewWithOptions(cfg core.Config, logger *log.Logger, opts Options) (*Server,
 	}
 	s := &Server{
 		cfg:         cfg,
-		cfgFP:       configFingerprint(cfg),
+		cfgFP:       jobs.ConfigFingerprint(cfg),
 		log:         lg,
 		worker:      opts.Worker,
 		pprof:       opts.PProf,
@@ -491,7 +491,7 @@ func (s *Server) serveIndex(w http.ResponseWriter, r *http.Request) {
 // lookup computes the request's key and consults the artifact store for a
 // finished result: blob is its result/v1 blob, nil on a miss.
 func (s *Server) lookup(req core.Request) (key cache.Key, hash string, blob []byte) {
-	key = requestKey(s.cfgFP, req)
+	key = jobs.RequestKey(s.cfgFP, req)
 	hash, blob, _ = s.artifacts.Result(key)
 	return key, hash, blob
 }
@@ -519,7 +519,7 @@ func (s *Server) store(key cache.Key, resp *AnalysisResponse, target string) []b
 
 // writeResolveError maps a reference-resolution failure onto the error
 // envelope: unknown hashes are 404 with a machine-readable code, anything
-// else (conflicting inline+ref, corrupt blob) is a 400.
+// else (conflicting inline+ref, corrupt blob, undecodable payload) is a 400.
 func writeResolveError(w http.ResponseWriter, err error) {
 	if errors.Is(err, artifacts.ErrNotFound) {
 		writeErrorCode(w, http.StatusNotFound, "artifact_not_found", err.Error())
@@ -539,14 +539,16 @@ func writeResolveError(w http.ResponseWriter, err error) {
 //
 // An identical resubmission is answered from the result cache.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	req, ok := requestFromHTTP(w, r)
+	req, framesRef, ok := requestFromHTTP(w, r)
 	if !ok {
 		return
 	}
-	req, err := artifacts.ResolveRequest(s.artifacts, req)
-	if err != nil {
-		writeResolveError(w, err)
-		return
+	if framesRef != "" {
+		var err error
+		if req.Frames, err = artifacts.ResolveFrames(s.artifacts, framesRef); err != nil {
+			writeResolveError(w, err)
+			return
+		}
 	}
 	key, _, cached := s.lookup(req)
 	if cached != nil {
@@ -698,20 +700,20 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	var payload jobs.Payload
 	if s.testExec == nil {
-		refReq, ok := requestFromHTTP(w, r)
+		req, framesRef, ok := requestFromHTTP(w, r)
 		if !ok {
 			return
 		}
-		req, err := artifacts.ResolveRequest(s.artifacts, refReq)
-		if err != nil {
-			writeResolveError(w, err)
-			return
-		}
 		var p jobs.Payload
-		if refReq.FramesRef != "" || refReq.SilhouettesRef != "" || refReq.PosesRef != "" {
+		var err error
+		if framesRef != "" {
 			// By-reference submissions dispatch thin: the payload carries the
-			// hashes, keyed and short-circuited via the resolved request.
-			p, err = jobs.NewArtifactPayload(s.cfgFP, refReq, req)
+			// hash, keyed and short-circuited via the resolved request.
+			if req.Frames, err = artifacts.ResolveFrames(s.artifacts, framesRef); err != nil {
+				writeResolveError(w, err)
+				return
+			}
+			p, err = jobs.NewArtifactPayload(s.cfgFP, framesRef, req)
 		} else {
 			p, err = jobs.NewAnalysisPayload(s.cfgFP, req)
 		}
@@ -765,10 +767,6 @@ func (s *Server) submitPayload(w http.ResponseWriter, r *http.Request, p jobs.Pa
 // progress, stores the finished response in the artifact store, and
 // returns the same AnalysisResponse the synchronous path builds.
 func (s *Server) executeAnalysis(ctx context.Context, p jobs.Payload, progress func(string)) (any, error) {
-	req, err := p.AnalysisRequest()
-	if err != nil {
-		return nil, err
-	}
 	// Successor replication: while this job is in flight, artifact stores
 	// (pulls during resolution below) write through to its replica target;
 	// registration precedes resolution so mid-resolution pulls are covered.
@@ -784,27 +782,20 @@ func (s *Server) executeAnalysis(ctx context.Context, p jobs.Payload, progress f
 			s.replMu.Unlock()
 		}()
 	}
-	if req.FramesRef != "" || req.SilhouettesRef != "" || req.PosesRef != "" {
-		// The payload crossed the wire (a journal replay; the worker
-		// intake stashes its resolution) still naming artifacts by hash:
-		// materialise them — pulling from the originating front end when the
-		// local store misses — before keying and running.
-		req, err = artifacts.ResolveRequest(s.resolver(p.ArtifactOrigin), req)
-		if err != nil {
-			return nil, err
-		}
+	// A payload that crossed the wire still naming its frames by hash (a
+	// journal replay; the worker intake stashes its resolution) has them
+	// materialised here — pulled from the originating front end when the
+	// local store misses — before keying and running.
+	req, err := artifacts.PayloadRequest(s.resolver(p.ArtifactOrigin), p)
+	if err != nil {
+		return nil, err
 	}
-	// Referenced artifacts this node already held never re-Put (the OnStore
-	// hook stays silent), so mirror them explicitly — the successor must be
-	// able to materialise the same references after a failover.
-	if s.replica != nil && p.ReplicaTarget != "" {
-		for _, hash := range []string{p.FramesRef, p.SilhouettesRef, p.PosesRef} {
-			if hash == "" {
-				continue
-			}
-			if blob, _, ok := s.artifacts.Get(hash); ok {
-				s.replica.ReplicateArtifact(p.ReplicaTarget, hash, blob)
-			}
+	// A frames artifact this node already held is never re-Put (the OnStore
+	// hook stays silent), so mirror it explicitly — the successor must be
+	// able to materialise the same reference after a failover.
+	if s.replica != nil && p.ReplicaTarget != "" && p.FramesRef != "" {
+		if blob, _, ok := s.artifacts.Get(p.FramesRef); ok {
+			s.replica.ReplicateArtifact(p.ReplicaTarget, p.FramesRef, blob)
 		}
 	}
 	// Address the result under this server's own config fingerprint. A
@@ -814,7 +805,7 @@ func (s *Server) executeAnalysis(ctx context.Context, p jobs.Payload, progress f
 	// for storage would let a mislabelled payload poison the result cache.
 	key, ok := p.LocalKey(s.cfgFP)
 	if !ok {
-		key = requestKey(s.cfgFP, req)
+		key = jobs.RequestKey(s.cfgFP, req)
 	}
 	analyzer, err := core.New(s.cfg)
 	if err != nil {
@@ -1013,14 +1004,12 @@ func (s *Server) componentHealth() map[string]jobs.ComponentHealth {
 
 // requestFromHTTP parses one analysis request off the HTTP request. Two
 // content types are accepted: the multipart clip upload (frames inline),
-// and an application/json document naming previously stored artifacts by
-// content hash (see requestFromJSON). On any problem it writes the HTTP
-// error itself and returns ok=false. Multipart requests always enter the
-// pipeline at segmentation (the upload carries frames, not intermediate
-// artifacts); stages may select a shorter prefix of it. By-reference JSON
-// requests are exempt — a silhouettes or poses artifact is exactly the
-// mid-pipeline entry the store exists to feed.
-func requestFromHTTP(w http.ResponseWriter, r *http.Request) (core.Request, bool) {
+// and an application/json document naming a sealed clip's frames by
+// content hash (see requestFromJSON), returned as framesRef for the caller
+// to resolve. On any problem it writes the HTTP error itself and returns
+// ok=false. Both routes take frames, so every request enters the pipeline
+// at segmentation (parseStages); mid-pipeline entry is a library feature.
+func requestFromHTTP(w http.ResponseWriter, r *http.Request) (req core.Request, framesRef string, ok bool) {
 	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, "application/json") {
 		return requestFromJSON(w, r)
 	}
@@ -1035,28 +1024,38 @@ func requestFromHTTP(w http.ResponseWriter, r *http.Request) (core.Request, bool
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
-		return core.Request{}, false
+		return core.Request{}, "", false
 	}
-	req := core.Request{
+	req = core.Request{
 		Frames:             frames,
 		ManualFirst:        manual,
 		IncludePoses:       u.values.Get("poses") == "1",
 		IncludeSilhouettes: u.values.Get("silhouettes") == "1",
 	}
-	if sv := u.values.Get("stages"); sv != "" {
-		sel, err := core.ParseStageSelection(sv)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return core.Request{}, false
-		}
-		if sel.Normalize().First != core.StageSegmentation {
-			writeError(w, http.StatusBadRequest,
-				"stage selection over HTTP must start at segmentation; mid-pipeline entry is a library feature")
-			return core.Request{}, false
-		}
-		req.Stages = sel
+	if req.Stages, ok = parseStages(w, u.values.Get("stages")); !ok {
+		return core.Request{}, "", false
 	}
-	return req, true
+	return req, "", true
+}
+
+// parseStages parses an HTTP stage selection ("" = the full pipeline),
+// which must start at segmentation: HTTP requests carry frames, not
+// intermediate artifacts. On a bad selection it writes the 400 itself.
+func parseStages(w http.ResponseWriter, sv string) (core.StageSelection, bool) {
+	if sv == "" {
+		return core.StageSelection{}, true
+	}
+	sel, err := core.ParseStageSelection(sv)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return core.StageSelection{}, false
+	}
+	if sel.Normalize().First != core.StageSegmentation {
+		writeError(w, http.StatusBadRequest,
+			"stage selection over HTTP must start at segmentation; mid-pipeline entry is a library feature")
+		return core.StageSelection{}, false
+	}
+	return sel, true
 }
 
 // buildResponse converts a (possibly stage-limited) analysis result to the

@@ -234,15 +234,14 @@ func (s *Server) handleClipSeal(w http.ResponseWriter, sess *artifacts.Session) 
 }
 
 // analyzeJSON is the application/json request body of POST /v1/analyze and
-// POST /v1/jobs: artifacts by content hash instead of a multipart upload.
+// POST /v1/jobs: a sealed clip's frames by content hash instead of a
+// multipart upload.
 type analyzeJSON struct {
-	FramesRef      string    `json:"frames_ref"`
-	SilhouettesRef string    `json:"silhouettes_ref"`
-	PosesRef       string    `json:"poses_ref"`
-	ManualFirst    *poseJSON `json:"manual_first"`
-	Stages         string    `json:"stages"`
-	Poses          bool      `json:"poses"`
-	Silhouettes    bool      `json:"silhouettes"`
+	FramesRef   string    `json:"frames_ref"`
+	ManualFirst *poseJSON `json:"manual_first"`
+	Stages      string    `json:"stages"`
+	Poses       bool      `json:"poses"`
+	Silhouettes bool      `json:"silhouettes"`
 }
 
 // poseJSON is the manual first-frame stick figure in JSON requests.
@@ -252,29 +251,24 @@ type poseJSON struct {
 	Rho []float64 `json:"rho"`
 }
 
-// requestFromJSON parses a by-reference analysis request. At least one
-// artifact reference is required — inline artifacts belong to the
-// multipart route. Unlike multipart uploads, by-reference requests may
-// enter the pipeline mid-way: a silhouettes or poses artifact carries
-// exactly the state a pose- or tracking-stage entry needs.
-func requestFromJSON(w http.ResponseWriter, r *http.Request) (core.Request, bool) {
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20) // hashes + options only
+// requestFromJSON parses a by-reference analysis request: frames_ref is
+// required (inline frames belong to the multipart route) and comes back
+// as framesRef, unresolved. Like a multipart upload, the request enters
+// the pipeline at segmentation; unknown fields are rejected.
+func requestFromJSON(w http.ResponseWriter, r *http.Request) (req core.Request, framesRef string, ok bool) {
+	r.Body = http.MaxBytesReader(w, r.Body, 1<<20) // a hash + options only
 	var doc analyzeJSON
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&doc); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
-		return core.Request{}, false
+		return core.Request{}, "", false
 	}
-	if doc.FramesRef == "" && doc.SilhouettesRef == "" && doc.PosesRef == "" {
-		writeError(w, http.StatusBadRequest,
-			"a JSON analysis request needs at least one artifact reference (frames_ref, silhouettes_ref or poses_ref)")
-		return core.Request{}, false
+	if doc.FramesRef == "" {
+		writeError(w, http.StatusBadRequest, "a JSON analysis request needs frames_ref")
+		return core.Request{}, "", false
 	}
-	req := core.Request{
-		FramesRef:          doc.FramesRef,
-		SilhouettesRef:     doc.SilhouettesRef,
-		PosesRef:           doc.PosesRef,
+	req = core.Request{
 		IncludePoses:       doc.Poses,
 		IncludeSilhouettes: doc.Silhouettes,
 	}
@@ -282,18 +276,13 @@ func requestFromJSON(w http.ResponseWriter, r *http.Request) (core.Request, bool
 		if len(doc.ManualFirst.Rho) != stickmodel.NumSticks {
 			writeError(w, http.StatusBadRequest,
 				fmt.Sprintf("manual_first.rho needs %d angles, got %d", stickmodel.NumSticks, len(doc.ManualFirst.Rho)))
-			return core.Request{}, false
+			return core.Request{}, "", false
 		}
 		req.ManualFirst = stickmodel.Pose{X: doc.ManualFirst.X, Y: doc.ManualFirst.Y}
 		copy(req.ManualFirst.Rho[:], doc.ManualFirst.Rho)
 	}
-	if doc.Stages != "" {
-		sel, err := core.ParseStageSelection(doc.Stages)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return core.Request{}, false
-		}
-		req.Stages = sel
+	if req.Stages, ok = parseStages(w, doc.Stages); !ok {
+		return core.Request{}, "", false
 	}
-	return req, true
+	return req, doc.FramesRef, true
 }

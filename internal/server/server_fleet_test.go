@@ -229,14 +229,23 @@ func TestReplicaIntakeStoresResultBlob(t *testing.T) {
 }
 
 // TestReplicaIntakeRejectsMalformedResult: a result blob too short to hold
-// its key, or whose document is not JSON, answers 400 and stores nothing.
+// its key, or whose document is not JSON, answers 400 and stores nothing;
+// so does a blob tagged with a retired kind (2 was silhouettes/v1, 3 was
+// poses/v1).
 func TestReplicaIntakeRejectsMalformedResult(t *testing.T) {
 	w, whs := fleetWorker(t)
 	key, _, blob := testResultBlob(t)
+	retired := func(tag byte) []byte {
+		b := bytes.Clone(blob)
+		b[4] = tag // after the four-byte magic
+		return b
+	}
 	for name, bad := range map[string][]byte{
-		"short key":    blob[:artifacts.ResultDocOffset-1],
-		"no document":  blob[:artifacts.ResultDocOffset],
-		"invalid JSON": artifacts.EncodeResult(key, []byte(`{"advice":`)),
+		"short key":     blob[:artifacts.ResultDocOffset-1],
+		"no document":   blob[:artifacts.ResultDocOffset],
+		"invalid JSON":  artifacts.EncodeResult(key, []byte(`{"advice":`)),
+		"retired tag 2": retired(2),
+		"retired tag 3": retired(3),
 	} {
 		if code := postBlob(t, whs.URL, bad); code != http.StatusBadRequest {
 			t.Errorf("%s: %d, want 400", name, code)

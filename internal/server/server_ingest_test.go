@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/sljmotion/sljmotion/internal/artifacts"
@@ -379,6 +380,42 @@ func TestByHashAnalysisMatchesInline(t *testing.T) {
 	}
 	if mdoc.Artifacts.Blobs != 2 || mdoc.Artifacts.Stored != 2 {
 		t.Fatalf("artifact metrics = %+v, want the frames and result blobs", mdoc.Artifacts)
+	}
+}
+
+// TestByHashRejectsRetiredRefs: a JSON analysis body naming silhouettes_ref
+// or poses_ref — inputs that no longer exist — answers 400 on both
+// analysis routes, naming the field, even next to a valid frames_ref; a
+// body without frames_ref answers 400 too.
+func TestByHashRejectsRetiredRefs(t *testing.T) {
+	srv := httptest.NewServer(fastServer(t).Handler())
+	defer srv.Close()
+	id := openClipHTTP(t, srv.URL)
+	frames := []*imaging.Image{imaging.NewImageFilled(16, 8, imaging.Color{R: 100, G: 100, B: 100})}
+	if code, raw := appendChunkHTTP(t, srv.URL, id, 0, frames); code != http.StatusOK {
+		t.Fatalf("chunk 0: %d %s", code, raw)
+	}
+	code, sealRaw := sealClipHTTP(t, srv.URL, id)
+	var seal artifacts.SealDoc
+	if err := json.Unmarshal(sealRaw, &seal); code != http.StatusOK || err != nil {
+		t.Fatalf("seal: %d %s", code, sealRaw)
+	}
+	for _, tc := range []struct {
+		name string
+		doc  map[string]any
+		want string
+	}{
+		{"silhouettes_ref", map[string]any{"frames_ref": seal.FramesHash, "silhouettes_ref": seal.FramesHash}, `unknown field "silhouettes_ref"`},
+		{"poses_ref", map[string]any{"frames_ref": seal.FramesHash, "poses_ref": seal.FramesHash}, `unknown field "poses_ref"`},
+		{"no frames_ref", map[string]any{"poses": true}, "needs frames_ref"},
+	} {
+		for _, route := range []string{"/v1/analyze", "/v1/jobs"} {
+			resp, raw := postJSON(t, srv.URL+route, tc.doc)
+			var env errorEnvelope
+			if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(raw, &env) != nil || !strings.Contains(env.Error, tc.want) {
+				t.Errorf("%s %s: %d %s, want 400 naming %s", route, tc.name, resp.StatusCode, raw, tc.want)
+			}
+		}
 	}
 }
 

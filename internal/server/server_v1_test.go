@@ -154,6 +154,10 @@ func TestV1SegmentationOnly(t *testing.T) {
 	}
 }
 
+// TestV1RejectsBadStages: a stage selection that does not parse, or does
+// not start at segmentation, answers 400 on both analysis routes, whether
+// the frames come as a multipart upload or by hash in a JSON body — with
+// the same message either way.
 func TestV1RejectsBadStages(t *testing.T) {
 	v, err := synth.Generate(synth.DefaultJumpParams())
 	if err != nil {
@@ -161,16 +165,37 @@ func TestV1RejectsBadStages(t *testing.T) {
 	}
 	srv := httptest.NewServer(fastServer(t).Handler())
 	defer srv.Close()
-	for _, stages := range []string{"warp", "pose..segmentation", "tracking..scoring"} {
-		body, ctype := clipUploadStaged(t, v, stages, false)
-		resp, err := http.Post(srv.URL+"/v1/analyze", ctype, body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("stages=%q: status %d, want 400 (%s)", stages, resp.StatusCode, raw)
+	const midPipeline = "stage selection over HTTP must start at segmentation; mid-pipeline entry is a library feature"
+	for _, tc := range []struct{ stages, msg string }{
+		{"warp", ""},
+		{"pose..segmentation", ""},
+		{"pose..scoring", midPipeline},
+		{"tracking..scoring", midPipeline},
+	} {
+		for _, route := range []string{"/v1/analyze", "/v1/jobs"} {
+			body, ctype := clipUploadStaged(t, v, tc.stages, false)
+			resp, err := http.Post(srv.URL+route, ctype, body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			multipart, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s multipart stages=%q: status %d, want 400 (%s)", route, tc.stages, resp.StatusCode, multipart)
+			}
+			// Stages are checked before the hash is resolved, so any
+			// frames_ref shows the rule.
+			jresp, byHash := postJSON(t, srv.URL+route, map[string]any{
+				"frames_ref": strings.Repeat("ab", 32),
+				"stages":     tc.stages,
+			})
+			if jresp.StatusCode != http.StatusBadRequest || !bytes.Equal(byHash, multipart) {
+				t.Errorf("%s JSON stages=%q: %d %s, want 400 %s", route, tc.stages, jresp.StatusCode, byHash, multipart)
+			}
+			var env errorEnvelope
+			if tc.msg != "" && (json.Unmarshal(byHash, &env) != nil || env.Error != tc.msg) {
+				t.Errorf("%s stages=%q: error %q, want %q", route, tc.stages, env.Error, tc.msg)
+			}
 		}
 	}
 }
@@ -376,21 +401,21 @@ func TestRequestKeyFingerprints(t *testing.T) {
 	}
 	manual := v.ManualAnnotation(synth.DefaultAnnotationError(), 1)
 	base := core.Request{Frames: v.Frames, ManualFirst: manual}
-	cfgFP := configFingerprint(core.DefaultConfig())
+	cfgFP := jobs.ConfigFingerprint(core.DefaultConfig())
 
-	if requestKey(cfgFP, base) != requestKey(cfgFP, base) {
+	if jobs.RequestKey(cfgFP, base) != jobs.RequestKey(cfgFP, base) {
 		t.Fatal("identical requests must share a key")
 	}
 
 	// Config fingerprint invalidation.
 	cfg2 := core.DefaultConfig()
 	cfg2.Pose.Population += 1
-	if requestKey(configFingerprint(cfg2), base) == requestKey(cfgFP, base) {
+	if jobs.RequestKey(jobs.ConfigFingerprint(cfg2), base) == jobs.RequestKey(cfgFP, base) {
 		t.Error("a config change must invalidate the key")
 	}
 	cfg3 := core.DefaultConfig()
 	cfg3.Segmentation.SubtractThreshold += 1
-	if requestKey(configFingerprint(cfg3), base) == requestKey(cfgFP, base) {
+	if jobs.RequestKey(jobs.ConfigFingerprint(cfg3), base) == jobs.RequestKey(cfgFP, base) {
 		t.Error("a segmentation config change must invalidate the key")
 	}
 
@@ -400,33 +425,33 @@ func TestRequestKeyFingerprints(t *testing.T) {
 		t.Fatal(err)
 	}
 	v2.Frames[3].Pix[7].G ^= 1
-	if requestKey(cfgFP, core.Request{Frames: v2.Frames, ManualFirst: manual}) == requestKey(cfgFP, base) {
+	if jobs.RequestKey(cfgFP, core.Request{Frames: v2.Frames, ManualFirst: manual}) == jobs.RequestKey(cfgFP, base) {
 		t.Error("a pixel change must invalidate the key")
 	}
 
 	// Manual pose.
 	manual2 := manual
 	manual2.Rho[2] += 0.25
-	if requestKey(cfgFP, core.Request{Frames: v.Frames, ManualFirst: manual2}) == requestKey(cfgFP, base) {
+	if jobs.RequestKey(cfgFP, core.Request{Frames: v.Frames, ManualFirst: manual2}) == jobs.RequestKey(cfgFP, base) {
 		t.Error("a manual-pose change must invalidate the key")
 	}
 
 	// Stage selection and response shaping.
 	staged := base
 	staged.Stages = core.OnlyStage(core.StageSegmentation)
-	if requestKey(cfgFP, staged) == requestKey(cfgFP, base) {
+	if jobs.RequestKey(cfgFP, staged) == jobs.RequestKey(cfgFP, base) {
 		t.Error("a stage-selection change must invalidate the key")
 	}
 	shaped := base
 	shaped.IncludePoses = true
-	if requestKey(cfgFP, shaped) == requestKey(cfgFP, base) {
+	if jobs.RequestKey(cfgFP, shaped) == jobs.RequestKey(cfgFP, base) {
 		t.Error("a response-shaping change must invalidate the key")
 	}
 
 	// An explicit full range is the same identity as the default.
 	full := base
 	full.Stages = core.AllStages()
-	if requestKey(cfgFP, full) != requestKey(cfgFP, base) {
+	if jobs.RequestKey(cfgFP, full) != jobs.RequestKey(cfgFP, base) {
 		t.Error("explicit full range must share the default's key")
 	}
 }

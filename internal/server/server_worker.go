@@ -17,12 +17,12 @@
 // response builder as the front end, the result document is byte-identical
 // to the in-process path.
 //
-// A payload may name its bulk artifacts by content hash instead of
-// carrying them inline (jobs.Payload.ByReference, marked by the
-// X-SLJ-Artifact-Payload header). The intake resolves the references —
-// from the node's own artifact store, pulling misses from the originating
-// front end (payload.ArtifactOrigin) and caching them locally — before the
-// result lookup, so a by-hash resubmission still short-circuits here.
+// A payload may name its frames by content hash instead of carrying them
+// inline (jobs.Payload.FramesRef, marked by the X-SLJ-Artifact-Payload
+// header). The intake resolves the reference — from the node's own
+// artifact store, pulling a miss from the originating front end
+// (payload.ArtifactOrigin) and caching it locally — before the result
+// lookup, so a by-hash resubmission still short-circuits here.
 package server
 
 import (
@@ -59,17 +59,10 @@ func (s *Server) handleWorkerJobs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("decode payload: %v", err))
 		return
 	}
-	req, err := p.AnalysisRequest()
+	req, err := artifacts.PayloadRequest(s.resolver(p.ArtifactOrigin), p)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeResolveError(w, err)
 		return
-	}
-	if p.ByReference() {
-		req, err = artifacts.ResolveRequest(s.resolver(p.ArtifactOrigin), req)
-		if err != nil {
-			writeResolveError(w, err)
-			return
-		}
 	}
 	// Consult the node's own stored results under the node's own config
 	// fingerprint — a hash-routed resubmission of an identical clip is

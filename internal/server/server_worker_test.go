@@ -393,6 +393,21 @@ func TestWorkerIntakeRejectsGarbage(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("frameless payload status %d, want 400", resp.StatusCode)
 	}
+
+	// Inline frames next to a frames ref: the two could disagree.
+	raw, _ = json.Marshal(jobs.Payload{
+		Kind:      jobs.KindAnalysis,
+		Frames:    []jobs.FrameWire{{W: 1, H: 1, RGB: []byte{1, 2, 3}}},
+		FramesRef: strings.Repeat("ab", 32),
+	})
+	resp, err = http.Post(srv.URL+"/v1/worker/jobs", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("frames plus frames_ref payload status %d, want 400", resp.StatusCode)
+	}
 }
 
 func TestWorkerIntakeDisabledByDefault(t *testing.T) {

@@ -232,12 +232,14 @@ func (a *Analyzer) Config() Config { return a.inner.Config() }
 
 // Re-exported request types (internal/core; DESIGN.md §9).
 type (
-	// AnalysisRequest is a staged analysis request: input artifacts plus
+	// AnalysisRequest is a staged analysis request: inline inputs plus
 	// the stage selection to run. The zero Stages value is the full
-	// pipeline; later entry points consume stored Silhouettes or
-	// Poses+Dimensions instead of frames. IncludePoses and
-	// IncludeSilhouettes shape serialised responses (the web service);
-	// the in-process Result always carries every computed artifact.
+	// pipeline; later entry points consume Silhouettes or
+	// Poses+Dimensions the caller holds instead of frames. It names no
+	// artifact by hash: a sealed clip is analysed through
+	// ClipSession.Analyze. IncludePoses and IncludeSilhouettes shape
+	// serialised responses (the web service); the in-process Result
+	// always carries every computed artifact.
 	AnalysisRequest = core.Request
 	// StageSelection is a contiguous, inclusive range of pipeline stages.
 	StageSelection = core.StageSelection
