@@ -159,6 +159,15 @@ func TestRMSE(t *testing.T) {
 }
 
 func TestMedianU8(t *testing.T) {
+	// Lower medians on both sides of the select's 8-frame rows and up to
+	// 130 frames, the extremes 0 and 255 included.
+	ramp := func(n int, f func(k int) uint8) []uint8 {
+		v := make([]uint8, n)
+		for k := range v {
+			v[k] = f(k)
+		}
+		return v
+	}
 	tests := []struct {
 		in   []uint8
 		want uint8
@@ -168,20 +177,60 @@ func TestMedianU8(t *testing.T) {
 		{[]uint8{1, 2, 3, 4}, 2},
 		{[]uint8{9, 9, 0, 0, 9}, 9},
 		{[]uint8{255, 0, 128}, 128},
+		{[]uint8{255, 255}, 255},
+		{[]uint8{0, 255}, 0},
+		{ramp(8, func(k int) uint8 { return uint8(7 - k) }), 3},
+		{ramp(9, func(k int) uint8 { return uint8(255 - k) }), 251},
+		{ramp(64, func(k int) uint8 { return uint8(k * 4) }), 31 * 4},
+		{ramp(65, func(k int) uint8 { return uint8(k % 2 * 255) }), 0},
+		{ramp(66, func(k int) uint8 { return uint8(k % 2 * 255) }), 0},
+		{ramp(67, func(k int) uint8 { return uint8(min(k%3, 1) * 255) }), 255},
+		{ramp(130, func(k int) uint8 { return uint8(129 - k) }), 64},
 	}
-	s := newPixelSamples(8)
 	for _, tt := range tests {
-		// The same samples in every channel, reversed in green, so each
-		// channel's histogram is exercised and must agree.
-		for k, x := range tt.in {
-			s.r[k], s.g[len(tt.in)-1-k], s.b[k] = x, x, x
+		// A 3×3 image, a group of 8 pixels and a partial one, with the
+		// samples in every pixel and channel but in a different frame
+		// order each, so every lane of the select must agree.
+		frames := make([]*imaging.Image, len(tt.in))
+		for k := range frames {
+			frames[k] = imaging.NewImage(3, 3)
+			for i := range frames[k].Pix {
+				x := func(c int) uint8 { return tt.in[(k+3*i+c)%len(tt.in)] }
+				frames[k].Pix[i] = imaging.Color{R: x(0), G: x(1), B: x(2)}
+			}
+		}
+		med, err := Median{}.Estimate(frames)
+		if err != nil {
+			t.Fatal(err)
 		}
 		want := imaging.Color{R: tt.want, G: tt.want, B: tt.want}
-		if got := s.median(len(tt.in)); got != want {
-			t.Errorf("median(%v) = %v, want %v", tt.in, got, want)
+		for i, got := range med.Pix {
+			if got != want {
+				t.Errorf("median(%v) at pixel %d = %v, want %v", tt.in, i, got, want)
+			}
 		}
-		if s.hist != [3][256]int32{} {
-			t.Fatalf("median(%v) left a histogram dirty", tt.in)
+		if want.R != referenceMedianU8(tt.in) {
+			t.Errorf("median(%v): table says %d, the histogram oracle %d", tt.in, want.R, referenceMedianU8(tt.in))
+		}
+	}
+}
+
+func TestTransposeLanes(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 100; trial++ {
+		var x, p [8]uint64
+		for j := range x {
+			x[j] = rng.Uint64()
+		}
+		transposeLanes(&x, &p)
+		for j := range x {
+			for q := 0; q < 8; q++ {
+				for b := 0; b < 8; b++ {
+					if x[j]>>(8*q+b)&1 != p[b]>>(8*q+j)&1 {
+						t.Fatalf("bit %d of byte %d of row %d did not move to bit %d of byte %d of plane %d", b, q, j, j, q, b)
+					}
+				}
+			}
 		}
 	}
 }

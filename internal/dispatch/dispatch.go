@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"github.com/sljmotion/sljmotion/internal/events"
+	"github.com/sljmotion/sljmotion/internal/httpbody"
 	"github.com/sljmotion/sljmotion/internal/jobs"
 	"github.com/sljmotion/sljmotion/internal/obs"
 )
@@ -170,8 +171,8 @@ type entry struct {
 	done     bool      // terminal state observed (counters recorded)
 	finished time.Time // when the terminal state was observed
 	status   *jobs.Status
-	result   json.RawMessage // response document, once known
-	err      error           // terminal failure, once known
+	result   *jobs.Document // response document, once known
+	err      error          // terminal failure, once known
 	// payload is retained until terminal when Config.Replicate is on, so a
 	// job stranded on a dead node can be resubmitted to the ring successor.
 	payload    *jobs.Payload
@@ -407,6 +408,9 @@ func (r *Remote) successorURL(order []*node, i int) string {
 	return ""
 }
 
+// maxWorkerBody bounds a worker's answer to a submit or a result fetch.
+const maxWorkerBody = 64 << 20
+
 // postPayload performs the raw worker-intake POST, tagging connection-level
 // failures as transportError.
 func (r *Remote) postPayload(n *node, body []byte, byRef bool, traceparent string) (*http.Response, []byte, error) {
@@ -426,7 +430,10 @@ func (r *Remote) postPayload(n *node, body []byte, byRef bool, traceparent strin
 		return nil, nil, &transportError{err: err}
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	raw, err := httpbody.Read(resp.Body, resp.ContentLength, maxWorkerBody)
+	if errors.Is(err, httpbody.ErrTooLarge) {
+		return nil, nil, fmt.Errorf("dispatch: %s answered the submit: %w", n.url, err)
+	}
 	if err != nil {
 		return nil, nil, &transportError{err: err}
 	}
@@ -471,7 +478,7 @@ func (r *Remote) submitTo(n *node, s submission, tr *obs.Trace, root, att *obs.S
 		n.submitted++
 		n.cacheHits++
 		n.completed++
-		r.entries[id] = &entry{node: n, workerID: id, hash: s.hash, created: now, done: true, finished: now, status: st, result: raw, local: true, trace: tr, root: root}
+		r.entries[id] = &entry{node: n, workerID: id, hash: s.hash, created: now, done: true, finished: now, status: st, result: jobs.NewDocument(raw), local: true, trace: tr, root: root}
 		r.mu.Unlock()
 		// Born done: the job is immediately streamable as a terminal event.
 		r.hub.Publish(events.Event{Type: events.TypeDone, JobID: id, At: now, State: string(jobs.StateDone)})
@@ -566,8 +573,8 @@ func (r *Remote) Status(id string) (jobs.Status, error) {
 }
 
 // Result fetches the finished response document from the job's node. Done
-// jobs yield json.RawMessage (the worker's AnalysisResponse document);
-// failed jobs yield the job's error.
+// jobs yield a *jobs.Document holding the worker's AnalysisResponse bytes
+// as it served them; failed jobs yield the job's error.
 func (r *Remote) Result(id string) (any, error) {
 	r.mu.Lock()
 	r.sweepLocked(r.clock())
@@ -595,14 +602,19 @@ func (r *Remote) Result(id string) (any, error) {
 		return r.resultAfterLoss(id, e, err)
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	raw, err := httpbody.Read(resp.Body, resp.ContentLength, maxWorkerBody)
+	if errors.Is(err, httpbody.ErrTooLarge) {
+		// The node is alive but its answer is not a document this front
+		// end serves: refuse it rather than cache a cut copy.
+		return nil, fmt.Errorf("dispatch: result of job %s from %s: %w", id, n.url, err)
+	}
 	if err != nil {
 		return r.resultAfterLoss(id, e, err)
 	}
 
 	switch resp.StatusCode {
 	case http.StatusOK:
-		res := json.RawMessage(raw)
+		res := jobs.NewDocument(raw)
 		r.mu.Lock()
 		e.result = res
 		r.finishLocked(id, e, true)
@@ -967,7 +979,7 @@ func (r *Remote) recover(id string, e *entry) bool {
 			r.mu.Lock()
 			e.node = n
 			e.workerID = id
-			e.result = json.RawMessage(raw)
+			e.result = jobs.NewDocument(raw)
 			e.resubmits++
 			r.failovers++
 			n.submitted++

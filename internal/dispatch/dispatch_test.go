@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/sljmotion/sljmotion/internal/httpbody"
 	"github.com/sljmotion/sljmotion/internal/jobs"
 )
 
@@ -428,5 +429,60 @@ func TestClosedRejectsSubmit(t *testing.T) {
 	// Idempotent.
 	if err := d.Close(context.Background()); err != nil {
 		t.Errorf("second close: %v", err)
+	}
+}
+
+// TestResultRefusesOversizedDocument: a worker answer over the front end's
+// body limit is refused, not cut short and cached as the document; once
+// the worker answers properly, its bytes are served as they are.
+func TestResultRefusesOversizedDocument(t *testing.T) {
+	const doc = "{\n  \"score\": 7\n}\n"
+	var mu sync.Mutex
+	oversized := true
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/worker/jobs":
+			w.WriteHeader(http.StatusAccepted)
+			fmt.Fprint(w, `{"id":"w1"}`)
+		case "/v1/jobs/w1/result":
+			mu.Lock()
+			big := oversized
+			mu.Unlock()
+			if big {
+				// Declares more than the limit; the front end must not
+				// read on to find out.
+				w.Header().Set("Content-Length", strconv.Itoa(maxWorkerBody+1))
+			}
+			fmt.Fprint(w, doc)
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer worker.Close()
+	d, err := New(Config{Nodes: []string{worker.URL}, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close(context.Background())
+	id, err := d.Submit(jobs.Payload{Kind: jobs.KindAnalysis, CacheKey: "ab"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Result(id); !errors.Is(err, httpbody.ErrTooLarge) {
+		t.Fatalf("oversized result: err = %v, want httpbody.ErrTooLarge", err)
+	}
+	mu.Lock()
+	oversized = false
+	mu.Unlock()
+	res, err := d.Result(id)
+	if err != nil {
+		t.Fatalf("result after the worker recovered: %v", err)
+	}
+	got, ok := res.(*jobs.Document)
+	if !ok || string(got.Served()) != doc {
+		t.Fatalf("result = %T %v, want the worker's bytes %q", res, res, doc)
+	}
+	if string(got.Compact()) != `{"score":7}` {
+		t.Fatalf("compact form %q", got.Compact())
 	}
 }

@@ -350,11 +350,11 @@ func TestFailoverServesReplicatedResult(t *testing.T) {
 	if err != nil {
 		t.Fatalf("result after primary death = %v, want the replicated document", err)
 	}
-	raw, ok := res.(json.RawMessage)
+	doc, ok := res.(*jobs.Document)
 	if !ok {
 		t.Fatalf("result type %T", res)
 	}
-	if string(raw) != resultDoc {
+	if raw := doc.Served(); string(raw) != resultDoc {
 		t.Fatalf("failover result %q, want the successor's byte-identical document %q", raw, resultDoc)
 	}
 

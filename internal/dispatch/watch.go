@@ -67,7 +67,10 @@ func (r *Remote) terminalEventLocked(id string, e *entry, afterSeq uint64) (even
 	if e.status == nil && !e.done && e.err == nil && e.result == nil {
 		return events.Event{}, false
 	}
-	ev := events.Event{Seq: afterSeq + 1, JobID: id, At: e.finished, Result: e.result}
+	ev := events.Event{Seq: afterSeq + 1, JobID: id, At: e.finished}
+	if e.result != nil {
+		ev.Result = e.result.Compact()
+	}
 	switch {
 	case e.err != nil || (e.status != nil && e.status.State == jobs.StateFailed):
 		ev.Type, ev.State = events.TypeFailed, string(jobs.StateFailed)
@@ -166,7 +169,7 @@ func (r *Remote) observeStreamed(id string, e *entry, ev events.Event) {
 		e.err = errors.New(ev.Error)
 	}
 	if len(ev.Result) > 0 && e.result == nil {
-		e.result = append([]byte(nil), ev.Result...)
+		e.result = jobs.CompactDocument(append([]byte(nil), ev.Result...))
 	}
 	r.finishLocked(id, e, ev.Type != events.TypeFailed)
 }

@@ -71,6 +71,8 @@ const (
 // job's lifecycle state after the event; Result is populated only on the
 // SSE wire, where the serving layer embeds the finished response document
 // into the terminal event — the hub itself never stores result payloads.
+// Result stays the last field: WriteFrame appends it to the encoded event
+// without re-encoding it.
 type Event struct {
 	Seq     uint64          `json:"seq"`
 	Type    Type            `json:"type"`

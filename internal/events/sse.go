@@ -22,13 +22,26 @@ import (
 )
 
 // WriteFrame writes one event as an SSE frame. The event document is
-// marshalled compact, so data is always a single line.
+// marshalled compact, so data is always a single line. A result document
+// is written as it is, not re-encoded: it must already be in the form
+// json.Marshal writes, compact with <, > and & escaped, as are the results
+// of the frames a FrameReader reads.
 func WriteFrame(w io.Writer, e Event) error {
+	result := e.Result
+	e.Result = nil
 	data, err := json.Marshal(e)
 	if err != nil {
 		return fmt.Errorf("events: encode frame: %w", err)
 	}
-	_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.Seq, e.Type, data)
+	frame := fmt.Appendf(make([]byte, 0, len(data)+len(result)+64), "id: %d\nevent: %s\ndata: ", e.Seq, e.Type)
+	if len(result) > 0 {
+		// Result is Event's last field, so it closes the object.
+		frame = append(frame, data[:len(data)-1]...)
+		frame = append(append(append(frame, `,"result":`...), result...), '}')
+	} else {
+		frame = append(frame, data...)
+	}
+	_, err = w.Write(append(frame, "\n\n"...))
 	return err
 }
 

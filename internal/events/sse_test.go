@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -81,5 +82,29 @@ func TestFrameReaderCRLFAndComments(t *testing.T) {
 	}
 	if f.Seq() != 7 || f.Event != "stage" {
 		t.Errorf("frame: %+v", f)
+	}
+}
+
+// TestWriteFrameSplicesResult: WriteFrame writes a result in json.Marshal's
+// form as it is, byte for byte what marshalling the whole event writes.
+func TestWriteFrameSplicesResult(t *testing.T) {
+	at := time.Date(2026, 7, 28, 12, 0, 0, 0, time.UTC)
+	for _, e := range []Event{
+		{Seq: 9, Type: TypeDone, JobID: "j", At: at, State: "done", Result: json.RawMessage(`{"a":[1,2,{"b":"\u003cx\u003e \u0026"}],"c":null}`)},
+		{Seq: 9, Type: TypeSnapshot, At: at, State: "done", Dropped: 3, Result: json.RawMessage(`[]`)},
+		{Seq: 10, Type: TypeFailed, JobID: "j", At: at, State: "failed", Error: "<boom>"},
+	} {
+		data, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := "id: " + strconv.FormatUint(e.Seq, 10) + "\nevent: " + string(e.Type) + "\ndata: " + string(data) + "\n\n"
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, e); err != nil {
+			t.Fatal(err)
+		}
+		if buf.String() != want {
+			t.Errorf("WriteFrame = %q, want %q", buf.String(), want)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -84,6 +85,47 @@ func FuzzMergeExpositions(f *testing.F) {
 		}
 		if res := LintExposition(merged, nil); len(res.Issues) != 0 {
 			t.Fatalf("clean members merged into a scrape that fails the lint:\n%s\n%s", strings.Join(res.Issues, "\n"), merged)
+		}
+	})
+}
+
+// FuzzLintExposition feeds arbitrary scrape bodies, and one required
+// family, to the conformance lint behind slj-promlint and the federation
+// tests. It must never panic and must return a result for every input: a
+// type table, the parsed samples, and the same issues on a second run,
+// including a missing-family issue whenever the required family is not
+// declared. The seed corpus lives in testdata/fuzz/FuzzLintExposition.
+func FuzzLintExposition(f *testing.F) {
+	var clean bytes.Buffer
+	reg := NewRegistry()
+	reg.Histogram("slj_job_run_seconds", "Run time.", []float64{0.1, 1}, "stage", "pose").Observe(0.5)
+	reg.WritePrometheus(NewPromWriter(&clean))
+	NewPromWriter(&clean).Counter("slj_jobs_submitted_total", "Jobs submitted.", 7)
+	f.Add(clean.Bytes(), "slj_job_run_seconds")
+	f.Add(clean.Bytes(), "slj_absent")
+	f.Fuzz(func(t *testing.T, raw []byte, required string) {
+		res := LintExposition(raw, []string{required})
+		if res == nil || res.Types == nil {
+			t.Fatalf("no result for %q", raw)
+		}
+		for _, s := range res.Samples {
+			if !lintMetricRE.MatchString(s.Name) || s.Labels == nil {
+				t.Fatalf("parsed a malformed sample %+v", s)
+			}
+		}
+		if _, ok := res.Types[required]; !ok {
+			want := "family " + required + " missing from the scrape"
+			if len(res.Issues) == 0 || res.Issues[len(res.Issues)-1] != want {
+				t.Fatalf("required family %q is not declared, issues %q lack %q", required, res.Issues, want)
+			}
+		}
+		// Histogram series are checked in map order, so compare as sets.
+		again := LintExposition(raw, []string{required})
+		a, b := append([]string(nil), res.Issues...), append([]string(nil), again.Issues...)
+		sort.Strings(a)
+		sort.Strings(b)
+		if strings.Join(a, "\n") != strings.Join(b, "\n") || len(res.Samples) != len(again.Samples) {
+			t.Fatalf("lint is not a function of its input:\n%q\n%q", res.Issues, again.Issues)
 		}
 	})
 }

@@ -765,7 +765,8 @@ func (s *Server) submitPayload(w http.ResponseWriter, r *http.Request, p jobs.Pa
 // executeAnalysis is the server's jobs.Executor: it decodes one payload
 // back into a staged request, runs the pipeline reporting stages as
 // progress, stores the finished response in the artifact store, and
-// returns the same AnalysisResponse the synchronous path builds.
+// returns the stored bytes, the document the synchronous path serves, as
+// the job's value.
 func (s *Server) executeAnalysis(ctx context.Context, p jobs.Payload, progress func(string)) (any, error) {
 	// Successor replication: while this job is in flight, artifact stores
 	// (pulls during resolution below) write through to its replica target;
@@ -821,7 +822,9 @@ func (s *Server) executeAnalysis(ctx context.Context, p jobs.Payload, progress f
 	s.analyzed++
 	s.mu.Unlock()
 	resp := buildResponse(result, len(req.Frames), req)
-	s.store(key, resp, p.ReplicaTarget)
+	if doc := s.store(key, resp, p.ReplicaTarget); doc != nil {
+		return jobs.NewDocument(doc), nil
+	}
 	return resp, nil
 }
 
@@ -901,6 +904,10 @@ func (s *Server) writeJobResult(w http.ResponseWriter, id string) {
 			State: string(jobs.StateFailed),
 		})
 	default:
+		if doc, ok := val.(*jobs.Document); ok {
+			writeDoc(w, http.StatusOK, doc.Served())
+			return
+		}
 		writeJSON(w, http.StatusOK, val)
 	}
 }

@@ -32,6 +32,7 @@ import (
 
 	"github.com/sljmotion/sljmotion/internal/artifacts"
 	"github.com/sljmotion/sljmotion/internal/core"
+	"github.com/sljmotion/sljmotion/internal/httpbody"
 	"github.com/sljmotion/sljmotion/internal/stickmodel"
 )
 
@@ -62,7 +63,7 @@ type artifactPutResponse struct {
 // client plant the answer to someone else's request.
 func (s *Server) handleArtifactPut(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, MaxUploadBytes)
-	blob, err := io.ReadAll(r.Body)
+	blob, err := httpbody.Read(r.Body, r.ContentLength, MaxUploadBytes)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("read artifact: %v", err))
 		return

@@ -184,17 +184,14 @@ func (s *Server) streamSSE(w http.ResponseWriter, r *http.Request, ch <-chan eve
 	}
 }
 
-// resultDocument fetches a finished job's result and renders it compact —
-// the embedded form of the terminal event. Nil when the result is not
-// (or no longer) available; the client falls back to the result route.
+// resultDocument fetches a finished job's result in compact form, the
+// embedded form of the terminal event, derived once per result. Nil when
+// the result is not (or no longer) available; the client falls back to
+// the result route.
 func (s *Server) resultDocument(id string) json.RawMessage {
 	val, err := s.jobs.Result(id)
 	if err != nil {
 		return nil
 	}
-	raw, err := json.Marshal(val)
-	if err != nil {
-		return nil
-	}
-	return raw
+	return jobs.CompactJSON(val)
 }
