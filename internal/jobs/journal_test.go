@@ -241,12 +241,12 @@ func TestJournalRestoresTerminalResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, ok := val.(json.RawMessage)
+	doc, ok := val.(*Document)
 	if !ok {
 		t.Fatalf("restored result is %T, want the journaled JSON document", val)
 	}
-	if string(raw) != `{"score":7}` {
-		t.Errorf("restored result = %s", raw)
+	if string(doc.Compact()) != `{"score":7}` {
+		t.Errorf("restored result = %s", doc.Compact())
 	}
 	st, err := m2.Status(okID)
 	if err != nil {
