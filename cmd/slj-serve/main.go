@@ -109,9 +109,10 @@
 // hardware), and -drain-on-shutdown makes SIGTERM leave the ring gracefully
 // — no new keys, in-flight jobs finish, then removal — before the listener
 // stops. -replicate on the front end stamps every payload with its ring
-// successor; workers push finished results and artifacts to its
+// successor; workers push finished results, and only those, to its
 // POST /v1/artifacts, so a node death fails over to a warm cache instead
-// of recomputing.
+// of recomputing. A by-hash job whose result never reached the successor
+// fails over to a recompute there, its frames pulled from the front end.
 //
 // Example round trip against a synthetic clip:
 //
@@ -188,7 +189,7 @@ func run() error {
 		artOrigin     = flag.String("artifact-origin", "", "this front end's public base URL, stamped into by-reference payloads so workers know where to pull artifacts (front ends with -dispatch-nodes)")
 
 		fleet           = flag.Bool("fleet", false, "run the elastic dispatch front end even with an empty -dispatch-nodes; workers join at runtime via POST /v1/fleet/nodes")
-		replicate       = flag.Bool("replicate", false, "front end: stamp each payload's ring successor so workers mirror finished results and artifacts there (node death becomes a cache hit)")
+		replicate       = flag.Bool("replicate", false, "front end: stamp each payload's ring successor so workers push their finished results there (node death becomes a cache hit)")
 		joinURL         = flag.String("join", "", "worker: front-end base URL to register with at startup (POST /v1/fleet/nodes, retried until admitted)")
 		advertise       = flag.String("advertise", "", "worker: this node's base URL as the fleet should reach it (required with -join)")
 		joinWeight      = flag.Int("join-weight", 1, "worker: consistent-hash weight to register with (vnode multiplier for heterogeneous hardware)")

@@ -9,7 +9,8 @@
 // fields): a clip's frames, and a finished analysis (the response document
 // under the request key it answers). The frames encoding round-trips
 // exactly, so a request resolved from a frames hash is bit-identical to the
-// same request built inline — and therefore hashes to the same request key.
+// same request built inline; and the request key names the frames by that
+// hash (jobs.RefKey), so both are keyed alike.
 //
 // The Store is a bounded two-tier cache: an in-memory LRU limited by blob
 // count and total bytes, with TTL expiry (janitor plus lazy checks), and
@@ -41,6 +42,7 @@ import (
 	"github.com/sljmotion/sljmotion/internal/cache"
 	"github.com/sljmotion/sljmotion/internal/httpbody"
 	"github.com/sljmotion/sljmotion/internal/imaging"
+	"github.com/sljmotion/sljmotion/internal/jobs"
 )
 
 // Kind names an artifact type; the version suffix changes whenever the
@@ -98,26 +100,6 @@ func KindOf(blob []byte) (Kind, bool) {
 	return "", false
 }
 
-// enc accumulates the little-endian binary encoding of one artifact.
-type enc struct {
-	buf []byte
-}
-
-func newEnc(tag byte, sizeHint int) *enc {
-	e := &enc{buf: make([]byte, 0, headerLen+sizeHint)}
-	e.buf = append(e.buf, magic...)
-	e.buf = append(e.buf, tag)
-	return e
-}
-
-func (e *enc) u32(v int)    { e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(v)) }
-func (e *enc) raw(b []byte) { e.buf = append(e.buf, b...) }
-func (e *enc) image(img *imaging.Image) {
-	e.u32(img.W)
-	e.u32(img.H)
-	e.raw(img.Bytes())
-}
-
 // dec walks a blob during decoding, failing on any truncation.
 type dec struct {
 	buf []byte
@@ -152,24 +134,6 @@ func (d *dec) u32() int {
 	return int(binary.LittleEndian.Uint32(b))
 }
 
-func (d *dec) image() *imaging.Image {
-	w, h := d.u32(), d.u32()
-	if d.err != nil {
-		return nil
-	}
-	if w <= 0 || h <= 0 || w > imaging.MaxDim || h > imaging.MaxDim {
-		d.fail("artifacts: invalid image size %dx%d", w, h)
-		return nil
-	}
-	rgb := d.take(3 * w * h)
-	if rgb == nil {
-		return nil
-	}
-	img := imaging.NewImage(w, h)
-	copy(img.Bytes(), rgb)
-	return img
-}
-
 // done checks that the blob was consumed exactly.
 func (d *dec) done() error {
 	if d.err != nil {
@@ -192,43 +156,58 @@ func open(blob []byte, want Kind) (*dec, error) {
 	return &dec{buf: blob, off: headerLen}, nil
 }
 
-// EncodeFrames encodes a clip as a frames/v1 blob: a frame count, then per
-// frame its dimensions and raw interleaved RGB. The encoding is canonical —
-// the same frames always produce the same bytes, hence the same hash.
+// EncodeFrames encodes a clip as a frames/v1 blob (jobs.WriteFrames): a
+// frame count, then per frame its dimensions and raw interleaved RGB. The
+// encoding is canonical — the same frames always produce the same bytes,
+// hence the same hash, which jobs.FramesHash computes without the blob.
 func EncodeFrames(frames []*imaging.Image) ([]byte, error) {
 	if len(frames) == 0 {
 		return nil, errors.New("artifacts: no frames to encode")
 	}
-	size := 4
+	size := headerLen + 4
 	for _, f := range frames {
 		size += 8 + 3*len(f.Pix)
 	}
-	e := newEnc(tagFrames, size)
-	e.u32(len(frames))
-	for _, f := range frames {
-		e.image(f)
-	}
-	return e.buf, nil
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	_ = jobs.WriteFrames(buf, frames) // a bytes.Buffer never fails a Write
+	return buf.Bytes(), nil
 }
 
 // DecodeFrames reverses EncodeFrames exactly.
 func DecodeFrames(blob []byte) ([]*imaging.Image, error) {
-	d, err := open(blob, KindFrames)
+	var frames []*imaging.Image
+	err := walkFrames(blob, func(w, h int, rgb []byte) {
+		img := imaging.NewImage(w, h)
+		copy(img.Bytes(), rgb)
+		frames = append(frames, img)
+	})
 	if err != nil {
 		return nil, err
+	}
+	return frames, nil
+}
+
+// walkFrames checks that blob is a well-formed frames/v1 blob, handing each
+// frame's dimensions and RGB bytes (aliasing blob) to frame unless it is nil.
+func walkFrames(blob []byte, frame func(w, h int, rgb []byte)) error {
+	d, err := open(blob, KindFrames)
+	if err != nil {
+		return err
 	}
 	n := d.u32()
 	if d.err == nil && (n <= 0 || n > maxItems) {
 		d.fail("artifacts: invalid frame count %d", n)
 	}
-	var frames []*imaging.Image
 	for i := 0; i < n && d.err == nil; i++ {
-		frames = append(frames, d.image())
+		w, h := d.u32(), d.u32()
+		if d.err == nil && (w <= 0 || h <= 0 || w > imaging.MaxDim || h > imaging.MaxDim) {
+			d.fail("artifacts: invalid image size %dx%d", w, h)
+		}
+		if rgb := d.take(3 * w * h); rgb != nil && frame != nil {
+			frame(w, h, rgb)
+		}
 	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return frames, nil
+	return d.done()
 }
 
 // ResultDocOffset is where a result/v1 blob's response document starts:
@@ -241,10 +220,9 @@ const ResultDocOffset = headerLen + sha256.Size
 // decode and no re-marshal. doc must be one JSON document; the encoder
 // does not re-check what the server just marshaled, DecodeResult does.
 func EncodeResult(key cache.Key, doc []byte) []byte {
-	e := newEnc(tagResult, len(key)+len(doc))
-	e.raw(key[:])
-	e.raw(doc)
-	return e.buf
+	blob := append(make([]byte, 0, ResultDocOffset+len(doc)), magic...)
+	blob = append(append(blob, tagResult), key[:]...)
+	return append(blob, doc...)
 }
 
 // DecodeResult reverses EncodeResult, rejecting a blob too short to hold
@@ -290,10 +268,6 @@ type Config struct {
 	SpillDir string
 	// Clock overrides time.Now, a test seam for TTL expiry.
 	Clock func() time.Time
-	// OnStore, when set, observes every successful Put with the stored
-	// blob, result blobs included — the write-through seam successor
-	// replication hangs off. Called outside the store's lock.
-	OnStore func(hash string, blob []byte)
 }
 
 // DefaultConfig bounds the store for a small deployment: enough for a few
@@ -426,7 +400,7 @@ func (s *Store) Config() Config { return s.cfg }
 // rejected (they could never be admitted). A result blob also becomes the
 // answer Result returns for its request key. The spill write comes before
 // admission, so a Put that fails leaves nothing behind: no memory entry,
-// no result-index entry, no count and no OnStore call.
+// no result-index entry and no count.
 func (s *Store) Put(blob []byte) (string, error) {
 	return s.putVerified(cache.Key(sha256.Sum256(blob)), blob)
 }
@@ -494,11 +468,6 @@ func (s *Store) put(key cache.Key, kind Kind, blob []byte) (string, error) {
 	}
 	s.stored++
 	s.mu.Unlock()
-	if s.cfg.OnStore != nil {
-		// A refresh still notifies: the observer (replication) may not have
-		// seen the blob yet, and dedups what it has.
-		s.cfg.OnStore(key.String(), blob)
-	}
 	return key.String(), nil
 }
 

@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/sljmotion/sljmotion/internal/core"
 	"github.com/sljmotion/sljmotion/internal/imaging"
+	"github.com/sljmotion/sljmotion/internal/jobs"
 )
 
 // testFrames builds a small deterministic clip: a dark block marching over
@@ -71,6 +73,58 @@ func TestFramesRoundTrip(t *testing.T) {
 	}
 	if HashOf(blob) != HashOf(blob2) {
 		t.Fatal("re-encoding the same frames produced a different hash")
+	}
+}
+
+// TestFramesHashMatchesArtifactHash pins the streamed request-key hash to
+// the stored artifact: jobs.FramesHash writes the frames/v1 layout into
+// SHA-256 without building the blob, and must name exactly the blob
+// EncodeFrames stores — for a 1×1 clip, odd widths, one frame and twenty.
+func TestFramesHashMatchesArtifactHash(t *testing.T) {
+	for _, tc := range []struct{ n, w, h int }{
+		{1, 1, 1}, {3, 1, 1}, {1, 7, 3}, {2, 33, 5}, {1, 32, 16}, {20, 31, 9}, {20, 160, 120},
+	} {
+		frames := testFrames(tc.n, tc.w, tc.h)
+		blob, err := EncodeFrames(frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := jobs.FramesHash(frames).String(), HashOf(blob); got != want {
+			t.Errorf("%d frames of %dx%d: FramesHash = %s, HashOf(EncodeFrames) = %s", tc.n, tc.w, tc.h, got, want)
+		}
+	}
+}
+
+// TestRefKeyMatchesInlineKey: a request naming its frames by artifact hash
+// keys exactly as the same request carrying the frames, so the two share
+// one cache entry and one ring placement (the payload's CacheKey), and the
+// key tracks the frames: another clip's hash keys differently.
+func TestRefKeyMatchesInlineKey(t *testing.T) {
+	frames := testFrames(4, 33, 17)
+	blob, err := EncodeFrames(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := core.Request{Frames: frames, IncludeSilhouettes: true, Stages: core.OnlyStage(core.StageSegmentation)}
+	inline, err := jobs.NewAnalysisPayload("fp", req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	thin := req
+	thin.Frames = nil
+	byRef, err := jobs.NewArtifactPayload("fp", HashOf(blob), thin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inline.CacheKey != byRef.CacheKey || inline.CacheKey != jobs.RequestKey("fp", req).String() {
+		t.Fatalf("inline key %s, by-reference key %s", inline.CacheKey, byRef.CacheKey)
+	}
+	other, err := EncodeFrames(testFrames(4, 33, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k, err := jobs.RefKey("fp", HashOf(other), thin); err != nil || k.String() == byRef.CacheKey {
+		t.Fatalf("another clip's ref keys to %s (%v), the same as this clip's", k, err)
 	}
 }
 

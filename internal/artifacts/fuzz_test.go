@@ -10,11 +10,16 @@ import (
 // panic, a blob KindOf does not recognise — the retired silhouettes/v1 and
 // poses/v1 seeds among them — must be refused by both, and whatever one
 // accepts must re-encode to the identical bytes: one content, one
-// encoding, one artifact hash. The seed corpus lives in
-// testdata/fuzz/FuzzArtifactDecode.
+// encoding, one artifact hash. The pixel-free frames check a by-reference
+// submission runs (walkFrames) must accept exactly what DecodeFrames does.
+// The seed corpus lives in testdata/fuzz/FuzzArtifactDecode.
 func FuzzArtifactDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		_, known := KindOf(blob)
+		_, decErr := DecodeFrames(blob)
+		if walkErr := walkFrames(blob, nil); (walkErr == nil) != (decErr == nil) {
+			t.Fatalf("frames check says %v, DecodeFrames says %v: %x", walkErr, decErr, blob)
+		}
 		for kind, reencode := range reencoders {
 			back, err := reencode(blob)
 			if err != nil {

@@ -326,6 +326,48 @@ func TestPayloadRequestResolvesFramesRef(t *testing.T) {
 	}
 }
 
+// TestCheckFramesCopiesNothing: CheckFrames accepts a stored frames blob
+// and answers as ResolveFrames does otherwise — an unknown hash wraps
+// ErrNotFound; a result blob or a truncated frames blob is an error that
+// does not.
+func TestCheckFramesCopiesNothing(t *testing.T) {
+	store, err := NewStore(Config{MaxBlobs: 8, MaxBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	blob, err := EncodeFrames(testFrames(3, 7, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := store.Put(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckFrames(store, good); err != nil {
+		t.Fatalf("a stored frames blob: %v", err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _ = CheckFrames(store, good) }); allocs > 2 {
+		t.Errorf("CheckFrames allocates %.0f times per call; it must copy no frame", allocs)
+	}
+	if err := CheckFrames(store, strings.Repeat("f", 64)); !errors.Is(err, ErrNotFound) {
+		t.Errorf("unknown hash: %v, want ErrNotFound", err)
+	}
+	result, err := store.Put(EncodeResult(testKey(1), []byte(`{}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	truncated, err := store.Put(blob[:len(blob)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, hash := range map[string]string{"result": result, "truncated": truncated} {
+		if err := CheckFrames(store, hash); err == nil || errors.Is(err, ErrNotFound) {
+			t.Errorf("%s blob: %v, want a malformed-blob error", name, err)
+		}
+	}
+}
+
 // TestSealedSessionsLeaveTheTable: a sealed session stops counting against
 // MaxSessions, so 100 upload+seal cycles inside one TTL all succeed, while
 // the bound on unsealed sessions still holds. A sealed session keeps only

@@ -11,7 +11,8 @@ import (
 // ResolveFrames materialises the frames artifact stored under hash. The
 // frames come back bit-identical to the clip that was sealed, so a request
 // built from them is indistinguishable from one uploaded inline — same
-// Validate outcome, same cache key, same analysis.
+// Validate outcome, same analysis — and its cache key is the one
+// jobs.RefKey derives from the hash alone.
 func ResolveFrames(r Resolver, hash string) ([]*imaging.Image, error) {
 	blob, err := r.Artifact(hash)
 	if err != nil {
@@ -22,6 +23,20 @@ func ResolveFrames(r Resolver, hash string) ([]*imaging.Image, error) {
 		return nil, fmt.Errorf("frames ref %s: %w", hash, err)
 	}
 	return frames, nil
+}
+
+// CheckFrames is ResolveFrames without the decode: it walks the blob's
+// header and lengths and copies no pixel. An unknown hash wraps
+// ErrNotFound; another kind or a malformed blob is an error that does not.
+func CheckFrames(r Resolver, hash string) error {
+	blob, err := r.Artifact(hash)
+	if err != nil {
+		return fmt.Errorf("frames ref: %w", err)
+	}
+	if err := walkFrames(blob, nil); err != nil {
+		return fmt.Errorf("frames ref %s: %w", hash, err)
+	}
+	return nil
 }
 
 // PayloadRequest decodes a payload into its analysis request and, when the

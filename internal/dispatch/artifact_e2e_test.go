@@ -266,3 +266,74 @@ func TestByHashDispatchWorkerPull(t *testing.T) {
 		t.Errorf("owner pulled %d times after resubmission, want still 1", am.Pulls)
 	}
 }
+
+// TestByHashServedInlineResult: a clip submitted inline and the same clip
+// submitted by hash share one request key, so they land on one node and
+// the by-hash request is answered with the document the inline run stored
+// — byte for byte, timings included — without re-running the clip or
+// pulling its frames.
+func TestByHashServedInlineResult(t *testing.T) {
+	v, err := synth.Generate(synth.DefaultJumpParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	manual := quantManual(t, v.ManualAnnotation(synth.DefaultAnnotationError(), 1))
+	n1, _ := newNode(t)
+	n2, _ := newNode(t)
+	front := newArtifactFrontend(t, []string{n1.URL, n2.URL})
+
+	inline := e2etest.SubmitAndFetch(t, front.URL, v)
+	seal := ingestClip(t, front.URL, v.Frames)
+	byHash := submitByHash(t, front.URL, seal.FramesHash, manual)
+	if !bytes.Equal(byHash, inline) {
+		t.Fatalf("by-hash request was not served the inline result:\n%s\nvs\n%s", byHash, inline)
+	}
+	c1, _ := metricsOf(t, n1.URL)
+	c2, _ := metricsOf(t, n2.URL)
+	if c1+c2 != 1 {
+		t.Errorf("clips analyzed across nodes = %d+%d, want 1", c1, c2)
+	}
+	for _, n := range []string{n1.URL, n2.URL} {
+		if am := artifactMetricsOf(t, n); am.Pulls != 0 {
+			t.Errorf("node %s pulled %d artifacts, want 0", n, am.Pulls)
+		}
+	}
+}
+
+// TestFailoverServesByHashMissFromOrigin: replication pushes results only,
+// so a ring successor without a job's replica holds no frames for it
+// either. When the primary dies, the by-hash resubmission fails over to
+// the successor, which pulls the frames from the origin front end and
+// recomputes a document byte-identical to the first.
+func TestFailoverServesByHashMissFromOrigin(t *testing.T) {
+	v, err := synth.Generate(synth.DefaultJumpParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	manual := quantManual(t, v.ManualAnnotation(synth.DefaultAnnotationError(), 1))
+	n1, _ := newNode(t)
+	n2, _ := newNode(t)
+	front := newArtifactFrontend(t, []string{n1.URL, n2.URL})
+
+	seal := ingestClip(t, front.URL, v.Frames)
+	first := submitByHash(t, front.URL, seal.FramesHash, manual)
+	runner, survivor := n1, n2
+	if c, _ := metricsOf(t, n2.URL); c == 1 {
+		runner, survivor = n2, n1
+	}
+	if am := artifactMetricsOf(t, survivor.URL); am.Blobs != 0 {
+		t.Fatalf("the successor holds %d blobs before failover, want none", am.Blobs)
+	}
+	runner.Close()
+
+	again := submitByHash(t, front.URL, seal.FramesHash, manual)
+	if !bytes.Equal(e2etest.StripVolatile(t, again), e2etest.StripVolatile(t, first)) {
+		t.Fatalf("failover result differs from the first:\n%s\nvs\n%s", again, first)
+	}
+	if c, _ := metricsOf(t, survivor.URL); c != 1 {
+		t.Errorf("successor analyzed %d clips, want 1", c)
+	}
+	if am := artifactMetricsOf(t, survivor.URL); am.Pulls != 1 || am.PullFailures != 0 {
+		t.Errorf("successor artifact metrics %+v, want one successful pull from the origin", am)
+	}
+}

@@ -87,7 +87,7 @@ type Config struct {
 	ArtifactOrigin string
 	// Replicate turns on successor replication and failover recovery: each
 	// payload is stamped with its key's ring successor (the worker pushes
-	// its finished result and pulled artifacts there), the dispatcher retains the
+	// its finished result there), the dispatcher retains the
 	// payload until the job is terminal, and a job stranded on a lost node
 	// is resubmitted to the next ring candidate — where the replicated
 	// cache answers without recomputing. Costs payload retention memory for

@@ -11,11 +11,11 @@ import (
 	"github.com/sljmotion/sljmotion/internal/jobs"
 )
 
-// Replicator pushes artifact blobs — finished results among them — to ring
+// Replicator pushes finished results (result/v1 artifact blobs) to ring
 // successors. It is the worker-side half of successor replication: the
 // server invokes it (through the jobs.ReplicaSink seam) whenever it stores
-// something for a job whose payload named a replica target, and it mirrors
-// the bytes to the target's POST /v1/artifacts from a bounded background
+// or serves the result of a job whose payload named a replica target, and
+// it copies the bytes to the target's POST /v1/artifacts from a bounded background
 // queue — the job's own latency never waits on replication, and a slow or
 // dead successor only costs dropped replicas, never wedged workers.
 type Replicator struct {

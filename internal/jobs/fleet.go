@@ -78,8 +78,8 @@ type ReplicaMetrics struct {
 	Dropped   uint64 `json:"dropped"`
 }
 
-// ReplicaSink accepts asynchronous successor-replication pushes: artifact
-// blobs, finished results among them, are mirrored to the ring successor
+// ReplicaSink accepts asynchronous successor-replication pushes: finished
+// results, as result/v1 artifact blobs, are copied to the ring successor
 // so that node death turns into a cache hit on failover instead of a
 // recompute. Implementations must not block the caller.
 type ReplicaSink interface {

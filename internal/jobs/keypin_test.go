@@ -8,11 +8,13 @@ import (
 )
 
 // TestRequestKeyPinned pins the content address of two fixed synthetic
-// requests. RequestKey is the result-cache key and the dispatch ring's
-// placement key, so a change to how it hashes pixels, poses or options
-// must be deliberate: an unintended change silently orphans every cached
-// result and moves every clip to a different node. The config fingerprint
-// is a literal so the pin does not move with the analyzer's defaults.
+// requests under the slj-analysis-response/v3 tag, which names the frames
+// by their frames/v1 artifact hash. RequestKey is the result-cache key and
+// the dispatch ring's placement key, so a change to how it hashes pixels,
+// poses or options must be deliberate: an unintended change silently
+// orphans every cached result and moves every clip to a different node.
+// The config fingerprint is a literal so the pin does not move with the
+// analyzer's defaults.
 func TestRequestKeyPinned(t *testing.T) {
 	params := synth.DefaultJumpParams()
 	params.Frames = 4
@@ -29,10 +31,10 @@ func TestRequestKeyPinned(t *testing.T) {
 		{"segmentation", core.Request{
 			Frames: v.Frames, ManualFirst: manual, IncludeSilhouettes: true,
 			Stages: core.OnlyStage(core.StageSegmentation),
-		}, "c5a78f5e034a4a10f6ee5196c278ca84b6e1a250d4219763c9128c4c29930baf"},
+		}, "fb05e469fdeb89c9824f443b133ba917d193e4a31a694cec538777bc1317e49c"},
 		{"full", core.Request{
 			Frames: v.Frames, ManualFirst: manual, IncludePoses: true, IncludeSilhouettes: true,
-		}, "6643e0c76e7eb103a2898fb04cb35e92a147e8a67d5dd889377b9d2ccef774ee"},
+		}, "f1491a47f81af72fb7c47384496e3e9024ad32f55430860755e0dcf8859eaa10"},
 	}
 	for _, tc := range cases {
 		if got := RequestKey("slj-key-pin", tc.req).String(); got != tc.want {

@@ -2,9 +2,11 @@ package jobs
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 
 	"github.com/sljmotion/sljmotion/internal/cache"
 	"github.com/sljmotion/sljmotion/internal/core"
@@ -68,16 +70,18 @@ type Payload struct {
 	// of carrying Frames inline, shrinking a megabytes payload to a few
 	// hundred bytes. A worker that does not hold the artifact pulls it from
 	// ArtifactOrigin — the submitting front end's base URL, stamped by the
-	// dispatcher — via GET /v1/artifacts/{hash}, and caches it locally.
+	// dispatcher — via GET /v1/artifacts/{hash}, and caches it locally, on a
+	// result miss only: the key names the frames by this hash (RefKey).
 	FramesRef      string `json:"frames_ref,omitempty"`
 	ArtifactOrigin string `json:"artifact_origin,omitempty"`
 
 	// ReplicaTarget is the base URL of the ring successor for this payload's
 	// key, stamped by a replicating dispatcher. A worker that completes the
-	// job pushes its result/v1 artifact (and any artifacts it pulled for it)
-	// to the target, so failover — which re-hashes to the successor — finds a cache
-	// hit instead of recomputing. Empty when replication is off or the fleet
-	// has no second routable node.
+	// job pushes its result/v1 artifact, and nothing else, to the target, so
+	// failover — which re-hashes to the successor — finds a cache hit
+	// instead of recomputing. The successor needs no frames to find it: a
+	// by-reference request is keyed by its FramesRef. Empty when replication
+	// is off or the fleet has no second routable node.
 	ReplicaTarget string `json:"replica_target,omitempty"`
 
 	// decoded short-circuits AnalysisRequest for payloads that never left
@@ -85,7 +89,7 @@ type Payload struct {
 	// submitter built, skipping a full decode copy of the clip. Unexported,
 	// so it never crosses the wire — remote workers always decode.
 	decoded *core.Request
-	// key is the RequestKey this process computed over decoded, when it
+	// key is the key this process computed for decoded (RefKey), when it
 	// built the payload or resolved it (WithResolved), under config
 	// fingerprint keyFP ("" = none). Unexported like decoded: a payload
 	// decoded from JSON (worker intake, journal replay) never carries one,
@@ -142,17 +146,44 @@ func ConfigFingerprint(cfg core.Config) string {
 // RequestKey computes the content address of one analysis request: the
 // SHA-256 over the config fingerprint, the stage selection, the
 // response-shaping options, the manual first-frame pose and every input
-// artifact — frames, and for mid-pipeline entry the silhouettes, poses,
+// artifact — the frames by the hash of their frames/v1 artifact
+// (FramesHash), and for mid-pipeline entry the silhouettes, poses,
 // dimensions and background. Identical requests under identical
 // configuration hash to the same key; any difference — one pixel, one
 // config field, a different stage range, a different pose value — yields a
 // different key. It is both the result-cache key and the remote
 // dispatcher's ring placement key, so artifact-bearing (frame-less)
 // requests must be covered too: two tracking..scoring re-scores over
-// different poses may never collide.
+// different poses may never collide. A request carrying only the frames'
+// artifact hash is keyed alike, without the pixels (RefKey).
 func RequestKey(cfgFP string, req core.Request) cache.Key {
+	if len(req.Frames) == 0 {
+		return requestKey(cfgFP, nil, req)
+	}
+	frames := FramesHash(req.Frames)
+	return requestKey(cfgFP, &frames, req)
+}
+
+// RefKey is RequestKey for req with its frames named by framesRef, the
+// hash of their frames/v1 artifact, in place of req.Frames: it reads no
+// pixels. An empty framesRef keys req as RequestKey does; one that is not a
+// content hash is an error.
+func RefKey(cfgFP, framesRef string, req core.Request) (cache.Key, error) {
+	if framesRef == "" {
+		return RequestKey(cfgFP, req), nil
+	}
+	frames, ok := cache.ParseKey(framesRef)
+	if !ok {
+		return cache.Key{}, fmt.Errorf("jobs: frames ref %q is not a content hash", framesRef)
+	}
+	return requestKey(cfgFP, &frames, req), nil
+}
+
+// requestKey hashes a request whose frames, when it has any, are the
+// frames/v1 artifact hashing to frames.
+func requestKey(cfgFP string, frames *cache.Key, req core.Request) cache.Key {
 	k := cache.NewKeyer()
-	k.WriteString("slj-analysis-response/v2")
+	k.WriteString("slj-analysis-response/v3")
 	k.WriteString(cfgFP)
 	k.WriteString(req.Stages.Normalize().String())
 	k.WriteBool(req.IncludePoses)
@@ -165,14 +196,9 @@ func RequestKey(cfgFP string, req core.Request) cache.Key {
 		}
 	}
 	writePose(req.ManualFirst)
-	writeImage := func(f *imaging.Image) {
-		k.WriteInt(f.W)
-		k.WriteInt(f.H)
-		k.WriteBytes(f.Bytes())
-	}
-	k.WriteInt(len(req.Frames))
-	for _, f := range req.Frames {
-		writeImage(f)
+	k.WriteBool(frames != nil)
+	if frames != nil {
+		k.WriteBytes(frames[:])
 	}
 	k.WriteInt(len(req.Silhouettes))
 	for _, s := range req.Silhouettes {
@@ -191,9 +217,49 @@ func RequestKey(cfgFP string, req core.Request) cache.Key {
 	}
 	k.WriteBool(req.Background != nil)
 	if req.Background != nil {
-		writeImage(req.Background)
+		k.WriteInt(req.Background.W)
+		k.WriteInt(req.Background.H)
+		k.WriteBytes(req.Background.Bytes())
 	}
 	return k.Sum()
+}
+
+// framesHeader opens a frames/v1 artifact blob: the magic and kind tag
+// package artifacts decodes (it imports this package, so the layout is here).
+const framesHeader = "SLJA\x01"
+
+// WriteFrames writes a clip's frames/v1 encoding to w: the header, the
+// frame count, then per frame its width, height and raw interleaved RGB,
+// integers as little-endian uint32. It is the one definition of the layout:
+// artifacts.EncodeFrames writes it into the stored blob, and FramesHash
+// streams it into SHA-256 without building the blob.
+func WriteFrames(w io.Writer, frames []*imaging.Image) error {
+	buf := binary.LittleEndian.AppendUint32([]byte(framesHeader), uint32(len(frames)))
+	if _, err := w.Write(buf); err != nil {
+		return err
+	}
+	for _, f := range frames {
+		buf = binary.LittleEndian.AppendUint32(buf[:0], uint32(f.W))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(f.H))
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+		if _, err := w.Write(f.Bytes()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// FramesHash returns the content hash of the clip's frames/v1 artifact,
+// artifacts.HashOf(artifacts.EncodeFrames(frames)), in one pass over the
+// pixels and without building the blob.
+func FramesHash(frames []*imaging.Image) cache.Key {
+	h := sha256.New()
+	_ = WriteFrames(h, frames) // a hash.Hash never fails a Write
+	var key cache.Key
+	h.Sum(key[:0])
+	return key
 }
 
 // NewAnalysisPayload encodes a staged analysis request into a serializable
@@ -204,22 +270,7 @@ func NewAnalysisPayload(cfgFP string, req core.Request) (Payload, error) {
 	if err := req.Stages.Validate(); err != nil {
 		return Payload{}, err
 	}
-	key := RequestKey(cfgFP, req)
-	p := Payload{
-		Kind:               KindAnalysis,
-		ConfigFP:           cfgFP,
-		CacheKey:           key.String(),
-		IncludePoses:       req.IncludePoses,
-		IncludeSilhouettes: req.IncludeSilhouettes,
-		key:                key,
-		keyFP:              cfgFP,
-	}
-	if !req.Stages.Normalize().IsFull() {
-		p.Stages = req.Stages.String()
-	}
-	if req.ManualFirst != (stickmodel.Pose{}) {
-		p.Manual = encodePose(req.ManualFirst)
-	}
+	p := newPayload(cfgFP, RequestKey(cfgFP, req), req)
 	for _, f := range req.Frames {
 		p.Frames = append(p.Frames, encodeFrame(f))
 	}
@@ -241,8 +292,29 @@ func NewAnalysisPayload(cfgFP string, req core.Request) (Payload, error) {
 			Thick:  append([]float64(nil), req.Dimensions.Thick[:]...),
 		}
 	}
-	p.decoded = &req
 	return p, nil
+}
+
+// newPayload starts the payload of req under key: the fields every
+// payload carries, and req as its in-process decoded request.
+func newPayload(cfgFP string, key cache.Key, req core.Request) Payload {
+	p := Payload{
+		Kind:               KindAnalysis,
+		ConfigFP:           cfgFP,
+		CacheKey:           key.String(),
+		IncludePoses:       req.IncludePoses,
+		IncludeSilhouettes: req.IncludeSilhouettes,
+		decoded:            &req,
+		key:                key,
+		keyFP:              cfgFP,
+	}
+	if !req.Stages.Normalize().IsFull() {
+		p.Stages = req.Stages.String()
+	}
+	if req.ManualFirst != (stickmodel.Pose{}) {
+		p.Manual = encodePose(req.ManualFirst)
+	}
+	return p
 }
 
 // AnalysisRequest decodes the payload back into a staged analysis request.
@@ -318,34 +390,27 @@ func (p Payload) AnalysisRequest() (core.Request, error) {
 }
 
 // NewArtifactPayload encodes a by-reference analysis request: framesRef is
-// the content hash of the clip's frames, and resolved is the request with
-// those frames materialised (the submitting front end resolves against its
-// own store). The payload carries only the hash plus the small inline
-// fields, but its cache key — and its in-process decoded shortcut — come
-// from the resolved request, so by-reference and inline submissions of the
-// same clip share one cache entry and one dispatch-ring placement.
-func NewArtifactPayload(cfgFP, framesRef string, resolved core.Request) (Payload, error) {
-	if err := resolved.Stages.Validate(); err != nil {
+// the content hash of the clip's frames/v1 artifact, and req is the rest of
+// the request, its frames left unresolved (any it carries are ignored).
+// The payload carries only the hash plus the small inline fields, and its
+// cache key comes from the hash (RefKey) with no pixel read, so
+// by-reference and inline submissions of the same clip share one cache
+// entry and one dispatch-ring placement. The executor resolves the frames
+// when the job runs (artifacts.PayloadRequest).
+func NewArtifactPayload(cfgFP, framesRef string, req core.Request) (Payload, error) {
+	if err := req.Stages.Validate(); err != nil {
 		return Payload{}, err
 	}
-	key := RequestKey(cfgFP, resolved)
-	p := Payload{
-		Kind:               KindAnalysis,
-		ConfigFP:           cfgFP,
-		CacheKey:           key.String(),
-		IncludePoses:       resolved.IncludePoses,
-		IncludeSilhouettes: resolved.IncludeSilhouettes,
-		FramesRef:          framesRef,
-		key:                key,
-		keyFP:              cfgFP,
+	if framesRef == "" {
+		return Payload{}, errors.New("jobs: a by-reference payload needs a frames ref")
 	}
-	if !resolved.Stages.Normalize().IsFull() {
-		p.Stages = resolved.Stages.String()
+	key, err := RefKey(cfgFP, framesRef, req)
+	if err != nil {
+		return Payload{}, err
 	}
-	if resolved.ManualFirst != (stickmodel.Pose{}) {
-		p.Manual = encodePose(resolved.ManualFirst)
-	}
-	p.decoded = &resolved
+	req.Frames = nil
+	p := newPayload(cfgFP, key, req)
+	p.FramesRef = framesRef
 	return p, nil
 }
 
@@ -353,18 +418,18 @@ func NewArtifactPayload(cfgFP, framesRef string, resolved core.Request) (Payload
 // request and key as its local key under config fingerprint cfgFP: an
 // intake that already decoded (and resolved) the payload and keyed the
 // result stashes both here, so the executor neither decodes nor hashes the
-// clip again. key must be RequestKey(cfgFP, req), computed in this process
-// over this exact req — the same rule NewAnalysisPayload keeps — so
-// LocalKey still only answers with a key derived here.
+// clip again. key must be RefKey(cfgFP, p.FramesRef, req), computed in this
+// process — the same rule NewAnalysisPayload keeps — so LocalKey still
+// only answers with a key derived here.
 func (p Payload) WithResolved(req core.Request, key cache.Key, cfgFP string) Payload {
 	p.decoded = &req
 	p.key, p.keyFP = key, cfgFP
 	return p
 }
 
-// LocalKey returns the RequestKey this process computed when it built or
+// LocalKey returns the key this process computed when it built or
 // resolved the payload, if it was computed under config fingerprint cfgFP.
-// It saves the executor a second SHA-256 pass over the clip. Payloads
+// It saves the executor a second SHA-256 pass over an inline clip. Payloads
 // decoded from a process boundary have none until an intake resolves them
 // here (ok is false), so a stamped CacheKey — a routing hint from a peer —
 // is never trusted to address stored results.

@@ -291,8 +291,9 @@ func TestDecodeRejectsOversizedDimensions(t *testing.T) {
 // carries a local key, and only under the fingerprint it was computed
 // with. A payload decoded from JSON (worker intake, journal replay) has
 // none, so the executor re-keys it instead of trusting a stamp, until an
-// intake installs the request it decoded and the key it computed over it
-// (WithResolved).
+// intake installs the request it decoded and the key it computed for it
+// (WithResolved). A by-reference payload is keyed from its frames ref with
+// no frames in hand, under the key of the same clip sent inline.
 func TestLocalKeyTrust(t *testing.T) {
 	req := analysisRequest(t)
 	cfgFP := ConfigFingerprint(core.DefaultConfig())
@@ -300,43 +301,44 @@ func TestLocalKeyTrust(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if key, ok := p.LocalKey(cfgFP); !ok || key != RequestKey(cfgFP, req) {
+	key := RequestKey(cfgFP, req)
+	if got, ok := p.LocalKey(cfgFP); !ok || got != key {
 		t.Fatal("a built payload must carry the key it was built with")
 	}
 	if _, ok := p.LocalKey("another-config"); ok {
 		t.Fatal("a local key must not answer for another config fingerprint")
 	}
+	byRef := mustArtifactPayload(t, cfgFP, req)
+	if got, ok := byRef.LocalKey(cfgFP); !ok || got != key || byRef.CacheKey != p.CacheKey {
+		t.Error("a built by-reference payload must carry the key of the same clip sent inline")
+	}
 
-	raw, err := json.Marshal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wire Payload
-	if err := json.Unmarshal(raw, &wire); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := encodeJournalPayload(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed, err := decodeJournalPayload(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, q := range map[string]Payload{
-		"JSON-decoded": wire,
-		"replayed":     replayed,
-		"empty":        {},
-	} {
-		if _, ok := q.LocalKey(cfgFP); ok {
-			t.Errorf("%s payload carries a local key", name)
+	for name, built := range map[string]Payload{"inline": p, "by-reference": byRef} {
+		raw, err := json.Marshal(built)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	key := RequestKey(cfgFP, req)
-	for name, q := range map[string]Payload{
-		"JSON-decoded": wire.WithResolved(req, key, cfgFP),
-		"by-reference": mustArtifactPayload(t, cfgFP, req).WithResolved(req, key, cfgFP),
-	} {
+		var wire Payload
+		if err := json.Unmarshal(raw, &wire); err != nil {
+			t.Fatal(err)
+		}
+		blob, err := encodeJournalPayload(built)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayed, err := decodeJournalPayload(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for how, q := range map[string]Payload{"JSON-decoded": wire, "replayed": replayed} {
+			if _, ok := q.LocalKey(cfgFP); ok {
+				t.Errorf("%s %s payload carries a local key", how, name)
+			}
+			if got, err := RefKey(cfgFP, q.FramesRef, req); err != nil || got != key {
+				t.Errorf("%s %s payload re-keys to %s (%v), want %s", how, name, got, err, key)
+			}
+		}
+		q := wire.WithResolved(req, key, cfgFP)
 		if got, ok := q.LocalKey(cfgFP); !ok || got != key {
 			t.Errorf("%s payload resolved here must carry the key computed here", name)
 		}
@@ -344,14 +346,21 @@ func TestLocalKeyTrust(t *testing.T) {
 			t.Errorf("%s payload: a resolved key must not answer for another config fingerprint", name)
 		}
 	}
-	if key, ok := mustArtifactPayload(t, cfgFP, req).LocalKey(cfgFP); !ok || key != RequestKey(cfgFP, req) {
-		t.Error("a built by-reference payload must carry its resolved request's key")
+	if _, ok := (Payload{}).LocalKey(cfgFP); ok {
+		t.Error("an empty payload carries a local key")
+	}
+	if _, err := NewArtifactPayload(cfgFP, "ab", req); err == nil {
+		t.Error("a frames ref that is not a content hash must be rejected")
 	}
 }
 
+// mustArtifactPayload builds the by-reference payload of req: its frames
+// named by their artifact hash and left out.
 func mustArtifactPayload(t *testing.T, cfgFP string, resolved core.Request) Payload {
 	t.Helper()
-	p, err := NewArtifactPayload(cfgFP, "ab", resolved)
+	req := resolved
+	req.Frames = nil
+	p, err := NewArtifactPayload(cfgFP, FramesHash(resolved.Frames).String(), req)
 	if err != nil {
 		t.Fatal(err)
 	}

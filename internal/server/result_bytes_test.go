@@ -102,8 +102,8 @@ func TestResultBytesIdentity(t *testing.T) {
 	if !ok {
 		t.Fatal("the upload does not parse")
 	}
-	_, _, blob := s.lookup(req)
-	if blob == nil {
+	_, blob, ok := s.artifacts.Result(jobs.RequestKey(s.cfgFP, req))
+	if !ok {
 		t.Fatal("no result/v1 blob for the job's request")
 	}
 	if !bytes.Equal(artifacts.ResultDoc(blob), doc) {

@@ -25,8 +25,8 @@
 // one route, under /v1; only the upload form at / sits outside it.
 //
 // Results are cached content-addressed in the artifact store: the SHA-256
-// of the frame bytes, manual pose, analyzer-config fingerprint, stage
-// selection and response options (jobs.RequestKey) keys the finished
+// of the frames' artifact hash, manual pose, analyzer-config fingerprint,
+// stage selection and response options (jobs.RequestKey) keys the finished
 // response document, stored as a result/v1 blob, and a resubmission of an
 // identical clip — on either the sync or the async route — is answered
 // from the store without re-running the pipeline or enqueueing a job.
@@ -198,12 +198,12 @@ type Options struct {
 	// ClipTTL expires idle clip-ingest sessions; 0 selects
 	// artifacts.DefaultSessionTTL.
 	ClipTTL time.Duration
-	// Replicator, when set, mirrors this node's finished results and
-	// artifact stores to the ring successor named by each job's payload
-	// (Payload.ReplicaTarget), turning a later node death into a successor
-	// cache hit instead of a recompute. Worker nodes in a replicating fleet
-	// set this (slj-serve wires a dispatch.Replicator); the caller keeps
-	// ownership of closing it after the server closes.
+	// Replicator, when set, pushes this node's finished results to the
+	// ring successor named by each job's payload (Payload.ReplicaTarget),
+	// turning a later node death into a successor cache hit instead of a
+	// recompute. Worker nodes in a replicating fleet set this (slj-serve
+	// wires a dispatch.Replicator); the caller keeps ownership of closing
+	// it after the server closes.
 	Replicator jobs.ReplicaSink
 	// StallAfter is the in-process queue-stall watchdog threshold (deep
 	// health degrades the "queue" component past it); zero selects
@@ -251,12 +251,8 @@ type Server struct {
 	mu       sync.Mutex
 	analyzed int // clips analysed since start, served by /v1/healthz
 
-	// Successor replication (worker side): replica is the push sink;
-	// replActive refcounts targets of in-flight jobs (consulted by the
-	// artifact OnStore hook, which has no job context).
-	replica    jobs.ReplicaSink
-	replMu     sync.Mutex
-	replActive map[string]int
+	// replica is the successor-replication push sink (worker side).
+	replica jobs.ReplicaSink
 
 	// testExec, when set, replaces the analysis executor behind POST /v1/jobs
 	// (and makes the route skip upload parsing) — a white-box seam for
@@ -284,11 +280,6 @@ func NewWithOptions(cfg core.Config, logger *log.Logger, opts Options) (*Server,
 			lg = obs.Discard()
 		}
 	}
-	// srv late-binds the server pointer into the store hook below: the
-	// store is constructed before the Server struct (error-path
-	// ownership), but its OnStore hook only ever fires while requests
-	// flow — long after srv is assigned.
-	var srv *Server
 	def := DefaultOptions()
 	if opts.EventSubscribers <= 0 {
 		opts.EventSubscribers = def.EventSubscribers
@@ -317,9 +308,6 @@ func NewWithOptions(cfg core.Config, logger *log.Logger, opts Options) (*Server,
 		acfg.TTL = opts.ArtifactTTL
 	}
 	acfg.SpillDir = opts.ArtifactSpillDir
-	if opts.Replicator != nil {
-		acfg.OnStore = func(hash string, blob []byte) { srv.onArtifactStore(hash, blob) }
-	}
 	blobs, err := artifacts.NewStore(acfg)
 	if err != nil {
 		return nil, err
@@ -344,9 +332,7 @@ func NewWithOptions(cfg core.Config, logger *log.Logger, opts Options) (*Server,
 		clips:       clips,
 		maxPayload:  opts.MaxPayloadBytes,
 		replica:     opts.Replicator,
-		replActive:  make(map[string]int),
 	}
-	srv = s
 	dispatcher := opts.Dispatcher
 	if dispatcher == nil {
 		// The manager executes payloads through the server's analysis
@@ -488,18 +474,10 @@ func (s *Server) serveIndex(w http.ResponseWriter, r *http.Request) {
 	_, _ = io.WriteString(w, indexHTML)
 }
 
-// lookup computes the request's key and consults the artifact store for a
-// finished result: blob is its result/v1 blob, nil on a miss.
-func (s *Server) lookup(req core.Request) (key cache.Key, hash string, blob []byte) {
-	key = jobs.RequestKey(s.cfgFP, req)
-	hash, blob, _ = s.artifacts.Result(key)
-	return key, hash, blob
-}
-
 // store keeps a finished response as a result/v1 artifact holding the
 // exact bytes writeJSON serves for it, and returns those bytes. A job with
-// a replica target pushes the blob there: the only way a result leaves
-// this node, since the artifact hook skips result blobs (onArtifactStore).
+// a replica target pushes the blob there: replication carries results
+// only.
 func (s *Server) store(key cache.Key, resp *AnalysisResponse, target string) []byte {
 	doc := marshalJSON(resp)
 	if doc == nil {
@@ -543,18 +521,22 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	// A by-reference request is keyed by its ref and resolved on a miss.
+	key, err := jobs.RefKey(s.cfgFP, framesRef, req)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	if _, cached, hit := s.artifacts.Result(key); hit {
+		writeDoc(w, http.StatusOK, artifacts.ResultDoc(cached))
+		s.log.Debug("analyze cache hit", "key", key.String())
+		return
+	}
 	if framesRef != "" {
-		var err error
 		if req.Frames, err = artifacts.ResolveFrames(s.artifacts, framesRef); err != nil {
 			writeResolveError(w, err)
 			return
 		}
-	}
-	key, _, cached := s.lookup(req)
-	if cached != nil {
-		writeDoc(w, http.StatusOK, artifacts.ResultDoc(cached))
-		s.log.Debug("analyze cache hit", "key", key.String())
-		return
 	}
 
 	analyzer, err := core.New(s.cfg)
@@ -707,18 +689,16 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		var p jobs.Payload
 		var err error
 		if framesRef != "" {
-			// By-reference submissions dispatch thin: the payload carries the
-			// hash, keyed and short-circuited via the resolved request.
-			if req.Frames, err = artifacts.ResolveFrames(s.artifacts, framesRef); err != nil {
-				writeResolveError(w, err)
-				return
+			// By-reference submissions dispatch thin, keyed by the hash; the
+			// clip is checked here and resolved when the job runs.
+			if p, err = jobs.NewArtifactPayload(s.cfgFP, framesRef, req); err == nil {
+				err = artifacts.CheckFrames(s.artifacts, framesRef)
 			}
-			p, err = jobs.NewArtifactPayload(s.cfgFP, framesRef, req)
 		} else {
 			p, err = jobs.NewAnalysisPayload(s.cfgFP, req)
 		}
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
+			writeResolveError(w, err)
 			return
 		}
 		if key, ok := p.Key(); ok {
@@ -768,45 +748,25 @@ func (s *Server) submitPayload(w http.ResponseWriter, r *http.Request, p jobs.Pa
 // returns the stored bytes, the document the synchronous path serves, as
 // the job's value.
 func (s *Server) executeAnalysis(ctx context.Context, p jobs.Payload, progress func(string)) (any, error) {
-	// Successor replication: while this job is in flight, artifact stores
-	// (pulls during resolution below) write through to its replica target;
-	// registration precedes resolution so mid-resolution pulls are covered.
-	if s.replica != nil && p.ReplicaTarget != "" {
-		s.replMu.Lock()
-		s.replActive[p.ReplicaTarget]++
-		s.replMu.Unlock()
-		defer func() {
-			s.replMu.Lock()
-			if s.replActive[p.ReplicaTarget]--; s.replActive[p.ReplicaTarget] <= 0 {
-				delete(s.replActive, p.ReplicaTarget)
-			}
-			s.replMu.Unlock()
-		}()
-	}
 	// A payload that crossed the wire still naming its frames by hash (a
-	// journal replay; the worker intake stashes its resolution) has them
-	// materialised here — pulled from the originating front end when the
-	// local store misses — before keying and running.
+	// journal replay, a by-reference submission; the worker intake stashes
+	// its resolution) has them materialised here — pulled from the
+	// originating front end when the local store misses — before running.
 	req, err := artifacts.PayloadRequest(s.resolver(p.ArtifactOrigin), p)
 	if err != nil {
 		return nil, err
 	}
-	// A frames artifact this node already held is never re-Put (the OnStore
-	// hook stays silent), so mirror it explicitly — the successor must be
-	// able to materialise the same reference after a failover.
-	if s.replica != nil && p.ReplicaTarget != "" && p.FramesRef != "" {
-		if blob, _, ok := s.artifacts.Get(p.FramesRef); ok {
-			s.replica.ReplicateArtifact(p.ReplicaTarget, p.FramesRef, blob)
-		}
-	}
 	// Address the result under this server's own config fingerprint. A
 	// payload this process built or resolved (worker intake) under it
 	// carries the key it computed then; anything else — a journal replay —
-	// is re-keyed: the stamped CacheKey is a routing hint, and trusting it
-	// for storage would let a mislabelled payload poison the result cache.
+	// is re-keyed, from its frames ref when it has one: the stamped
+	// CacheKey is a routing hint, and trusting it for storage would let a
+	// mislabelled payload poison the result cache.
 	key, ok := p.LocalKey(s.cfgFP)
 	if !ok {
-		key = jobs.RequestKey(s.cfgFP, req)
+		if key, err = jobs.RefKey(s.cfgFP, p.FramesRef, req); err != nil {
+			return nil, err
+		}
 	}
 	analyzer, err := core.New(s.cfg)
 	if err != nil {

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"github.com/sljmotion/sljmotion/internal/artifacts"
 	"github.com/sljmotion/sljmotion/internal/jobs"
 	"github.com/sljmotion/sljmotion/internal/obs"
 )
@@ -140,26 +139,5 @@ func writeFleetError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusServiceUnavailable, err.Error())
 	default:
 		writeError(w, http.StatusInternalServerError, err.Error())
-	}
-}
-
-// onArtifactStore is the artifact store's write-through hook: a blob stored
-// while replicating jobs are in flight (a worker pull mid-resolution, an
-// ingest append) is mirrored to every active target. The sink deduplicates
-// per target and hash, so overlapping jobs cost one push. Result blobs are
-// skipped: the job that computed one pushes it to its own target (store),
-// and one received from a peer stays here — no replication cascade.
-func (s *Server) onArtifactStore(hash string, blob []byte) {
-	if kind, _ := artifacts.KindOf(blob); kind == artifacts.KindResult {
-		return
-	}
-	s.replMu.Lock()
-	targets := make([]string, 0, len(s.replActive))
-	for t := range s.replActive {
-		targets = append(targets, t)
-	}
-	s.replMu.Unlock()
-	for _, t := range targets {
-		s.replica.ReplicateArtifact(t, hash, blob)
 	}
 }

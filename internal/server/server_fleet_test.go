@@ -18,9 +18,10 @@ import (
 
 	"github.com/sljmotion/sljmotion/internal/artifacts"
 	"github.com/sljmotion/sljmotion/internal/cache"
+	"github.com/sljmotion/sljmotion/internal/core"
 	"github.com/sljmotion/sljmotion/internal/dispatch"
 	"github.com/sljmotion/sljmotion/internal/e2etest"
-	"github.com/sljmotion/sljmotion/internal/imaging"
+	"github.com/sljmotion/sljmotion/internal/jobs"
 	"github.com/sljmotion/sljmotion/internal/synth"
 )
 
@@ -275,34 +276,32 @@ func TestReplicaIntakeRefusesResultOffWorker(t *testing.T) {
 	}
 }
 
-// TestReplicaIntakeDoesNotCascade: a result received from a peer is never
-// pushed onward, even while this node runs replicating jobs whose target
-// every other stored artifact goes to (DESIGN.md §16).
+// TestReplicaIntakeDoesNotCascade: replication carries finished results
+// only. A blob this node receives — a peer's result, a clip's frames — is
+// never pushed onward, and a replicating job pushes exactly its own
+// result/v1 blob to its target, not the frames it ran on (DESIGN.md §16).
 func TestReplicaIntakeDoesNotCascade(t *testing.T) {
 	var mu sync.Mutex
-	var pushed []artifacts.Kind
+	var pushed []string // hashes, in arrival order
 	sink := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		raw, _ := io.ReadAll(r.Body)
-		kind, _ := artifacts.KindOf(raw)
 		mu.Lock()
-		pushed = append(pushed, kind)
+		pushed = append(pushed, artifacts.HashOf(raw))
 		mu.Unlock()
 		rw.WriteHeader(http.StatusCreated)
 	}))
 	defer sink.Close()
 
 	w, whs := fleetWorker(t)
-	// A replicating job in flight: every artifact stored now is mirrored
-	// to its target.
-	w.replMu.Lock()
-	w.replActive[sink.URL]++
-	w.replMu.Unlock()
-
-	_, _, result := testResultBlob(t)
-	if code := postBlob(t, whs.URL, result); code != http.StatusCreated {
+	_, _, peer := testResultBlob(t)
+	if code := postBlob(t, whs.URL, peer); code != http.StatusCreated {
 		t.Fatalf("result push: %d", code)
 	}
-	frames, err := artifacts.EncodeFrames([]*imaging.Image{imaging.NewImage(4, 4)})
+	v, err := synth.Generate(synth.DefaultJumpParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, err := artifacts.EncodeFrames(v.Frames)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,24 +309,70 @@ func TestReplicaIntakeDoesNotCascade(t *testing.T) {
 		t.Fatalf("frames push: %d", code)
 	}
 
-	// The push queue is FIFO: once the frames blob arrived, a cascaded
-	// result would have arrived before it.
+	// A replicating job over the frames this node holds.
+	req := core.Request{
+		ManualFirst:        v.ManualAnnotation(synth.DefaultAnnotationError(), 1),
+		Stages:             core.OnlyStage(core.StageSegmentation),
+		IncludeSilhouettes: true,
+	}
+	p, err := jobs.NewArtifactPayload(w.cfgFP, artifacts.HashOf(frames), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.ReplicaTarget = sink.URL
+	id := submitWorkerPayload(t, whs.URL, p)
+	waitState(t, whs.URL, id, string(jobs.StateDone))
+	key, _ := p.Key()
+	resultHash, _, ok := w.artifacts.Result(key)
+	if !ok {
+		t.Fatal("the job stored no result")
+	}
+
+	// The push queue is FIFO: anything cascaded from the received blobs, or
+	// the job's frames, would have arrived before its result.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		mu.Lock()
-		got := append([]artifacts.Kind(nil), pushed...)
+		got := append([]string(nil), pushed...)
 		mu.Unlock()
 		if len(got) > 0 {
-			if len(got) != 1 || got[0] != artifacts.KindFrames {
-				t.Fatalf("pushed onward %v, want only the frames blob", got)
+			if len(got) != 1 || got[0] != resultHash {
+				t.Fatalf("pushed %v, want only the job's result %s", got, resultHash)
 			}
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("the frames blob never reached the active target")
+			t.Fatal("the job's result never reached its target")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// submitWorkerPayload posts a payload to a worker's intake and returns the
+// id of the job it enqueued.
+func submitWorkerPayload(t *testing.T, base string, p jobs.Payload) string {
+	t.Helper()
+	raw, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, base+"/v1/worker/jobs", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.FramesRef != "" {
+		req.Header.Set(jobs.ArtifactPayloadHeader, "1")
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := readAllAndClose(resp)
+	var sub submitResponse
+	if resp.StatusCode != http.StatusAccepted || json.Unmarshal(body, &sub) != nil {
+		t.Fatalf("worker intake: %d %s", resp.StatusCode, body)
+	}
+	return sub.ID
 }
 
 // TestChaosKillReplicatedWorker is the acceptance pin: under -replicate, a

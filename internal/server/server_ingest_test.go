@@ -475,3 +475,53 @@ func TestByHashAnalysisStacksWithResultCache(t *testing.T) {
 		t.Fatalf("cache hits = %d, want the by-hash request answered from the inline run's entry", cm.Hits)
 	}
 }
+
+// TestByHashSubmitChecksFrames: a by-reference request is checked against
+// the store before anything is queued or run. An unknown hash answers 404
+// artifact_not_found; a hash naming a result/v1 blob, or a truncated
+// frames blob stored through POST /v1/artifacts, answers 400 — on both
+// analysis routes, and without enqueueing a job.
+func TestByHashSubmitChecksFrames(t *testing.T) {
+	s := workerServer(t) // a worker node takes result/v1 blobs on POST /v1/artifacts
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	_, _, result := testResultBlob(t)
+	frames, err := artifacts.EncodeFrames([]*imaging.Image{imaging.NewImageFilled(16, 8, imaging.Color{R: 90, G: 90, B: 90})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	truncated := frames[:len(frames)-1]
+	for _, blob := range [][]byte{result, truncated} {
+		if code := postBlob(t, srv.URL, blob); code != http.StatusCreated {
+			t.Fatalf("storing a %d-byte blob: %d", len(blob), code)
+		}
+	}
+	for _, tc := range []struct {
+		name, ref string
+		code      int
+	}{
+		{"unknown hash", artifacts.HashOf(frames), http.StatusNotFound},
+		{"result blob", artifacts.HashOf(result), http.StatusBadRequest},
+		{"truncated frames blob", artifacts.HashOf(truncated), http.StatusBadRequest},
+	} {
+		for _, route := range []string{"/v1/jobs", "/v1/analyze"} {
+			body, _ := json.Marshal(map[string]any{"frames_ref": tc.ref})
+			resp, err := http.Post(srv.URL+route, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			var env errorEnvelope
+			if resp.StatusCode != tc.code || json.Unmarshal(raw, &env) != nil || env.Error == "" {
+				t.Errorf("%s on %s: %d %s, want %d and the error envelope", tc.name, route, resp.StatusCode, raw, tc.code)
+			}
+			if wantCode := tc.code == http.StatusNotFound; wantCode != (env.Code == "artifact_not_found") {
+				t.Errorf("%s on %s: code %q", tc.name, route, env.Code)
+			}
+		}
+	}
+	if n := s.jobs.Metrics().Submitted; n != 0 {
+		t.Errorf("%d jobs enqueued for refused references, want 0", n)
+	}
+}

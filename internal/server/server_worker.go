@@ -19,10 +19,10 @@
 //
 // A payload may name its frames by content hash instead of carrying them
 // inline (jobs.Payload.FramesRef, marked by the X-SLJ-Artifact-Payload
-// header). The intake resolves the reference — from the node's own
-// artifact store, pulling a miss from the originating front end
-// (payload.ArtifactOrigin) and caching it locally — before the result
-// lookup, so a by-hash resubmission still short-circuits here.
+// header). Its request key names the frames by that hash (jobs.RefKey), so
+// the result lookup needs no pixels: only a miss resolves the reference —
+// from the node's own artifact store, pulling a miss from the originating
+// front end (payload.ArtifactOrigin) and caching it locally.
 package server
 
 import (
@@ -31,6 +31,7 @@ import (
 	"net/http"
 
 	"github.com/sljmotion/sljmotion/internal/artifacts"
+	"github.com/sljmotion/sljmotion/internal/cache"
 	"github.com/sljmotion/sljmotion/internal/jobs"
 )
 
@@ -59,16 +60,20 @@ func (s *Server) handleWorkerJobs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("decode payload: %v", err))
 		return
 	}
-	req, err := artifacts.PayloadRequest(s.resolver(p.ArtifactOrigin), p)
-	if err != nil {
-		writeResolveError(w, err)
-		return
-	}
 	// Consult the node's own stored results under the node's own config
 	// fingerprint — a hash-routed resubmission of an identical clip is
-	// answered here without enqueueing anything.
-	key, hash, cached := s.lookup(req)
-	if cached != nil {
+	// answered here without enqueueing anything, and without reading the
+	// frames of a by-reference one.
+	req, err := p.AnalysisRequest()
+	var key cache.Key
+	if err == nil {
+		key, err = jobs.RefKey(s.cfgFP, p.FramesRef, req)
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	if hash, cached, hit := s.artifacts.Result(key); hit {
 		w.Header().Set(CacheHeader, "hit")
 		writeDoc(w, http.StatusOK, artifacts.ResultDoc(cached))
 		s.log.Debug("worker cache hit", "key", key.String())
@@ -80,6 +85,12 @@ func (s *Server) handleWorkerJobs(w http.ResponseWriter, r *http.Request) {
 			s.replica.ReplicateArtifact(p.ReplicaTarget, hash, cached)
 		}
 		return
+	}
+	if p.FramesRef != "" {
+		if req.Frames, err = artifacts.ResolveFrames(s.resolver(p.ArtifactOrigin), p.FramesRef); err != nil {
+			writeResolveError(w, err)
+			return
+		}
 	}
 	if err := req.Validate(s.cfg.Windows); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())

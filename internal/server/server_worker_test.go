@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/sljmotion/sljmotion/internal/artifacts"
 	"github.com/sljmotion/sljmotion/internal/clipio"
 	"github.com/sljmotion/sljmotion/internal/core"
 	"github.com/sljmotion/sljmotion/internal/e2etest"
@@ -486,5 +487,55 @@ func TestFailedJobResultEnvelope(t *testing.T) {
 	}
 	if !strings.Contains(env.Error, st.Err) {
 		t.Errorf("envelope %q must carry the job error %q", env.Error, st.Err)
+	}
+}
+
+// TestByHashWorkerHitNeedsNoFrames: a worker holding the result for a
+// by-reference request's key answers it from that key alone. It holds no
+// frames for the ref and its artifact origin is unreachable, yet it
+// answers 200 X-SLJ-Cache: hit with the stored document and no pull.
+func TestByHashWorkerHitNeedsNoFrames(t *testing.T) {
+	s := workerServer(t)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	gone := httptest.NewServer(http.NotFoundHandler())
+	gone.Close() // an origin that refuses every connection
+
+	req := core.Request{Stages: core.OnlyStage(core.StageSegmentation), IncludeSilhouettes: true}
+	ref := jobs.FramesHash([]*imaging.Image{imaging.NewImage(8, 8)}).String()
+	p, err := jobs.NewArtifactPayload(s.cfgFP, ref, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.ArtifactOrigin = gone.URL
+	key, err := jobs.RefKey(s.cfgFP, ref, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := []byte("{\n  \"frames\": 1\n}\n")
+	if _, err := s.artifacts.Put(artifacts.EncodeResult(key, doc)); err != nil {
+		t.Fatal(err)
+	}
+
+	raw, _ := json.Marshal(p)
+	hr, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/worker/jobs", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr.Header.Set(jobs.ArtifactPayloadHeader, "1")
+	resp, err := http.DefaultClient.Do(hr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(CacheHeader) != "hit" || !bytes.Equal(body, doc) {
+		t.Fatalf("intake: %d %s=%q %s, want 200, a hit and the stored document", resp.StatusCode, CacheHeader, resp.Header.Get(CacheHeader), body)
+	}
+	if am := s.artifacts.Metrics(); am.Pulls != 0 || am.PullFailures != 0 {
+		t.Errorf("artifact metrics %+v, want no pull", am)
+	}
+	if n := s.jobs.Metrics().Submitted; n != 0 {
+		t.Errorf("%d jobs enqueued, want 0", n)
 	}
 }
