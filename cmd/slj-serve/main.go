@@ -36,9 +36,8 @@
 //	GET  /v1/jobs/{id}/events  server-sent events: live lifecycle and
 //	                  per-stage progress (curl -N; Last-Event-ID resumes
 //	                  a dropped stream; the terminal frame embeds the
-//	                  result document).
-//	GET  /v1/events   the global event feed of every job (state= filter),
-//	                  for dashboards.
+//	                  result document). A dashboard lists jobs with
+//	                  GET /v1/jobs and streams each on this route.
 //	GET  /v1/metrics  queue depth, throughput counters, latency stats and
 //	                  result-cache hit/miss counters (JSON by default;
 //	                  ?format=prometheus serves the text exposition format
@@ -248,8 +247,6 @@ func run() error {
 		dcfg := dispatch.DefaultConfig()
 		dcfg.Nodes = urls
 		dcfg.ResultTTL = *resultTTL
-		dcfg.Events.MaxSubscribers = *eventSubs
-		dcfg.Events.SubscriberBuffer = *eventBuffer
 		dcfg.Log = logger
 		dcfg.ArtifactOrigin = strings.TrimRight(*artOrigin, "/")
 		dcfg.Replicate = *replicate

@@ -39,7 +39,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/sljmotion/sljmotion/internal/cache"
 	"github.com/sljmotion/sljmotion/internal/httpbody"
 	"github.com/sljmotion/sljmotion/internal/imaging"
 	"github.com/sljmotion/sljmotion/internal/jobs"
@@ -82,7 +81,7 @@ var errClosed = errors.New("artifacts: store is closed")
 // HashOf returns the content address of a blob: its SHA-256, lowercase hex.
 func HashOf(blob []byte) string {
 	sum := sha256.Sum256(blob)
-	return cache.Key(sum).String()
+	return jobs.Key(sum).String()
 }
 
 // KindOf inspects a blob's header. ok is false for anything that is not a
@@ -219,7 +218,7 @@ const ResultDocOffset = headerLen + sha256.Size
 // exactly as served, so a cache hit writes the stored bytes with no
 // decode and no re-marshal. doc must be one JSON document; the encoder
 // does not re-check what the server just marshaled, DecodeResult does.
-func EncodeResult(key cache.Key, doc []byte) []byte {
+func EncodeResult(key jobs.Key, doc []byte) []byte {
 	blob := append(make([]byte, 0, ResultDocOffset+len(doc)), magic...)
 	blob = append(append(blob, tagResult), key[:]...)
 	return append(blob, doc...)
@@ -227,19 +226,19 @@ func EncodeResult(key cache.Key, doc []byte) []byte {
 
 // DecodeResult reverses EncodeResult, rejecting a blob too short to hold
 // its key or whose document is not valid JSON. doc aliases blob.
-func DecodeResult(blob []byte) (cache.Key, []byte, error) {
+func DecodeResult(blob []byte) (jobs.Key, []byte, error) {
 	d, err := open(blob, KindResult)
 	if err != nil {
-		return cache.Key{}, nil, err
+		return jobs.Key{}, nil, err
 	}
-	var key cache.Key
+	var key jobs.Key
 	copy(key[:], d.take(len(key)))
 	if d.err != nil {
-		return cache.Key{}, nil, d.err
+		return jobs.Key{}, nil, d.err
 	}
 	doc := d.take(len(blob) - d.off)
 	if !json.Valid(doc) {
-		return cache.Key{}, nil, errors.New("artifacts: result document is not valid JSON")
+		return jobs.Key{}, nil, errors.New("artifacts: result document is not valid JSON")
 	}
 	return key, doc, nil
 }
@@ -322,7 +321,7 @@ type ResultMetrics struct {
 
 // blobEntry is one stored blob; expires is zero when TTL is disabled.
 type blobEntry struct {
-	key     cache.Key
+	key     jobs.Key
 	blob    []byte
 	kind    Kind
 	expires time.Time
@@ -335,14 +334,14 @@ type Store struct {
 	clock func() time.Time
 
 	mu      sync.Mutex
-	entries map[cache.Key]*blobEntry
+	entries map[jobs.Key]*blobEntry
 	lru     *list.List // front = most recently used; values are *blobEntry
 	bytes   int64
 	closed  bool
 	// results maps a request key to the hash of the newest result blob
 	// answering it. An entry goes when that blob can no longer be read:
 	// TTL expiry, an LRU eviction without a spill tier, or a failed read.
-	results map[cache.Key]cache.Key
+	results map[jobs.Key]jobs.Key
 
 	hits         uint64
 	misses       uint64
@@ -379,9 +378,9 @@ func NewStore(cfg Config) (*Store, error) {
 	s := &Store{
 		cfg:         cfg,
 		clock:       clock,
-		entries:     make(map[cache.Key]*blobEntry),
+		entries:     make(map[jobs.Key]*blobEntry),
 		lru:         list.New(),
-		results:     make(map[cache.Key]cache.Key),
+		results:     make(map[jobs.Key]jobs.Key),
 		janitorStop: make(chan struct{}),
 	}
 	if cfg.TTL > 0 {
@@ -402,12 +401,12 @@ func (s *Store) Config() Config { return s.cfg }
 // admission, so a Put that fails leaves nothing behind: no memory entry,
 // no result-index entry and no count.
 func (s *Store) Put(blob []byte) (string, error) {
-	return s.putVerified(cache.Key(sha256.Sum256(blob)), blob)
+	return s.putVerified(jobs.Key(sha256.Sum256(blob)), blob)
 }
 
 // putVerified is Put for a blob whose SHA-256 the caller has already
 // checked to be key: it hashes nothing.
-func (s *Store) putVerified(key cache.Key, blob []byte) (string, error) {
+func (s *Store) putVerified(key jobs.Key, blob []byte) (string, error) {
 	kind, ok := KindOf(blob)
 	if !ok {
 		return "", errors.New("artifacts: blob has no valid artifact header")
@@ -422,7 +421,7 @@ func (s *Store) putVerified(key cache.Key, blob []byte) (string, error) {
 }
 
 // put stores blob, of the given kind, under key, its SHA-256.
-func (s *Store) put(key cache.Key, kind Kind, blob []byte) (string, error) {
+func (s *Store) put(key jobs.Key, kind Kind, blob []byte) (string, error) {
 	now := s.clock()
 	s.mu.Lock()
 	closed := s.closed
@@ -474,7 +473,7 @@ func (s *Store) put(key cache.Key, kind Kind, blob []byte) (string, error) {
 // Result returns the newest result/v1 blob stored for a request key, and
 // its hash, counting a hit or a miss in ResultMetrics. An index entry
 // whose blob can no longer be read is dropped.
-func (s *Store) Result(key cache.Key) (string, []byte, bool) {
+func (s *Store) Result(key jobs.Key) (string, []byte, bool) {
 	s.mu.Lock()
 	bk, indexed := s.results[key]
 	s.mu.Unlock()
@@ -497,8 +496,8 @@ func (s *Store) Result(key cache.Key) (string, []byte, bool) {
 }
 
 // resultKey reads the request key of a result blob Put admitted.
-func resultKey(blob []byte) cache.Key {
-	var k cache.Key
+func resultKey(blob []byte) jobs.Key {
+	var k jobs.Key
 	copy(k[:], blob[headerLen:ResultDocOffset])
 	return k
 }
@@ -507,7 +506,7 @@ func resultKey(blob []byte) cache.Key {
 // spill tier on a memory miss (spilled blobs are verified against their
 // hash and re-admitted). ok is false when the hash is unknown or expired.
 func (s *Store) Get(hash string) ([]byte, Kind, bool) {
-	key, ok := cache.ParseKey(hash)
+	key, ok := jobs.ParseKey(hash)
 	if !ok {
 		return nil, "", false
 	}
@@ -550,7 +549,7 @@ func (s *Store) Get(hash string) ([]byte, Kind, bool) {
 // read this path avoids); clients can verify against the ETag/hash
 // themselves, and the non-streaming Get path still verifies on read.
 func (s *Store) Open(hash string) (io.ReadSeeker, Kind, int64, bool) {
-	key, ok := cache.ParseKey(hash)
+	key, ok := jobs.ParseKey(hash)
 	if !ok {
 		return nil, "", 0, false
 	}
@@ -586,7 +585,7 @@ func (s *Store) Open(hash string) (io.ReadSeeker, Kind, int64, bool) {
 // openSpill streams a spill file: the artifact header is read to recover
 // the kind, then the reader is rewound to the start. An expired file, or
 // one whose header names no kind (a retired tag), is unlinked instead.
-func (s *Store) openSpill(key cache.Key, hash string, now time.Time) (io.ReadSeeker, Kind, int64, bool) {
+func (s *Store) openSpill(key jobs.Key, hash string, now time.Time) (io.ReadSeeker, Kind, int64, bool) {
 	path := filepath.Join(s.cfg.SpillDir, hash)
 	f, err := os.Open(path)
 	if err != nil {
@@ -599,7 +598,7 @@ func (s *Store) openSpill(key cache.Key, hash string, now time.Time) (io.ReadSee
 	}
 	if s.spillExpired(st.ModTime(), now) {
 		f.Close()
-		s.expireSpill([]cache.Key{key}, now)
+		s.expireSpill([]jobs.Key{key}, now)
 		return nil, "", 0, false
 	}
 	head := make([]byte, headerLen)
@@ -686,8 +685,8 @@ func (s *Store) Close() {
 		return
 	}
 	s.closed = true
-	s.entries = make(map[cache.Key]*blobEntry)
-	s.results = make(map[cache.Key]cache.Key)
+	s.entries = make(map[jobs.Key]*blobEntry)
+	s.results = make(map[jobs.Key]jobs.Key)
 	s.lru.Init()
 	s.bytes = 0
 	s.mu.Unlock()
@@ -737,14 +736,14 @@ func (s *Store) writeSpill(hash string, blob []byte, stored time.Time) error {
 // against its hash (a corrupt file is removed, never served) and
 // re-admitting the blob into memory until its last store's TTL runs out.
 // An expired file is unlinked instead.
-func (s *Store) readSpill(key cache.Key, hash string, now time.Time) ([]byte, Kind, bool) {
+func (s *Store) readSpill(key jobs.Key, hash string, now time.Time) ([]byte, Kind, bool) {
 	path := filepath.Join(s.cfg.SpillDir, hash)
 	st, err := os.Stat(path)
 	if err != nil {
 		return nil, "", false
 	}
 	if s.spillExpired(st.ModTime(), now) {
-		s.expireSpill([]cache.Key{key}, now)
+		s.expireSpill([]jobs.Key{key}, now)
 		return nil, "", false
 	}
 	blob, err := os.ReadFile(path)
@@ -803,9 +802,9 @@ const spillSweepBatch = 64
 // before mu is taken; under mu, a key is skipped when its blob was stored
 // again after the caller looked at it (it is in memory and unexpired, or
 // its file's last store moved).
-func (s *Store) expireSpill(keys []cache.Key, now time.Time) {
+func (s *Store) expireSpill(keys []jobs.Key, now time.Time) {
 	type doomed struct {
-		key, rk cache.Key
+		key, rk jobs.Key
 		result  bool
 	}
 	ds := make([]doomed, len(keys))
@@ -838,18 +837,18 @@ func (s *Store) expireSpill(keys []cache.Key, now time.Time) {
 
 // spillResultKey reads the request key from the header of the spill file
 // at path; ok is false unless the file holds a result blob.
-func spillResultKey(path string) (cache.Key, bool) {
+func spillResultKey(path string) (jobs.Key, bool) {
 	var head [ResultDocOffset]byte
 	f, err := os.Open(path)
 	if err != nil {
-		return cache.Key{}, false
+		return jobs.Key{}, false
 	}
 	defer f.Close()
 	if _, err := io.ReadFull(f, head[:]); err != nil {
-		return cache.Key{}, false
+		return jobs.Key{}, false
 	}
 	if kind, ok := KindOf(head[:]); !ok || kind != KindResult {
-		return cache.Key{}, false
+		return jobs.Key{}, false
 	}
 	return resultKey(head[:]), true
 }
@@ -866,13 +865,13 @@ func (s *Store) sweepSpill(now time.Time) {
 		return
 	}
 	const hashLen = 2 * sha256.Size
-	var expired []cache.Key
+	var expired []jobs.Key
 	for _, de := range entries {
 		name := de.Name()
 		if len(name) < hashLen {
 			continue
 		}
-		key, ok := cache.ParseKey(name[:hashLen])
+		key, ok := jobs.ParseKey(name[:hashLen])
 		if !ok || key.String() != name[:hashLen] {
 			continue
 		}
@@ -980,7 +979,7 @@ func (h *HTTPResolver) Artifact(hash string) ([]byte, error) {
 	if h.Origin == "" {
 		return nil, fmt.Errorf("%w: %s (no artifact origin to pull from)", ErrNotFound, hash)
 	}
-	key, ok := cache.ParseKey(hash)
+	key, ok := jobs.ParseKey(hash)
 	if !ok {
 		return nil, fmt.Errorf("artifacts: malformed hash %q", hash)
 	}

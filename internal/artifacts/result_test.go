@@ -12,18 +12,18 @@ import (
 	"testing"
 	"time"
 
-	"github.com/sljmotion/sljmotion/internal/cache"
+	"github.com/sljmotion/sljmotion/internal/jobs"
 )
 
 // testKey returns a distinct request key.
-func testKey(i int) cache.Key {
-	k := cache.NewKeyer()
+func testKey(i int) jobs.Key {
+	k := jobs.NewKeyer()
 	k.WriteInt(i)
 	return k.Sum()
 }
 
 // putResult stores one result blob and returns its hash.
-func putResult(t *testing.T, s *Store, key cache.Key, doc string) string {
+func putResult(t *testing.T, s *Store, key jobs.Key, doc string) string {
 	t.Helper()
 	hash, err := s.Put(EncodeResult(key, []byte(doc)))
 	if err != nil {
@@ -33,7 +33,7 @@ func putResult(t *testing.T, s *Store, key cache.Key, doc string) string {
 }
 
 // resultDoc looks a key up and returns its document ("" on a miss).
-func resultDoc(s *Store, key cache.Key) string {
+func resultDoc(s *Store, key jobs.Key) string {
 	_, blob, ok := s.Result(key)
 	if !ok {
 		return ""

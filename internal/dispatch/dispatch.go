@@ -40,7 +40,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/sljmotion/sljmotion/internal/events"
 	"github.com/sljmotion/sljmotion/internal/httpbody"
 	"github.com/sljmotion/sljmotion/internal/jobs"
 	"github.com/sljmotion/sljmotion/internal/obs"
@@ -70,12 +69,6 @@ type Config struct {
 	ResultTTL time.Duration
 	// Clock overrides time.Now, a test seam for TTL eviction.
 	Clock func() time.Time
-	// Events configures the dispatcher's local event hub (zero fields take
-	// their defaults). The hub carries the dispatcher's own observations —
-	// submissions, cache-hit completions, terminal states resolved by
-	// polls — for the global feed; per-job Watch streams are proxied from
-	// the owning worker node, not served from this hub.
-	Events events.Config
 	// Log receives structured dispatch logs (routing, demotions, terminal
 	// observations), correlated by job_id and trace_id. Nil discards.
 	Log *slog.Logger
@@ -198,7 +191,6 @@ type Remote struct {
 	// an event stream legitimately outlives any request deadline.
 	streamClient *http.Client
 	clock        func() time.Time
-	hub          *events.Hub
 	log          *slog.Logger
 
 	mu sync.Mutex
@@ -264,7 +256,6 @@ func New(cfg Config) (*Remote, error) {
 		client:       cfg.Client,
 		streamClient: &http.Client{Transport: cfg.Client.Transport},
 		clock:        cfg.Clock,
-		hub:          events.NewHub(cfg.Events),
 		log:          lg,
 		entries:      make(map[string]*entry),
 		stop:         make(chan struct{}),
@@ -480,8 +471,6 @@ func (r *Remote) submitTo(n *node, s submission, tr *obs.Trace, root, att *obs.S
 		n.completed++
 		r.entries[id] = &entry{node: n, workerID: id, hash: s.hash, created: now, done: true, finished: now, status: st, result: jobs.NewDocument(raw), local: true, trace: tr, root: root}
 		r.mu.Unlock()
-		// Born done: the job is immediately streamable as a terminal event.
-		r.hub.Publish(events.Event{Type: events.TypeDone, JobID: id, At: now, State: string(jobs.StateDone)})
 		return id, nil
 
 	case http.StatusAccepted:
@@ -497,7 +486,6 @@ func (r *Remote) submitTo(n *node, s submission, tr *obs.Trace, root, att *obs.S
 		n.submitted++
 		r.entries[sub.ID] = &entry{node: n, workerID: sub.ID, hash: s.hash, created: now, trace: tr, root: root, payload: retained}
 		r.mu.Unlock()
-		r.hub.Publish(events.Event{Type: events.TypeQueued, JobID: sub.ID, At: now, State: string(jobs.StateQueued)})
 		return sub.ID, nil
 
 	case http.StatusServiceUnavailable:
@@ -807,7 +795,6 @@ func (r *Remote) Close(ctx context.Context) error {
 	r.mu.Unlock()
 	close(r.stop)
 	r.health.Wait()
-	r.hub.Close()
 	return nil
 }
 
@@ -1018,8 +1005,8 @@ func (r *Remote) recover(id string, e *entry) bool {
 	return false
 }
 
-// finishLocked records a terminal observation exactly once and publishes
-// it on the dispatcher's local event feed. Caller holds mu.
+// finishLocked records a terminal observation exactly once. Caller holds
+// mu.
 func (r *Remote) finishLocked(id string, e *entry, ok bool) {
 	if e.done {
 		return
@@ -1027,24 +1014,18 @@ func (r *Remote) finishLocked(id string, e *entry, ok bool) {
 	e.done = true
 	e.payload = nil // replication retention ends at the terminal state
 	e.finished = r.clock()
-	ev := events.Event{Type: events.TypeDone, JobID: id, At: e.finished, State: string(jobs.StateDone)}
+	state := jobs.StateDone
 	if ok {
 		e.node.completed++
 	} else {
 		e.node.failed++
-		ev.Type, ev.State = events.TypeFailed, string(jobs.StateFailed)
-		if e.status != nil {
-			ev.Error = e.status.Err
-		} else if e.err != nil {
-			ev.Error = e.err.Error()
-		}
+		state = jobs.StateFailed
 	}
-	r.hub.Publish(ev)
 	e.root.End()
 	r.recordRTTLocked(e.finished.Sub(e.created))
 	roundtripSeconds.Observe(e.finished.Sub(e.created).Seconds())
 	r.log.Debug("dispatch terminal observed", "job_id", id, "node", e.node.url,
-		"state", ev.State, "trace_id", e.trace.TraceID(),
+		"state", state, "trace_id", e.trace.TraceID(),
 		"roundtrip_ms", float64(e.finished.Sub(e.created))/float64(time.Millisecond))
 }
 
@@ -1077,7 +1058,6 @@ func (r *Remote) sweepLocked(now time.Time) {
 		if expired {
 			delete(r.entries, id)
 			r.evicted++
-			r.hub.Publish(events.Event{Type: events.TypeEvicted, JobID: id, At: now})
 		}
 	}
 }

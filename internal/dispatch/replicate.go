@@ -7,15 +7,13 @@ import (
 	"net/http"
 	"sync"
 	"time"
-
-	"github.com/sljmotion/sljmotion/internal/jobs"
 )
 
 // Replicator pushes finished results (result/v1 artifact blobs) to ring
 // successors. It is the worker-side half of successor replication: the
-// server invokes it (through the jobs.ReplicaSink seam) whenever it stores
-// or serves the result of a job whose payload named a replica target, and
-// it copies the bytes to the target's POST /v1/artifacts from a bounded background
+// server calls ReplicateResult whenever it stores or serves the result of
+// a job whose payload named a replica target, and the Replicator copies
+// the bytes to the target's POST /v1/artifacts from a bounded background
 // queue — the job's own latency never waits on replication, and a slow or
 // dead successor only costs dropped replicas, never wedged workers.
 type Replicator struct {
@@ -27,7 +25,17 @@ type Replicator struct {
 	mu       sync.Mutex
 	seen     map[string]struct{} // target|hash pairs already delivered
 	seenList []string            // FIFO of seen keys, bounds the dedup set
-	metrics  jobs.ReplicaMetrics
+	metrics  ReplicaMetrics
+}
+
+// ReplicaMetrics counts one node's successor-replication pushes; every
+// push is one result/v1 blob.
+type ReplicaMetrics struct {
+	// Results counts delivered pushes. Its wire name predates the
+	// results-only push and is kept for scrapers.
+	Results  uint64 `json:"artifacts"`
+	Failures uint64 `json:"failures"`
+	Dropped  uint64 `json:"dropped"`
 }
 
 // replicaTask is one queued push.
@@ -43,9 +51,6 @@ const replicaQueue = 256
 
 // replicaSeenCap bounds the dedup memory.
 const replicaSeenCap = 4096
-
-// Replicator is a ReplicaSink.
-var _ jobs.ReplicaSink = (*Replicator)(nil)
 
 // NewReplicator starts the push worker. A nil client gets a 30s-timeout
 // default.
@@ -64,12 +69,12 @@ func NewReplicator(client *http.Client) *Replicator {
 	return p
 }
 
-// ReplicateArtifact mirrors an artifact blob (jobs.ReplicaSink). Never
-// blocks: a full queue drops the push. A hash already delivered to the
-// same target is not pushed again — artifacts are content-addressed, so
-// one delivery is permanent — but a dropped or failed push is retried by
-// the next call.
-func (p *Replicator) ReplicateArtifact(target, hash string, blob []byte) {
+// ReplicateResult mirrors a result/v1 blob with content hash hash to the
+// target node. Never blocks: a full queue drops the push. A hash already
+// delivered to the same target is not pushed again — blobs are
+// content-addressed, so one delivery is permanent — but a dropped or
+// failed push is retried by the next call.
+func (p *Replicator) ReplicateResult(target, hash string, blob []byte) {
 	if target == "" || len(blob) == 0 || p.delivered(target, hash) {
 		return
 	}
@@ -82,8 +87,8 @@ func (p *Replicator) ReplicateArtifact(target, hash string, blob []byte) {
 	}
 }
 
-// ReplicaMetrics reports push counters (jobs.ReplicaSink).
-func (p *Replicator) ReplicaMetrics() jobs.ReplicaMetrics {
+// ReplicaMetrics reports push counters.
+func (p *Replicator) ReplicaMetrics() ReplicaMetrics {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.metrics
@@ -145,7 +150,7 @@ func (p *Replicator) push(t replicaTask) {
 		p.metrics.Failures++
 		return
 	}
-	p.metrics.Artifacts++
+	p.metrics.Results++
 	k := t.target + "|" + t.hash
 	p.seen[k] = struct{}{}
 	p.seenList = append(p.seenList, k)

@@ -11,12 +11,6 @@ import (
 	"github.com/sljmotion/sljmotion/internal/jobs"
 )
 
-// EventHub returns the dispatcher's local event feed: its own observations
-// of every routed job (submissions, cache-hit completions, terminal states
-// resolved by polls or streams), for the global dashboard route. Sequence
-// numbers on this feed are local to the dispatcher.
-func (r *Remote) EventHub() *events.Hub { return r.hub }
-
 // Watch streams one routed job's events by proxying the SSE stream from
 // the worker node that owns it, preserving the node's per-job sequence
 // numbers end to end — so a client's Last-Event-ID survives front-end

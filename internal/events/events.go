@@ -1,9 +1,8 @@
 // Package events is the in-process job event bus behind the streaming
 // surface: the job manager (and the remote dispatcher) publish every job
 // lifecycle transition and per-stage progress tick into a Hub, and
-// subscribers — the server's server-sent-events routes, the library's
-// JobQueue.Watch, dashboards on the global feed — consume them without
-// polling the job table.
+// per-job subscribers — the server's server-sent-events route and the
+// library's JobQueue.Watch — consume them without polling the job table.
 //
 // Design constraints, in order:
 //
@@ -11,8 +10,7 @@
 //     a web client reads its event stream slowly. Every subscriber owns a
 //     bounded pending-event buffer; a subscriber that falls behind is
 //     resynced — its buffer collapses to a single snapshot of the job's
-//     latest state (per-job streams) or a resync marker counting the
-//     dropped events (the global feed) — and deltas continue from there;
+//     latest state — and deltas continue from there;
 //   - per-job sequence numbers are monotonic from 1 and stamp every event,
 //     so a dropped connection resumes exactly where it left off
 //     (Last-Event-ID over SSE): Subscribe(job, afterSeq) replays the
@@ -40,9 +38,9 @@ import (
 type Type string
 
 // Event types. The lifecycle types mirror the job states; stage marks
-// per-stage pipeline progress of a running job; snapshot and resync are
-// synthetic events the hub (or a proxying dispatcher) injects when a
-// subscriber cannot be given the full delta stream.
+// per-stage pipeline progress of a running job; snapshot is the synthetic
+// event the hub (or a proxying dispatcher) injects when a subscriber
+// cannot be given the full delta stream.
 const (
 	// TypeQueued: the job was accepted into the queue.
 	TypeQueued Type = "queued"
@@ -60,10 +58,6 @@ const (
 	// state in place of deltas the subscriber can no longer receive (slow
 	// consumer resync, Last-Event-ID gap, poll-backed fallback streams).
 	TypeSnapshot Type = "snapshot"
-	// TypeResync: a marker on the global feed that Dropped events were
-	// discarded for this subscriber; dashboards should re-list via the
-	// jobs history endpoint.
-	TypeResync Type = "resync"
 )
 
 // Event is one job event. Seq is monotonic per job starting at 1 (assigned
@@ -74,15 +68,14 @@ const (
 // Result stays the last field: WriteFrame appends it to the encoded event
 // without re-encoding it.
 type Event struct {
-	Seq     uint64          `json:"seq"`
-	Type    Type            `json:"type"`
-	JobID   string          `json:"job_id,omitempty"`
-	At      time.Time       `json:"at"`
-	State   string          `json:"state,omitempty"`
-	Stage   string          `json:"stage,omitempty"`
-	Error   string          `json:"error,omitempty"`
-	Dropped int             `json:"dropped,omitempty"`
-	Result  json.RawMessage `json:"result,omitempty"`
+	Seq    uint64          `json:"seq"`
+	Type   Type            `json:"type"`
+	JobID  string          `json:"job_id,omitempty"`
+	At     time.Time       `json:"at"`
+	State  string          `json:"state,omitempty"`
+	Stage  string          `json:"stage,omitempty"`
+	Error  string          `json:"error,omitempty"`
+	Result json.RawMessage `json:"result,omitempty"`
 }
 
 // Terminal reports whether the event ends a job's stream: a terminal
@@ -105,6 +98,9 @@ var (
 	// ErrTooManySubscribers is the backpressure signal of Subscribe: the
 	// hub is at its subscriber limit. Retryable — clients should back off.
 	ErrTooManySubscribers = errors.New("events: subscriber limit reached, retry later")
+	// ErrNoJob rejects a subscription that names no job: every stream is
+	// one job's.
+	ErrNoJob = errors.New("events: subscription needs a job id")
 )
 
 // Config parameterises a Hub. The zero value of any field takes its
@@ -200,7 +196,7 @@ type Hub struct {
 }
 
 // Dropped returns the number of events discarded because a subscriber's
-// buffer was full (each collapsed into a snapshot or resync marker).
+// buffer was full (collapsed into a snapshot).
 func (h *Hub) Dropped() uint64 { return h.dropped.Load() }
 
 // NewHub builds a hub; zero Config fields take their defaults.
@@ -228,7 +224,7 @@ func snapshotOf(last Event) Event {
 }
 
 // Publish stamps the event with the job's next sequence number, records it
-// in the job's history, and fans it out to every matching subscriber. It
+// in the job's history, and fans it out to the job's subscribers. It
 // never blocks: a full subscriber is resynced (see package doc). An
 // eviction event retires the job's hub state after delivery.
 func (h *Hub) Publish(e Event) {
@@ -251,30 +247,20 @@ func (h *Hub) Publish(e Event) {
 		delete(h.jobs, e.JobID)
 	}
 	for sub := range h.subs {
-		if sub.jobID == "" || sub.jobID == e.JobID {
+		if sub.jobID == e.JobID {
 			sub.push(e)
 		}
 	}
 }
 
-// Snapshot returns the synthetic catch-up event for a job the hub knows,
-// or ok=false for unknown (never published or already evicted) jobs.
-func (h *Hub) Snapshot(jobID string) (Event, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	js, ok := h.jobs[jobID]
-	if !ok {
-		return Event{}, false
-	}
-	return snapshotOf(js.last), true
-}
-
-// Subscribe registers a subscriber. jobID selects one job's stream; ""
-// subscribes to the global feed (every job, live only — afterSeq is
-// ignored there). For per-job streams, afterSeq resumes after that
-// sequence number: the retained history after it is replayed, and a gap —
-// or a sequence regression after a restart — starts with a snapshot.
+// Subscribe registers a subscriber to one job's stream; an empty jobID is
+// refused with ErrNoJob. afterSeq resumes after that sequence number: the
+// retained history after it is replayed, and a gap — or a sequence
+// regression after a restart — starts with a snapshot.
 func (h *Hub) Subscribe(jobID string, afterSeq uint64) (*Subscription, error) {
+	if jobID == "" {
+		return nil, ErrNoJob
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
@@ -289,37 +275,35 @@ func (h *Hub) Subscribe(jobID string, afterSeq uint64) (*Subscription, error) {
 		max:    h.cfg.SubscriberBuffer,
 		notify: make(chan struct{}, 1),
 	}
-	if jobID != "" {
-		if js, ok := h.jobs[jobID]; ok {
-			oldest := js.seq - uint64(js.histLen()) + 1
-			switch {
-			case afterSeq == js.seq:
-				// Caught up exactly. For a live job that means deltas
-				// only — but a client resuming at a *terminal* event
-				// (e.g. an EventSource auto-reconnecting after the server
-				// closed its completed stream) must get the terminal
-				// snapshot back, so its watch closes instead of idling a
-				// subscriber slot until TTL eviction.
-				if snap := snapshotOf(js.last); snap.Terminal() {
-					sub.buf = append(sub.buf, snap)
-				}
-			case afterSeq > js.seq:
-				// The client is ahead of this hub (sequence regression —
-				// typically a restart reset the counters): resync.
-				sub.buf = append(sub.buf, snapshotOf(js.last))
-			case afterSeq+1 >= oldest:
-				for i := 0; i < js.histLen(); i++ {
-					if ev := js.histAt(i); ev.Seq > afterSeq {
-						sub.buf = append(sub.buf, ev)
-					}
-				}
-			default:
-				// The gap is past the retained window: snapshot + delta.
-				sub.buf = append(sub.buf, snapshotOf(js.last))
+	if js, ok := h.jobs[jobID]; ok {
+		oldest := js.seq - uint64(js.histLen()) + 1
+		switch {
+		case afterSeq == js.seq:
+			// Caught up exactly. For a live job that means deltas
+			// only — but a client resuming at a *terminal* event
+			// (e.g. an EventSource auto-reconnecting after the server
+			// closed its completed stream) must get the terminal
+			// snapshot back, so its watch closes instead of idling a
+			// subscriber slot until TTL eviction.
+			if snap := snapshotOf(js.last); snap.Terminal() {
+				sub.buf = append(sub.buf, snap)
 			}
-			if len(sub.buf) > sub.max {
-				sub.buf = []Event{snapshotOf(js.last)}
+		case afterSeq > js.seq:
+			// The client is ahead of this hub (sequence regression —
+			// typically a restart reset the counters): resync.
+			sub.buf = append(sub.buf, snapshotOf(js.last))
+		case afterSeq+1 >= oldest:
+			for i := 0; i < js.histLen(); i++ {
+				if ev := js.histAt(i); ev.Seq > afterSeq {
+					sub.buf = append(sub.buf, ev)
+				}
 			}
+		default:
+			// The gap is past the retained window: snapshot + delta.
+			sub.buf = append(sub.buf, snapshotOf(js.last))
+		}
+		if len(sub.buf) > sub.max {
+			sub.buf = []Event{snapshotOf(js.last)}
 		}
 	}
 	h.subs[sub] = struct{}{}
@@ -356,7 +340,7 @@ func (h *Hub) Close() {
 // Subscription is one subscriber's bounded view of the event stream.
 type Subscription struct {
 	hub    *Hub
-	jobID  string // "" = global feed
+	jobID  string
 	max    int
 	notify chan struct{}
 
@@ -374,27 +358,13 @@ func (s *Subscription) push(e Event) {
 		return
 	}
 	if len(s.buf) >= s.max {
-		if s.jobID != "" {
-			// Per-job stream: the newest event subsumes the backlog —
-			// collapse to its snapshot form and continue with deltas.
-			s.hub.dropped.Add(uint64(len(s.buf)))
-			s.buf = append(s.buf[:0], snapshotOf(e))
-			s.wake()
-			return
-		}
-		// Global feed: keep a resync marker at the front counting the
-		// discarded events; dashboards re-list instead of replaying.
-		if s.buf[0].Type == TypeResync {
-			s.buf[0].Dropped++
-			s.buf = append(s.buf[:1], s.buf[2:]...)
-			s.hub.dropped.Add(1)
-		} else {
-			marker := Event{Type: TypeResync, At: e.At, Dropped: 2}
-			s.buf = append([]Event{marker}, s.buf[2:]...)
-			s.hub.dropped.Add(2)
-		}
+		// The newest event subsumes the backlog: collapse to its snapshot
+		// form and continue with deltas.
+		s.hub.dropped.Add(uint64(len(s.buf)))
+		s.buf = append(s.buf[:0], snapshotOf(e))
+	} else {
+		s.buf = append(s.buf, e)
 	}
-	s.buf = append(s.buf, e)
 	s.wake()
 }
 

@@ -177,59 +177,49 @@ func TestSlowPerJobSubscriberResyncs(t *testing.T) {
 	}
 }
 
-func TestSlowFirehoseSubscriberGetsResyncMarker(t *testing.T) {
-	h := NewHub(Config{SubscriberBuffer: 4, MaxSubscribers: 4, HistoryPerJob: 8})
-	sub, err := h.Subscribe("", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 12
-	for i := 0; i < n; i++ {
-		h.Publish(Event{Type: TypeQueued, JobID: fmt.Sprintf("j%d", i), State: "queued"})
-	}
-	got := collect(t, sub, 4)
-	if got[0].Type != TypeResync || got[0].Dropped == 0 {
-		t.Fatalf("expected a resync marker with a drop count, got %+v", got[0])
-	}
-	delivered := len(got) - 1
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	for {
-		if _, err := sub.Next(ctx); err != nil {
-			break
-		}
-		delivered++
-	}
-	if got[0].Dropped+delivered != n {
-		t.Errorf("dropped %d + delivered %d != published %d", got[0].Dropped, delivered, n)
-	}
-}
-
 func TestSubscriberLimit(t *testing.T) {
 	h := NewHub(Config{MaxSubscribers: 2, SubscriberBuffer: 4, HistoryPerJob: 4})
-	s1, err1 := h.Subscribe("", 0)
-	_, err2 := h.Subscribe("", 0)
+	s1, err1 := h.Subscribe("a", 0)
+	_, err2 := h.Subscribe("b", 0)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("first two subscriptions: %v, %v", err1, err2)
 	}
-	if _, err := h.Subscribe("", 0); !errors.Is(err, ErrTooManySubscribers) {
+	if _, err := h.Subscribe("c", 0); !errors.Is(err, ErrTooManySubscribers) {
 		t.Fatalf("third subscription: %v, want ErrTooManySubscribers", err)
 	}
 	s1.Close()
-	if _, err := h.Subscribe("", 0); err != nil {
+	if _, err := h.Subscribe("c", 0); err != nil {
 		t.Fatalf("subscription after a Close: %v", err)
+	}
+}
+
+// TestSubscribeNeedsJob: every stream is one job's; a subscription that
+// names no job is refused and takes no slot.
+func TestSubscribeNeedsJob(t *testing.T) {
+	h := NewHub(Config{})
+	if sub, err := h.Subscribe("", 0); !errors.Is(err, ErrNoJob) || sub != nil {
+		t.Fatalf("Subscribe(\"\") = %v, %v; want ErrNoJob", sub, err)
+	}
+	if n := h.Subscribers(); n != 0 {
+		t.Errorf("refused subscription counted: %d subscribers", n)
 	}
 }
 
 func TestEvictionRetiresJobState(t *testing.T) {
 	h := NewHub(Config{})
+	known := func() bool {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		_, ok := h.jobs["a"]
+		return ok
+	}
 	h.Publish(Event{Type: TypeDone, JobID: "a", State: "done"})
-	if _, ok := h.Snapshot("a"); !ok {
+	if !known() {
 		t.Fatal("job state missing before eviction")
 	}
 	sub, _ := h.Subscribe("a", 0)
 	h.Publish(Event{Type: TypeEvicted, JobID: "a", State: "done"})
-	if _, ok := h.Snapshot("a"); ok {
+	if known() {
 		t.Error("job state must leave the hub with its eviction")
 	}
 	got := collect(t, sub, 2)
@@ -264,7 +254,7 @@ func TestNextHonoursContext(t *testing.T) {
 }
 
 // TestConcurrentPublishSubscribe exercises the hub under -race: several
-// publishers, per-job and firehose subscribers churning concurrently.
+// publishers and two per-job subscribers per job churning concurrently.
 func TestConcurrentPublishSubscribe(t *testing.T) {
 	h := NewHub(Config{SubscriberBuffer: 64, MaxSubscribers: 64, HistoryPerJob: 16})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -282,16 +272,12 @@ func TestConcurrentPublishSubscribe(t *testing.T) {
 	}
 	var readers sync.WaitGroup
 	for s := 0; s < 8; s++ {
-		jobID := fmt.Sprintf("job-%d", s%4)
-		if s >= 4 {
-			jobID = "" // firehose
-		}
-		sub, err := h.Subscribe(jobID, 0)
+		sub, err := h.Subscribe(fmt.Sprintf("job-%d", s%4), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		readers.Add(1)
-		go func(sub *Subscription, perJob bool) {
+		go func(sub *Subscription) {
 			defer readers.Done()
 			defer sub.Close()
 			last := uint64(0)
@@ -300,18 +286,16 @@ func TestConcurrentPublishSubscribe(t *testing.T) {
 				if err != nil {
 					return
 				}
-				if perJob {
-					if e.Seq < last {
-						t.Errorf("per-job stream went backwards: %d after %d", e.Seq, last)
-						return
-					}
-					last = e.Seq
-					if e.Terminal() {
-						return
-					}
+				if e.Seq < last {
+					t.Errorf("per-job stream went backwards: %d after %d", e.Seq, last)
+					return
+				}
+				last = e.Seq
+				if e.Terminal() {
+					return
 				}
 			}
-		}(sub, jobID != "")
+		}(sub)
 	}
 	wg.Wait()
 	h.Close()

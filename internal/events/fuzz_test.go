@@ -12,7 +12,7 @@ import (
 )
 
 // fuzzTypes are the event types a round-trip case picks from.
-var fuzzTypes = []Type{TypeQueued, TypeRunning, TypeStage, TypeDone, TypeFailed, TypeEvicted, TypeSnapshot, TypeResync}
+var fuzzTypes = []Type{TypeQueued, TypeRunning, TypeStage, TypeDone, TypeFailed, TypeEvicted, TypeSnapshot}
 
 // FuzzFrameReader feeds arbitrary bytes to FrameReader.Next and
 // Frame.DecodeEvent, the reader behind the dispatcher's stream proxy: it
@@ -35,14 +35,13 @@ func FuzzFrameReader(f *testing.F) {
 			return // JSON replaces invalid UTF-8, so no identity to check
 		}
 		e := Event{
-			Seq:     seq,
-			Type:    fuzzTypes[int(typ)%len(fuzzTypes)],
-			JobID:   text,
-			At:      time.Unix(0, int64(seq>>1)).UTC(),
-			State:   text,
-			Stage:   text,
-			Error:   text,
-			Dropped: int(seq % 1000),
+			Seq:   seq,
+			Type:  fuzzTypes[int(typ)%len(fuzzTypes)],
+			JobID: text,
+			At:    time.Unix(0, int64(seq>>1)).UTC(),
+			State: text,
+			Stage: text,
+			Error: text,
 		}
 		if json.Valid(result) {
 			// The wire carries the document compacted; start from that form.

@@ -91,7 +91,7 @@ func TestWriteFrameSplicesResult(t *testing.T) {
 	at := time.Date(2026, 7, 28, 12, 0, 0, 0, time.UTC)
 	for _, e := range []Event{
 		{Seq: 9, Type: TypeDone, JobID: "j", At: at, State: "done", Result: json.RawMessage(`{"a":[1,2,{"b":"\u003cx\u003e \u0026"}],"c":null}`)},
-		{Seq: 9, Type: TypeSnapshot, At: at, State: "done", Dropped: 3, Result: json.RawMessage(`[]`)},
+		{Seq: 9, Type: TypeSnapshot, At: at, State: "done", Result: json.RawMessage(`[]`)},
 		{Seq: 10, Type: TypeFailed, JobID: "j", At: at, State: "failed", Error: "<boom>"},
 	} {
 		data, err := json.Marshal(e)

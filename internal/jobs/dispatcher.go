@@ -44,8 +44,6 @@ type Dispatcher interface {
 	// shutdown. A saturated event bus returns
 	// events.ErrTooManySubscribers (retryable).
 	Watch(ctx context.Context, id string, afterSeq uint64) (<-chan events.Event, error)
-	// EventHub returns the hub carrying every job's events.
-	EventHub() *events.Hub
 	// Trace returns the job's span tree; a journal-replayed job still
 	// awaiting its re-run returns ErrNotFound.
 	Trace(id string) (*obs.TraceDoc, error)

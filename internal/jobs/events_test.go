@@ -162,12 +162,13 @@ func TestWatchUnknownJob(t *testing.T) {
 	if _, err := m.Watch(context.Background(), "deadbeef", 0); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("watch of unknown id: %v, want ErrNotFound", err)
 	}
-	if m.EventHub().Subscribers() != 0 {
+	if m.hub.Subscribers() != 0 {
 		t.Error("failed watch leaked a subscription")
 	}
 }
 
-// TestWatchEviction: the TTL sweep ends a watch with an evicted event.
+// TestWatchEviction: the TTL sweep publishes an evicted event on the
+// job's stream, and the evicted job can no longer be watched.
 func TestWatchEviction(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
 	m, err := New(Config{Workers: 1, QueueSize: 1, ResultTTL: time.Minute, Clock: clk.Now}, routeExec{
@@ -196,9 +197,9 @@ func TestWatchEviction(t *testing.T) {
 	if len(got) != 1 || got[0].Type != events.TypeSnapshot || !got[0].Terminal() {
 		t.Fatalf("terminal resume stream: %+v", got)
 	}
-	// The eviction itself is still published — observable on the global
-	// feed (a per-job watch always ends at the terminal event).
-	sub, err := m.EventHub().Subscribe("", 0)
+	// The eviction itself is still published on the job's stream (a
+	// Watch ends at the terminal event, so read the hub directly).
+	sub, err := m.hub.Subscribe(id, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,11 +213,17 @@ func TestWatchEviction(t *testing.T) {
 	for {
 		e, err := sub.Next(ctx)
 		if err != nil {
-			t.Fatalf("eviction never reached the feed: %v", err)
+			t.Fatalf("eviction never reached the job's stream: %v", err)
 		}
-		if e.Type == events.TypeEvicted && e.JobID == id {
-			return
+		if e.JobID != id {
+			t.Fatalf("job stream carried %+v", e)
 		}
+		if e.Type == events.TypeEvicted {
+			break
+		}
+	}
+	if _, err := m.Watch(context.Background(), id, 0); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("watch after eviction: %v, want ErrNotFound", err)
 	}
 }
 

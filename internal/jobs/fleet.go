@@ -69,26 +69,3 @@ type Fleet interface {
 	// FederationStats reports the scrape bookkeeping from cache only.
 	FederationStats() FederationStats
 }
-
-// ReplicaMetrics counts successor-replication pushes from one node. Every
-// push is one content-addressed blob: an artifact or a finished result.
-type ReplicaMetrics struct {
-	Artifacts uint64 `json:"artifacts"`
-	Failures  uint64 `json:"failures"`
-	Dropped   uint64 `json:"dropped"`
-}
-
-// ReplicaSink accepts asynchronous successor-replication pushes: finished
-// results, as result/v1 artifact blobs, are copied to the ring successor
-// so that node death turns into a cache hit on failover instead of a
-// recompute. Implementations must not block the caller.
-type ReplicaSink interface {
-	// ReplicateArtifact mirrors a content-addressed artifact blob to the
-	// target node.
-	ReplicateArtifact(target, hash string, blob []byte)
-	// ReplicaMetrics reports push counters.
-	ReplicaMetrics() ReplicaMetrics
-	// Backlog reports the push queue's depth and capacity, behind the
-	// deep-health "replication" component.
-	Backlog() (depth, capacity int)
-}

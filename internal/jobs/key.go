@@ -1,12 +1,4 @@
-// Package cache is the content address of an analysis request: a Key is
-// the SHA-256 of everything the analysis result depends on — the raw frame
-// bytes, the manual first-frame pose, the analyzer configuration
-// fingerprint, the stage selection and the response-shaping options. The
-// Keyer helper accumulates those components incrementally so callers never
-// hold a concatenated buffer. The artifact store indexes finished results
-// by this key (artifacts.Store.Result) and the dispatch ring places
-// payloads by it.
-package cache
+package jobs
 
 import (
 	"crypto/sha256"
@@ -16,7 +8,10 @@ import (
 	"math"
 )
 
-// Key is a content address: the SHA-256 of a request's identity.
+// Key is the content address of an analysis request: the SHA-256 of
+// everything its result depends on, as RequestKey and RefKey define it.
+// The artifact store indexes finished results by it
+// (artifacts.Store.Result) and the dispatch ring places payloads by it.
 type Key [sha256.Size]byte
 
 // String renders the key as lowercase hex.

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/sljmotion/sljmotion/internal/cache"
 	"github.com/sljmotion/sljmotion/internal/core"
 	"github.com/sljmotion/sljmotion/internal/imaging"
 	"github.com/sljmotion/sljmotion/internal/segmentation"
@@ -95,7 +94,7 @@ type Payload struct {
 	// decoded from JSON (worker intake, journal replay) never carries one,
 	// so only a key this process derived from the exact request is ever
 	// reused (LocalKey).
-	key   cache.Key
+	key   Key
 	keyFP string
 }
 
@@ -156,7 +155,7 @@ func ConfigFingerprint(cfg core.Config) string {
 // requests must be covered too: two tracking..scoring re-scores over
 // different poses may never collide. A request carrying only the frames'
 // artifact hash is keyed alike, without the pixels (RefKey).
-func RequestKey(cfgFP string, req core.Request) cache.Key {
+func RequestKey(cfgFP string, req core.Request) Key {
 	if len(req.Frames) == 0 {
 		return requestKey(cfgFP, nil, req)
 	}
@@ -168,21 +167,21 @@ func RequestKey(cfgFP string, req core.Request) cache.Key {
 // hash of their frames/v1 artifact, in place of req.Frames: it reads no
 // pixels. An empty framesRef keys req as RequestKey does; one that is not a
 // content hash is an error.
-func RefKey(cfgFP, framesRef string, req core.Request) (cache.Key, error) {
+func RefKey(cfgFP, framesRef string, req core.Request) (Key, error) {
 	if framesRef == "" {
 		return RequestKey(cfgFP, req), nil
 	}
-	frames, ok := cache.ParseKey(framesRef)
+	frames, ok := ParseKey(framesRef)
 	if !ok {
-		return cache.Key{}, fmt.Errorf("jobs: frames ref %q is not a content hash", framesRef)
+		return Key{}, fmt.Errorf("jobs: frames ref %q is not a content hash", framesRef)
 	}
 	return requestKey(cfgFP, &frames, req), nil
 }
 
 // requestKey hashes a request whose frames, when it has any, are the
 // frames/v1 artifact hashing to frames.
-func requestKey(cfgFP string, frames *cache.Key, req core.Request) cache.Key {
-	k := cache.NewKeyer()
+func requestKey(cfgFP string, frames *Key, req core.Request) Key {
+	k := NewKeyer()
 	k.WriteString("slj-analysis-response/v3")
 	k.WriteString(cfgFP)
 	k.WriteString(req.Stages.Normalize().String())
@@ -254,10 +253,10 @@ func WriteFrames(w io.Writer, frames []*imaging.Image) error {
 // FramesHash returns the content hash of the clip's frames/v1 artifact,
 // artifacts.HashOf(artifacts.EncodeFrames(frames)), in one pass over the
 // pixels and without building the blob.
-func FramesHash(frames []*imaging.Image) cache.Key {
+func FramesHash(frames []*imaging.Image) Key {
 	h := sha256.New()
 	_ = WriteFrames(h, frames) // a hash.Hash never fails a Write
-	var key cache.Key
+	var key Key
 	h.Sum(key[:0])
 	return key
 }
@@ -297,7 +296,7 @@ func NewAnalysisPayload(cfgFP string, req core.Request) (Payload, error) {
 
 // newPayload starts the payload of req under key: the fields every
 // payload carries, and req as its in-process decoded request.
-func newPayload(cfgFP string, key cache.Key, req core.Request) Payload {
+func newPayload(cfgFP string, key Key, req core.Request) Payload {
 	p := Payload{
 		Kind:               KindAnalysis,
 		ConfigFP:           cfgFP,
@@ -421,7 +420,7 @@ func NewArtifactPayload(cfgFP, framesRef string, req core.Request) (Payload, err
 // clip again. key must be RefKey(cfgFP, p.FramesRef, req), computed in this
 // process — the same rule NewAnalysisPayload keeps — so LocalKey still
 // only answers with a key derived here.
-func (p Payload) WithResolved(req core.Request, key cache.Key, cfgFP string) Payload {
+func (p Payload) WithResolved(req core.Request, key Key, cfgFP string) Payload {
 	p.decoded = &req
 	p.key, p.keyFP = key, cfgFP
 	return p
@@ -433,17 +432,17 @@ func (p Payload) WithResolved(req core.Request, key cache.Key, cfgFP string) Pay
 // decoded from a process boundary have none until an intake resolves them
 // here (ok is false), so a stamped CacheKey — a routing hint from a peer —
 // is never trusted to address stored results.
-func (p Payload) LocalKey(cfgFP string) (cache.Key, bool) {
+func (p Payload) LocalKey(cfgFP string) (Key, bool) {
 	if p.keyFP == "" || p.keyFP != cfgFP {
-		return cache.Key{}, false
+		return Key{}, false
 	}
 	return p.key, true
 }
 
 // Key parses the payload's cache key. ok is false when the payload carries
 // none (or a corrupt one).
-func (p Payload) Key() (cache.Key, bool) {
-	return cache.ParseKey(p.CacheKey)
+func (p Payload) Key() (Key, bool) {
+	return ParseKey(p.CacheKey)
 }
 
 func encodePose(pose stickmodel.Pose) *PoseWire {

@@ -6,9 +6,6 @@ import (
 	"github.com/sljmotion/sljmotion/internal/events"
 )
 
-// EventHub exposes the manager's event hub for the global dashboard feed.
-func (m *Manager) EventHub() *events.Hub { return m.hub }
-
 // Watch streams one job's lifecycle and per-stage progress events. Events
 // arrive in per-job sequence order; afterSeq resumes after that sequence
 // number — the hub replays its retained history past it, or opens with a

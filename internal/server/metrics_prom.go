@@ -127,16 +127,18 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 	if s.replica != nil {
 		pm := s.replica.ReplicaMetrics()
 		p.Counter("slj_replica_artifacts_pushed_total",
-			"Artifact blobs, results included, pushed to ring successors.", float64(pm.Artifacts))
+			"Result blobs pushed to ring successors.", float64(pm.Results))
 		p.Counter("slj_replica_push_failures_total",
 			"Replication pushes that failed after delivery was attempted.", float64(pm.Failures))
 		p.Counter("slj_replica_dropped_total",
-			"Replication tasks dropped by the sink's bounded queue.", float64(pm.Dropped))
+			"Replication tasks dropped by the replicator's bounded queue.", float64(pm.Dropped))
 	}
 
-	p.Counter("slj_events_dropped_total",
-		"Events dropped by the hub's never-block policy (slow subscribers are resynced instead).",
-		float64(s.jobs.EventHub().Dropped()))
+	if s.hub != nil {
+		p.Counter("slj_events_dropped_total",
+			"Events dropped by the hub's never-block policy (slow subscribers are resynced instead).",
+			float64(s.hub.Dropped()))
+	}
 
 	comps := s.componentHealth()
 	names := make([]string, 0, len(comps))

@@ -123,6 +123,23 @@ func TestFleetMetricsFederationConformance(t *testing.T) {
 	} else if fleet.Federation.NodesScraped != 2 {
 		t.Errorf("federation.nodes_scraped = %d, want 2", fleet.Federation.NodesScraped)
 	}
+
+	// Only an in-process job manager owns an event hub: the workers export
+	// its dropped-events counter, the front does not.
+	for _, c := range []struct {
+		url  string
+		want bool
+	}{{w1hs.URL, true}, {front.URL, false}} {
+		resp, err := http.Get(c.url + "/v1/metrics?format=prometheus")
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if got := strings.Contains(string(raw), "slj_events_dropped_total"); got != c.want {
+			t.Errorf("%s exports slj_events_dropped_total: %v, want %v", c.url, got, c.want)
+		}
+	}
 }
 
 // healthzDoc fetches and decodes the deep-health document, asserting the

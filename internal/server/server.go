@@ -53,8 +53,8 @@ import (
 	"time"
 
 	"github.com/sljmotion/sljmotion/internal/artifacts"
-	"github.com/sljmotion/sljmotion/internal/cache"
 	"github.com/sljmotion/sljmotion/internal/core"
+	"github.com/sljmotion/sljmotion/internal/dispatch"
 	"github.com/sljmotion/sljmotion/internal/events"
 	"github.com/sljmotion/sljmotion/internal/imaging"
 	"github.com/sljmotion/sljmotion/internal/jobs"
@@ -163,13 +163,14 @@ type Options struct {
 	// submit/poll lifecycle out. Front ends fanning work out via a remote
 	// dispatcher point it at nodes running with this enabled.
 	Worker bool
-	// EventSubscribers caps concurrently connected event-stream clients
-	// across both SSE routes; excess subscribers answer 503 + Retry-After.
-	// It also sizes the in-process event hub's subscriber limit.
+	// EventSubscribers caps concurrently connected event-stream clients;
+	// excess subscribers answer 503 + Retry-After. It also sizes the
+	// in-process event hub's subscriber limit.
 	EventSubscribers int
-	// EventBuffer bounds each subscriber's pending-event ring; a client
-	// this far behind is resynced (snapshot + delta) instead of ever
-	// blocking the pipeline.
+	// EventBuffer bounds each subscriber's pending-event ring in the
+	// in-process event hub; a client this far behind is resynced
+	// (snapshot + delta) instead of ever blocking the pipeline. Ignored
+	// when Dispatcher is set.
 	EventBuffer int
 	// EventHeartbeat is the SSE keep-alive comment interval.
 	EventHeartbeat time.Duration
@@ -201,10 +202,9 @@ type Options struct {
 	// Replicator, when set, pushes this node's finished results to the
 	// ring successor named by each job's payload (Payload.ReplicaTarget),
 	// turning a later node death into a successor cache hit instead of a
-	// recompute. Worker nodes in a replicating fleet set this (slj-serve
-	// wires a dispatch.Replicator); the caller keeps ownership of closing
-	// it after the server closes.
-	Replicator jobs.ReplicaSink
+	// recompute. Worker nodes in a replicating fleet set this; the caller
+	// keeps ownership of closing it after the server closes.
+	Replicator *dispatch.Replicator
 	// StallAfter is the in-process queue-stall watchdog threshold (deep
 	// health degrades the "queue" component past it); zero selects
 	// jobs.DefaultStallAfter. Ignored when Dispatcher is set.
@@ -251,8 +251,12 @@ type Server struct {
 	mu       sync.Mutex
 	analyzed int // clips analysed since start, served by /v1/healthz
 
-	// replica is the successor-replication push sink (worker side).
-	replica jobs.ReplicaSink
+	// replica pushes finished results to ring successors (worker side).
+	replica *dispatch.Replicator
+
+	// hub is the event hub of the in-process Manager, read for the
+	// dropped-events counter; nil when a dispatch front owns no hub.
+	hub *events.Hub
 
 	// testExec, when set, replaces the analysis executor behind POST /v1/jobs
 	// (and makes the route skip upload parsing) — a white-box seam for
@@ -344,17 +348,18 @@ func NewWithOptions(cfg core.Config, logger *log.Logger, opts Options) (*Server,
 			}
 			return s.executeAnalysis(ctx, p, progress)
 		})
+		s.hub = events.NewHub(events.Config{
+			SubscriberBuffer: opts.EventBuffer,
+			MaxSubscribers:   opts.EventSubscribers,
+		})
 		mgr, err := jobs.New(jobs.Config{
 			Workers:    opts.Workers,
 			QueueSize:  opts.QueueSize,
 			ResultTTL:  opts.ResultTTL,
 			Journal:    opts.Journal,
 			StallAfter: opts.StallAfter,
-			Events: events.NewHub(events.Config{
-				SubscriberBuffer: opts.EventBuffer,
-				MaxSubscribers:   opts.EventSubscribers,
-			}),
-			Log: lg,
+			Events:     s.hub,
+			Log:        lg,
 		}, exec)
 		if err != nil {
 			clips.Close()
@@ -390,7 +395,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/metrics", method(http.MethodGet, s.handleMetrics))
 	mux.HandleFunc("/v1/rules", method(http.MethodGet, s.handleRules))
 	mux.HandleFunc("/v1/healthz", method(http.MethodGet, s.handleHealth))
-	mux.HandleFunc("/v1/events", method(http.MethodGet, s.handleEventFeed))
 	// The artifact store and clip-ingest sessions (DESIGN.md §14).
 	mux.HandleFunc("/v1/artifacts", method(http.MethodPost, s.handleArtifactPut))
 	mux.HandleFunc("/v1/artifacts/", method(http.MethodGet, s.handleArtifactGet))
@@ -478,7 +482,7 @@ func (s *Server) serveIndex(w http.ResponseWriter, r *http.Request) {
 // exact bytes writeJSON serves for it, and returns those bytes. A job with
 // a replica target pushes the blob there: replication carries results
 // only.
-func (s *Server) store(key cache.Key, resp *AnalysisResponse, target string) []byte {
+func (s *Server) store(key jobs.Key, resp *AnalysisResponse, target string) []byte {
 	doc := marshalJSON(resp)
 	if doc == nil {
 		return nil
@@ -490,7 +494,7 @@ func (s *Server) store(key cache.Key, resp *AnalysisResponse, target string) []b
 		return doc
 	}
 	if s.replica != nil && target != "" {
-		s.replica.ReplicateArtifact(target, hash, blob)
+		s.replica.ReplicateResult(target, hash, blob)
 	}
 	return doc
 }
@@ -899,7 +903,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"cache":          s.artifacts.ResultMetrics(),
 	}
 	if s.replica != nil {
-		doc["replication"] = map[string]jobs.ReplicaMetrics{"push": s.replica.ReplicaMetrics()}
+		doc["replication"] = map[string]dispatch.ReplicaMetrics{"push": s.replica.ReplicaMetrics()}
 	}
 	writeJSON(w, http.StatusOK, doc)
 }

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"github.com/sljmotion/sljmotion/internal/artifacts"
-	"github.com/sljmotion/sljmotion/internal/cache"
 	"github.com/sljmotion/sljmotion/internal/core"
 	"github.com/sljmotion/sljmotion/internal/dispatch"
 	"github.com/sljmotion/sljmotion/internal/e2etest"
@@ -195,9 +194,9 @@ func postBlob(t *testing.T, base string, blob []byte) int {
 }
 
 // testResultBlob is a result/v1 blob answering an arbitrary request key.
-func testResultBlob(t *testing.T) (cache.Key, []byte, []byte) {
+func testResultBlob(t *testing.T) (jobs.Key, []byte, []byte) {
 	t.Helper()
-	key, ok := cache.ParseKey(strings.Repeat("ab", 32))
+	key, ok := jobs.ParseKey(strings.Repeat("ab", 32))
 	if !ok {
 		t.Fatal("test key malformed")
 	}

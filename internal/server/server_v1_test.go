@@ -46,7 +46,8 @@ func getMetrics(t *testing.T, base string) metricsDoc {
 
 // TestMethodNotAllowedEverywhere drives every route with a wrong method
 // and expects 405, an Allow header and the JSON error envelope. The
-// pre-/v1 paths are not routes: they answer 404 with the same envelope.
+// pre-/v1 paths and the retired global event feed are not routes: they
+// answer 404 with the same envelope.
 func TestMethodNotAllowedEverywhere(t *testing.T) {
 	srv := httptest.NewServer(fastServer(t).Handler())
 	defer srv.Close()
@@ -62,8 +63,6 @@ func TestMethodNotAllowedEverywhere(t *testing.T) {
 		{http.MethodPost, "/v1/jobs/deadbeef/result", "GET", http.StatusMethodNotAllowed},
 		{http.MethodPost, "/v1/jobs/deadbeef/events", "GET", http.StatusMethodNotAllowed},
 		{http.MethodDelete, "/v1/jobs/deadbeef/events", "GET", http.StatusMethodNotAllowed},
-		{http.MethodPost, "/v1/events", "GET", http.StatusMethodNotAllowed},
-		{http.MethodPut, "/v1/events", "GET", http.StatusMethodNotAllowed},
 		{http.MethodPost, "/v1/metrics", "GET", http.StatusMethodNotAllowed},
 		{http.MethodPut, "/v1/rules", "GET", http.StatusMethodNotAllowed},
 		{http.MethodPost, "/v1/healthz", "GET", http.StatusMethodNotAllowed},
@@ -73,6 +72,7 @@ func TestMethodNotAllowedEverywhere(t *testing.T) {
 		{http.MethodGet, "/metrics", "", http.StatusNotFound},
 		{http.MethodGet, "/rules", "", http.StatusNotFound},
 		{http.MethodGet, "/healthz", "", http.StatusNotFound},
+		{http.MethodGet, "/v1/events", "", http.StatusNotFound},
 	}
 	for _, c := range cases {
 		req, err := http.NewRequest(c.method, srv.URL+c.path, strings.NewReader(""))

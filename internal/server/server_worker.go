@@ -31,7 +31,6 @@ import (
 	"net/http"
 
 	"github.com/sljmotion/sljmotion/internal/artifacts"
-	"github.com/sljmotion/sljmotion/internal/cache"
 	"github.com/sljmotion/sljmotion/internal/jobs"
 )
 
@@ -65,7 +64,7 @@ func (s *Server) handleWorkerJobs(w http.ResponseWriter, r *http.Request) {
 	// answered here without enqueueing anything, and without reading the
 	// frames of a by-reference one.
 	req, err := p.AnalysisRequest()
-	var key cache.Key
+	var key jobs.Key
 	if err == nil {
 		key, err = jobs.RefKey(s.cfgFP, p.FramesRef, req)
 	}
@@ -82,7 +81,7 @@ func (s *Server) handleWorkerJobs(w http.ResponseWriter, r *http.Request) {
 			// still lack this result (e.g. it was stored before replication
 			// was enabled, or the push was dropped) — mirror it on the way
 			// out; the sink skips what it already delivered.
-			s.replica.ReplicateArtifact(p.ReplicaTarget, hash, cached)
+			s.replica.ReplicateResult(p.ReplicaTarget, hash, cached)
 		}
 		return
 	}

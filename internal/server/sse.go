@@ -1,9 +1,8 @@
-// Server-sent-events routes: the streaming face of the job pipeline.
+// The server-sent-events route: the streaming face of the job pipeline.
 //
 //	GET /v1/jobs/{id}/events   one job's lifecycle + per-stage progress
-//	GET /v1/events             the global feed of every job (dashboards)
 //
-// Both routes speak the SSE wire format of internal/events: every frame
+// The route speaks the SSE wire format of internal/events: every frame
 // carries the per-job sequence number as its id, so a client that loses
 // the connection resumes exactly where it stopped by sending the standard
 // Last-Event-ID header (or ?after=N) on reconnect. Keep-alive comments
@@ -42,18 +41,6 @@ func afterSeq(r *http.Request) (uint64, error) {
 	return n, nil
 }
 
-// acquireStream counts one event-stream client against the subscriber
-// limit; ok=false means the server is at capacity.
-func (s *Server) acquireStream() bool {
-	if s.streams.Add(1) > int64(s.streamLimit) {
-		s.streams.Add(-1)
-		return false
-	}
-	return true
-}
-
-func (s *Server) releaseStream() { s.streams.Add(-1) }
-
 // handleJobEvents streams one job's events (GET /v1/jobs/{id}/events).
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, id string) {
 	after, err := afterSeq(r)
@@ -61,12 +48,14 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, id stri
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if !s.acquireStream() {
+	// Count this client against the subscriber limit.
+	if s.streams.Add(1) > int64(s.streamLimit) {
+		s.streams.Add(-1)
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, "event subscriber limit reached, retry later")
 		return
 	}
-	defer s.releaseStream()
+	defer s.streams.Add(-1)
 	ch, err := s.jobs.Watch(r.Context(), id, after)
 	switch {
 	case errors.Is(err, jobs.ErrNotFound):
@@ -83,65 +72,11 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, id stri
 	s.streamSSE(w, r, ch, id)
 }
 
-// handleEventFeed streams the global job feed (GET /v1/events). The
-// optional state= parameter keeps only events whose post-event lifecycle
-// state matches (resync markers always pass — they mean "you missed
-// some"). The feed is live-only: there is no cross-job resume position,
-// so Last-Event-ID is not honoured here.
-func (s *Server) handleEventFeed(w http.ResponseWriter, r *http.Request) {
-	state := r.URL.Query().Get("state")
-	if state != "" {
-		switch jobs.State(state) {
-		case jobs.StateQueued, jobs.StateRunning, jobs.StateDone, jobs.StateFailed:
-		default:
-			writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("unknown state %q; use queued, running, done or failed", state))
-			return
-		}
-	}
-	if !s.acquireStream() {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "event subscriber limit reached, retry later")
-		return
-	}
-	defer s.releaseStream()
-	sub, err := s.jobs.EventHub().Subscribe("", 0)
-	if err != nil {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	}
-	defer sub.Close()
-
-	// Bridge the subscription into a channel so the firehose shares the
-	// per-job streaming loop (heartbeats, flush discipline).
-	ctx := r.Context()
-	ch := make(chan events.Event, 16)
-	go func() {
-		defer close(ch)
-		for {
-			e, err := sub.Next(ctx)
-			if err != nil {
-				return
-			}
-			if state != "" && e.State != state && e.Type != events.TypeResync {
-				continue
-			}
-			select {
-			case ch <- e:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	s.streamSSE(w, r, ch, "")
-}
-
 // streamSSE writes events from ch as SSE frames until the channel closes
-// or the client disconnects, heartbeating while idle. For per-job streams
-// (id != ""), a terminal done event without an embedded result gets the
-// finished response document attached, so the stream's last frame carries
-// the same data the result route serves.
+// or the client disconnects, heartbeating while idle. A terminal done event
+// of job id without an embedded result gets the finished response document
+// attached, so the stream's last frame carries the same data the result
+// route serves.
 func (s *Server) streamSSE(w http.ResponseWriter, r *http.Request, ch <-chan events.Event, id string) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -172,7 +107,7 @@ func (s *Server) streamSSE(w http.ResponseWriter, r *http.Request, ch <-chan eve
 			}
 			// Terminal done events (including a terminal snapshot of a
 			// done job) carry the result document.
-			if id != "" && e.Terminal() && len(e.Result) == 0 &&
+			if e.Terminal() && len(e.Result) == 0 &&
 				e.Type != events.TypeFailed && e.Type != events.TypeEvicted && e.State != string(jobs.StateFailed) {
 				e.Result = s.resultDocument(id)
 			}

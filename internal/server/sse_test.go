@@ -291,7 +291,7 @@ func TestSSESubscriberLimit(t *testing.T) {
 	resp.Body.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		r2, err := http.Get(srv.URL + "/v1/events")
+		r2, err := http.Get(srv.URL + "/v1/jobs/" + id + "/events")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,63 +343,6 @@ func TestSSEBadResumePosition(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", resp.StatusCode)
-	}
-}
-
-// TestEventFeedFirehose: the global feed carries every job's events and
-// honours the state filter.
-func TestEventFeedFirehose(t *testing.T) {
-	s := fastServerWithOptions(t, Options{Workers: 1, QueueSize: 8, ResultTTL: time.Minute, EventHeartbeat: 20 * time.Millisecond})
-	s.testExec = stagedExec(nil)
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-
-	resp, fr := openStream(t, srv.URL+"/v1/events?state=done", 0)
-	defer resp.Body.Close()
-	id1 := submitTestJob(t, srv.URL)
-	id2 := submitTestJob(t, srv.URL)
-
-	seen := map[string]bool{}
-	deadline := time.After(10 * time.Second)
-	got := make(chan events.Event, 32)
-	go func() {
-		for {
-			f, err := fr.Next()
-			if err != nil {
-				close(got)
-				return
-			}
-			if e, err := f.DecodeEvent(); err == nil {
-				got <- e
-			}
-		}
-	}()
-	for len(seen) < 2 {
-		select {
-		case e, ok := <-got:
-			if !ok {
-				t.Fatalf("feed closed early; saw %v", seen)
-			}
-			if e.State != string(jobs.StateDone) {
-				t.Errorf("state filter leaked event %+v", e)
-			}
-			seen[e.JobID] = true
-		case <-deadline:
-			t.Fatalf("feed never delivered both done events; saw %v", seen)
-		}
-	}
-	if !seen[id1] || !seen[id2] {
-		t.Errorf("feed missed a job: %v (want %s, %s)", seen, id1, id2)
-	}
-
-	// Bad state parameter: the envelope, not a stream.
-	bad, err := http.Get(srv.URL + "/v1/events?state=bogus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bad.Body.Close()
-	if bad.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad state filter: status %d, want 400", bad.StatusCode)
 	}
 }
 

@@ -62,9 +62,9 @@
 //	}
 //	result, _ := q.JobResult(id) // terminal event ⇒ the result is ready
 //
-// Over HTTP the stream lives at GET /v1/jobs/{id}/events (and the global
-// dashboard feed at GET /v1/events). Try it from a shell — submit a job,
-// then:
+// Over HTTP the stream lives at GET /v1/jobs/{id}/events; a dashboard
+// lists jobs with GET /v1/jobs and streams each on its own route. Try it
+// from a shell — submit a job, then:
 //
 //	curl -N http://localhost:8080/v1/jobs/<id>/events
 //
@@ -272,8 +272,7 @@ type (
 	// pool by default, or the remote HTTP fan-out dispatcher, with the
 	// submit/poll lifecycle unchanged (DESIGN.md §9-10). Its contract is
 	// the whole job surface: Submit and SubmitTraced, Status, Result, the
-	// Jobs history, Watch and the EventHub firehose, Trace,
-	// ComponentHealth, Metrics and Close.
+	// Jobs history, Watch, Trace, ComponentHealth, Metrics and Close.
 	JobDispatcher = jobs.Dispatcher
 	// JobPayload is one unit of asynchronous work as serializable data —
 	// what a JobQueue actually submits to its dispatcher (DESIGN.md §10).
@@ -319,7 +318,6 @@ const (
 	JobEventFailed   = events.TypeFailed
 	JobEventEvicted  = events.TypeEvicted
 	JobEventSnapshot = events.TypeSnapshot
-	JobEventResync   = events.TypeResync
 )
 
 // Job lifecycle states and pipeline stages.
